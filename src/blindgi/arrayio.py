@@ -18,7 +18,6 @@ import os
 import numpy as np
 
 from .errors import FormatError, UsageError
-from .grid import Grid2D
 
 MAGIC_BYTES = b"BGIARR\x00\x01"
 MAGIC = float(np.frombuffer(MAGIC_BYTES, dtype="<f8")[0])
@@ -85,10 +84,6 @@ def read_array(path: str) -> tuple[np.ndarray, dict]:
     return values, meta
 
 
-def grid_of(meta: dict) -> Grid2D:
-    return Grid2D(nx=meta["nx"], ny=meta["ny"], pitch=meta["pitch"])
-
-
 def write_pgm16(path: str, values: np.ndarray) -> None:
     """Min-max scaled 16-bit PGM preview plus a ``.scale`` sidecar."""
     values = np.asarray(values, dtype=np.float64)
@@ -119,13 +114,20 @@ def read_pgm16(path: str) -> np.ndarray:
             while pos < len(raw) and raw[pos : pos + 1] != b"\n":
                 pos += 1
             continue
+        if pos >= len(raw):
+            raise FormatError(f"{path}: truncated header, {len(fields)} of 4 fields (byte offset {pos})")
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         fields.append(raw[start:pos])
     if fields[0] != b"P5":
         raise FormatError(f"{path}: not a binary PGM (byte offset 0)")
-    nx, ny, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        nx, ny, maxval = (int(f) for f in fields[1:])
+    except ValueError:
+        raise FormatError(f"{path}: non-numeric header fields {fields[1:]!r}") from None
+    if nx < 1 or ny < 1:
+        raise FormatError(f"{path}: bad dimensions {nx}x{ny}")
     if maxval != 65535:
         raise FormatError(f"{path}: expected maxval 65535, got {maxval}")
     pos += 1  # single whitespace after maxval

@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list in units of the resolution limit")
 
     for p in (p_sim, p_rec, p_eval, p_res):
-        p.add_argument("--workers", type=int, default=1, help="parallelism cap")
+        p.add_argument("--workers", type=int, default=1,
+                       help="threads for the pattern-bucket correlation")
     return parser
 
 
@@ -264,6 +265,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args, extra = parser.parse_known_args(argv)
     try:
+        if args.workers < 1:
+            raise UsageError(f"--workers must be >= 1, got {args.workers}")
         overrides = _extract_overrides(extra)
         return _HANDLERS[args.command](args, overrides)
     except (ConfigError, UsageError) as exc:

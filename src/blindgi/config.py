@@ -7,6 +7,7 @@ file values which override defaults.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -31,8 +32,15 @@ class SupportPolicy:
             raise ConfigError("support.threshold_fraction must be in (0,1)")
         if self.margin_px < 0:
             raise ConfigError("support.margin_px must be >= 0")
-        if self.box not in ("estimate", "half") and "x" not in self.box:
+        if self.box not in ("estimate", "half"):
+            self.fixed_box()
+
+    def fixed_box(self) -> tuple[int, int]:
+        """Height and width of an ``HxW`` box setting."""
+        m = re.fullmatch(r"(\d+)x(\d+)", self.box)
+        if not m:
             raise ConfigError(f"support.box must be 'estimate', 'half' or 'HxW', got {self.box!r}")
+        return int(m.group(1)), int(m.group(2))
 
 
 @dataclass(frozen=True)

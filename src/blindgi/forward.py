@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import Grid2D, RealImage, circ_convolve, point_reflect
+from .grid import Grid2D, RealImage, circ_convolve, point_reflect, require_mask_in_central_half
 from .patterns import EnsembleSpec, Pattern, _philox, pattern_batch, STREAM_CHUNK
 
 CASES = ("lens-only", "scattering", "delta")
@@ -25,6 +25,9 @@ NOISE_KINDS = ("none", "gaussian", "poisson")
 # Key words separating the random streams derived from psf_seed.
 _STREAM_SPECKLE = 0x5053_4600
 _STREAM_NOISE = 0x4E4F_4900
+
+# numpy's Generator.poisson rejects larger means.
+_POISSON_LAM_MAX = 9.2e18
 
 
 @dataclass(frozen=True)
@@ -243,18 +246,7 @@ class MeasurementSet:
 
 def validate_object_support(obj: RealImage) -> None:
     """Objects must fit in the central half of the grid (both axes)."""
-    ny, nx = obj.grid.shape
-    ys, xs = np.nonzero(obj.values)
-    if ys.size == 0:
-        return
-    y0, y1 = ny // 4, ny // 4 + ny // 2
-    x0, x1 = nx // 4, nx // 4 + nx // 2
-    if ys.min() < y0 or ys.max() >= y1 or xs.min() < x0 or xs.max() >= x1:
-        raise ConfigError(
-            "object support extends beyond the central half of the grid "
-            f"(rows {ys.min()}..{ys.max()}, cols {xs.min()}..{xs.max()}, "
-            f"allowed rows {y0}..{y1 - 1}, cols {x0}..{x1 - 1})"
-        )
+    require_mask_in_central_half(obj.grid, obj.values, "object support")
 
 
 def _apply_noise(buckets: np.ndarray, noise: NoiseModel, psf_seed: int) -> np.ndarray:
@@ -267,7 +259,13 @@ def _apply_noise(buckets: np.ndarray, noise: NoiseModel, psf_seed: int) -> np.nd
         sigma = np.std(buckets - buckets.mean()) / 10.0 ** (noise.snr_db / 20.0)
         return buckets + rng.normal(0.0, sigma, buckets.shape)
     scale = noise.photons / buckets.mean() if buckets.mean() > 0 else 1.0
-    return rng.poisson(buckets * scale).astype(np.float64) / scale
+    lam = buckets * scale
+    if lam.max() > _POISSON_LAM_MAX:
+        raise ConfigError(
+            f"noise.photons = {noise.photons!r} gives a Poisson mean of {lam.max():.3g} photons "
+            f"in the brightest bucket, above the sampler's limit of {_POISSON_LAM_MAX:.3g}"
+        )
+    return rng.poisson(lam).astype(np.float64) / scale
 
 
 def simulate(

@@ -155,6 +155,27 @@ def point_reflect(values: np.ndarray) -> np.ndarray:
     return np.roll(values[::-1, ::-1], (1, 1), axis=(0, 1))
 
 
+def require_central_half(grid: Grid2D, rows: tuple[int, int], cols: tuple[int, int], what: str):
+    """Raise ConfigError unless the inclusive row and column ranges lie in the
+    central half: ``n // 2`` samples per axis from ``n // 2 - n // 4``, where
+    a centered box of that size sits.  Objects and supports must lie inside
+    it, so their autocorrelations fit on the grid without wrapping."""
+    y0, x0 = (n // 2 - n // 4 for n in grid.shape)
+    y1, x1 = y0 + grid.ny // 2 - 1, x0 + grid.nx // 2 - 1
+    if rows[0] < y0 or rows[1] > y1 or cols[0] < x0 or cols[1] > x1:
+        raise ConfigError(
+            f"{what} (rows {rows[0]}..{rows[1]}, cols {cols[0]}..{cols[1]}) extends beyond "
+            f"the central half of the {grid.ny}x{grid.nx} grid (rows {y0}..{y1}, cols {x0}..{x1})"
+        )
+
+
+def require_mask_in_central_half(grid: Grid2D, mask: np.ndarray, what: str):
+    """Raise ConfigError unless every nonzero sample of ``mask`` lies in the central half."""
+    ys, xs = np.nonzero(mask)
+    if ys.size:
+        require_central_half(grid, (ys.min(), ys.max()), (xs.min(), xs.max()), what)
+
+
 def centered_disk(grid: Grid2D, diameter_px: float) -> np.ndarray:
     """Boolean disk indicator of the given pixel diameter, centered on the grid.
 

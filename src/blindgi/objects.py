@@ -13,19 +13,20 @@ import re
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid2D, RealImage
+from .grid import Grid2D, RealImage, require_central_half
 
 
 def _blank(grid: Grid2D) -> np.ndarray:
     return np.zeros(grid.shape)
 
 
-def _check_fits(grid: Grid2D, height: int, width: int, what: str):
-    if height > grid.ny // 2 or width > grid.nx // 2:
-        raise ConfigError(
-            f"{what} of {height}x{width} px does not fit the central half "
-            f"of a {grid.ny}x{grid.nx} grid"
-        )
+def _centered_box(grid: Grid2D, height: int, width: int, what: str) -> tuple[int, int]:
+    """Top-left corner of a centered box, checked against the central half."""
+    y0 = grid.ny // 2 - height // 2
+    x0 = grid.nx // 2 - width // 2
+    require_central_half(grid, (y0, y0 + height - 1), (x0, x0 + width - 1),
+                         f"{what} of {height}x{width} px")
+    return y0, x0
 
 
 def letter(grid: Grid2D, height: int | None = None, stroke: int | None = None) -> RealImage:
@@ -33,10 +34,8 @@ def letter(grid: Grid2D, height: int | None = None, stroke: int | None = None) -
     h = height if height is not None else max(8, (grid.ny * 7) // 16)
     t = stroke if stroke is not None else max(2, h // 7)
     w = max(t + 2, (h * 2) // 3)
-    _check_fits(grid, h, w, "letter glyph")
+    y0, x0 = _centered_box(grid, h, w, "letter glyph")
     img = _blank(grid)
-    y0 = grid.ny // 2 - h // 2
-    x0 = grid.nx // 2 - w // 2
     img[y0 : y0 + t, x0 : x0 + w] = 1  # top bar
     img[y0 : y0 + h // 2, x0 + w - t : x0 + w] = 1  # upper-right stem
     ym = y0 + h // 2 - t // 2
@@ -50,12 +49,11 @@ def two_points(grid: Grid2D, separation_px: int) -> RealImage:
     """Two unit pixels on the center row, separated along x."""
     if separation_px < 1:
         raise ConfigError(f"separation must be >= 1 px, got {separation_px}")
-    _check_fits(grid, 1, separation_px + 1, "two-point pair")
+    cy, x_left, x_right = two_point_columns(grid, separation_px)
+    require_central_half(grid, (cy, cy), (x_left, x_right), f"two-point pair {separation_px} px apart")
     img = _blank(grid)
-    cy = grid.ny // 2
-    x_left = grid.nx // 2 - separation_px // 2
     img[cy, x_left] = 1
-    img[cy, x_left + separation_px] = 1
+    img[cy, x_right] = 1
     return RealImage(grid, img)
 
 
@@ -69,10 +67,8 @@ def rectangle(grid: Grid2D, width: int, height: int) -> RealImage:
     """A filled centered rectangle."""
     if width < 1 or height < 1:
         raise ConfigError("rectangle needs positive width and height")
-    _check_fits(grid, height, width, "rectangle")
+    y0, x0 = _centered_box(grid, height, width, "rectangle")
     img = _blank(grid)
-    y0 = grid.ny // 2 - height // 2
-    x0 = grid.nx // 2 - width // 2
     img[y0 : y0 + height, x0 : x0 + width] = 1
     return RealImage(grid, img)
 
@@ -83,10 +79,8 @@ def double_slit(
     """Two parallel vertical slits separated by a gap."""
     h = slit_height if slit_height is not None else max(8, grid.ny // 4)
     total_w = 2 * slit_width + gap
-    _check_fits(grid, h, total_w, "double slit")
+    y0, x0 = _centered_box(grid, h, total_w, "double slit")
     img = _blank(grid)
-    y0 = grid.ny // 2 - h // 2
-    x0 = grid.nx // 2 - total_w // 2
     img[y0 : y0 + h, x0 : x0 + slit_width] = 1
     img[y0 : y0 + h, x0 + slit_width + gap : x0 + total_w] = 1
     return RealImage(grid, img)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, UsageError
-from .grid import Grid2D, MagnitudeSpectrum, RealImage
+from .grid import Grid2D, MagnitudeSpectrum, RealImage, point_reflect, require_mask_in_central_half
 from .patterns import _philox
 
 _STREAM_RESTART = 0x5245_5354
@@ -35,15 +35,7 @@ class SupportMask:
             raise ConfigError("support mask shape does not match grid")
         if not m.any():
             raise ConfigError("support mask has no pixels")
-        ny, nx = self.grid.shape
-        ys, xs = np.nonzero(m)
-        if (
-            ys.min() < ny // 4
-            or ys.max() >= ny // 4 + ny // 2
-            or xs.min() < nx // 4
-            or xs.max() >= nx // 4 + nx // 2
-        ):
-            raise ConfigError("support mask extends beyond the central half of the grid")
+        require_mask_in_central_half(self.grid, m, "support mask")
         m.setflags(write=False)
         object.__setattr__(self, "mask", m)
 
@@ -241,62 +233,146 @@ def _initial_iterate(target_u: np.ndarray, seed: int, restart_id: int) -> np.nda
     return np.fft.ifft2(target_u * np.exp(1j * phases), norm="ortho").real
 
 
-def _run_one_restart(
-    target: MagnitudeSpectrum,
-    schedule: RetrievalSchedule,
-    support: SupportMask,
-    restart_id: int,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    target_u = _target_uncentered(target)
-    x = _initial_iterate(target_u, schedule.seed, restart_id)
-    trace = np.empty(schedule.total_iterations)
+class _StackEngine:
+    """ER/HIO on a real ``(R, ny, nx)`` stack of iterates, in the half-spectrum
+    layout of ``rfft2``: one forward and one inverse real transform per
+    iteration.
+
+    The target is symmetrized, ``(t(k) + t(-k)) / 2``, which is what taking
+    the real part of the complex projection does anyway, so every restart
+    follows :func:`er_step`/:func:`hio_step` to roundoff.  E_F weighs each
+    half-spectrum bin by the number of full-spectrum bins it stands for (2
+    for a conjugate pair, 1 on the self-conjugate columns, 0 on free bins)
+    and adds back the constant that symmetrizing removed, so it equals
+    :func:`fourier_error`.
+
+    The work arrays are allocated once per run and every step writes into
+    them: a fresh half-megabyte temporary per operation costs more in page
+    faults than the arithmetic it holds.
+    """
+
+    def __init__(self, target: MagnitudeSpectrum, support: SupportMask,
+                 free_dc_radius: float, restarts: int):
+        t = _target_uncentered(target)
+        ny, nx = t.shape
+        half = nx // 2 + 1
+        t_sym = 0.5 * (t + point_reflect(t))
+        free = _free_bin_mask(target.grid, free_dc_radius)
+        self.norm = float(np.sum(t[~free] ** 2))
+        if self.norm <= 0:
+            raise NumericalError("magnitude target is zero on all constrained bins")
+        self.offset = float(np.sum((t - t_sym)[~free] ** 2))
+        weight = np.full((ny, half), 2.0)
+        weight[:, 0] = 1.0
+        if nx % 2 == 0:
+            weight[:, -1] = 1.0
+        self.free = free[:, :half]
+        weight[self.free] = 0.0
+        self.weight = weight.ravel()
+        self.target = t_sym[:, :half]
+        self.nx = nx
+        self.support = support.mask
+        self.spec = np.empty((restarts, ny, half), complex)
+        self.mag = np.empty((restarts, ny, half))
+        self.work = np.empty((restarts, ny, half))
+        self.gp = np.empty((restarts, ny, nx))
+        self.tmp = np.empty((restarts, ny, nx))
+        self.feasible = np.empty((restarts, ny, nx), bool)
+
+    def transform(self, x: np.ndarray) -> None:
+        """Spectrum and magnitudes of the stack ``x``, into ``spec`` and ``mag``."""
+        np.fft.rfft2(x, norm="ortho", out=self.spec)
+        np.abs(self.spec, out=self.mag)
+
+    def errors(self) -> np.ndarray:
+        """Per-restart E_F of the last transformed stack."""
+        d = np.subtract(self.mag, self.target, out=self.work)
+        d *= d
+        return np.sqrt((d.reshape(len(d), -1) @ self.weight + self.offset) / self.norm)
+
+    def project(self) -> np.ndarray:
+        """Magnitude projection of the last transformed stack, into ``gp``.
+
+        Consumes ``spec``: bins take the target magnitude at their current
+        phase, zero bins take it at zero phase, free bins keep their value.
+        """
+        ratio = self.work
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero bins are reset below
+            np.divide(self.target, self.mag, out=ratio)
+            ratio[:, self.free] = 1.0
+            self.spec *= ratio
+        zero = self.mag == 0
+        if zero.any():
+            np.copyto(self.spec, self.target, where=zero & ~self.free)
+        # irfft2 as its two axis passes: irfft2 itself allocates a complex
+        # temporary for the first pass, which costs more than the pass.
+        np.fft.ifft(self.spec, axis=-2, norm="ortho", out=self.spec)
+        return np.fft.irfft(self.spec, n=self.nx, axis=-1, norm="ortho", out=self.gp)
+
+    def step(self, x: np.ndarray, block: ScheduleBlock) -> None:
+        """One ER or HIO step of every restart, in place on ``x``."""
+        gp = self.project()
+        if block.algorithm == "ER":
+            np.maximum(gp, 0.0, out=x)
+            x *= self.support
+            return
+        x -= np.multiply(gp, block.beta, out=self.tmp)
+        feasible = np.greater_equal(gp, 0.0, out=self.feasible)
+        feasible &= self.support
+        np.copyto(x, gp, where=feasible)
+
+
+def _run_stack(
+    engine: _StackEngine, schedule: RetrievalSchedule, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Iterate the schedule on the stack ``x`` (in place); returns (final E_F,
+    images, traces).
+
+    The E_F of iteration k is taken from the spectrum that iteration k + 1
+    projects, so the loop costs one forward and one inverse real transform
+    per iteration.
+    """
+    trace = np.empty((len(x), schedule.total_iterations))
+    engine.transform(x)
     k = 0
     for block in schedule.blocks:
         for _ in range(block.iterations):
-            if block.algorithm == "ER":
-                x = er_step(x, target, support, schedule.free_dc_radius)
-            else:
-                x = hio_step(x, target, support, block.beta, schedule.free_dc_radius)
-            trace[k] = fourier_error(x, target, schedule.free_dc_radius)
+            if k:
+                trace[:, k - 1] = engine.errors()
+            engine.step(x, block)
+            engine.transform(x)
             k += 1
+    trace[:, -1] = engine.errors()
     # Land on the object constraints whatever the last block was; a no-op
     # after ER.
-    x = np.where(support.mask, np.maximum(x, 0.0), 0.0)
-    return fourier_error(x, target, schedule.free_dc_radius), x, trace
+    np.maximum(x, 0.0, out=x)
+    x *= engine.support
+    engine.transform(x)
+    return engine.errors(), x, trace
 
 
 def run(
     target: MagnitudeSpectrum,
     schedule: RetrievalSchedule,
     support: SupportMask,
-    workers: int = 1,
 ) -> Reconstruction:
     """Run the block schedule from ``restarts`` independent random starts.
 
-    Returns the restart with the lowest final Fourier error (ties broken by
-    restart id).  Deterministic for a fixed schedule seed, independent of the
-    worker count.
+    All restarts advance together as one stack.  Returns the restart with
+    the lowest final Fourier error (ties broken by restart id);
+    deterministic for a fixed schedule seed.
     """
     if target.grid != support.grid:
         raise ConfigError("target and support grids differ")
-    ids = range(schedule.restarts)
-
-    def one(rid):
-        return (*_run_one_restart(target, schedule, support, rid), rid)
-
-    if workers > 1 and schedule.restarts > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, ids))
-    else:
-        results = [one(rid) for rid in ids]
-
-    err, image, trace, rid = min(results, key=lambda r: (r[0], r[3]))
+    engine = _StackEngine(target, support, schedule.free_dc_radius, schedule.restarts)
+    target_u = _target_uncentered(target)
+    x0 = np.stack([_initial_iterate(target_u, schedule.seed, rid) for rid in range(schedule.restarts)])
+    errors, images, traces = _run_stack(engine, schedule, x0)
+    rid = int(np.argmin(errors))  # first minimum: ties go to the lowest id
     return Reconstruction(
-        image=RealImage(target.grid, image),
-        fourier_error=err,
+        image=RealImage(target.grid, images[rid]),
+        fourier_error=float(errors[rid]),
         restart_id=rid,
         iterations_run=schedule.total_iterations,
-        ef_trace=trace,
+        ef_trace=traces[rid],
     )

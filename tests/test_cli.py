@@ -168,3 +168,51 @@ class TestResolution:
         run_cli(*args, "--out", b)
         assert open(os.path.join(a, "resolution.csv")).read() == \
                open(os.path.join(b, "resolution.csv")).read()
+
+
+class TestBadInputs:
+    """Every bad value exits with its documented code and is named on stderr."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("bad") / "run")
+        assert run_cli("simulate", "--out", out, *SMALL) == 0
+        return out
+
+    @pytest.mark.parametrize("box", ["3x", "axb", "0x0", "17x10", "10x17"])
+    def test_support_box_rejected(self, run_dir, tmp_path, capsys, box):
+        # SMALL is a 32x32 grid: boxes up to 16x16 fit the central half
+        code = run_cli("reconstruct", "--run", run_dir, "--out", str(tmp_path / "o"),
+                       "--support.box", box)
+        assert code == 2
+        assert repr(box) in capsys.readouterr().err
+
+    def test_largest_support_box_accepted(self, run_dir, tmp_path):
+        assert run_cli("reconstruct", "--run", run_dir, "--out", str(tmp_path / "o"),
+                       "--support.box", "16x16") == 0
+
+    def test_poisson_photons_too_large(self, tmp_path, capsys):
+        code = run_cli("simulate", "--out", str(tmp_path / "p"), *SMALL,
+                       "--noise.kind", "poisson", "--noise.photons", "1e30")
+        assert code == 2
+        assert "1e+30" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_must_be_positive(self, run_dir, capsys, workers):
+        assert run_cli("reconstruct", "--run", run_dir, "--workers", workers) == 2
+        assert workers in capsys.readouterr().err
+
+
+class TestGridShapes:
+    @pytest.mark.parametrize("ny,nx", [(32, 32), (33, 33), (34, 34), (35, 35), (40, 23)])
+    def test_simulate_then_reconstruct_half_box(self, tmp_path, ny, nx):
+        # n % 4 = 0, 1, 2, 3 and a non-square grid: the object builders, the
+        # forward model and support.box = half share one central half
+        out = str(tmp_path / "run")
+        args = ["--grid.ny", str(ny), "--grid.nx", str(nx), "--optical.case", "delta",
+                "--ensemble.count", "1024", "--object", "letter",
+                "--schedule.cycles", "1", "--schedule.restarts", "2", "--schedule.final-er", "10"]
+        assert run_cli("simulate", "--out", out, *args) == 0
+        assert run_cli("reconstruct", "--run", out, "--support.box", "half") == 0
+        recon, meta = arrayio.read_array(os.path.join(out, "reconstruction.f64"))
+        assert (meta["ny"], meta["nx"]) == (ny, nx)

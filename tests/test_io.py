@@ -66,6 +66,13 @@ class TestPGM:
         raw = open(path, "rb").read()
         assert raw.endswith(b"\x00\x00\xff\xff")
 
+    @pytest.mark.parametrize("raw", [b"P5\n64", b"P5\n64 64\n", b"P5\nab 64\n65535\n", b"P5\n0 5\n65535\n"])
+    def test_bad_header_is_format_error(self, tmp_path, raw):
+        path = str(tmp_path / "bad.pgm")
+        open(path, "wb").write(raw)
+        with pytest.raises(FormatError):
+            arrayio.read_pgm16(path)
+
     def test_constant_image(self, tmp_path):
         path = str(tmp_path / "c.pgm")
         arrayio.write_pgm16(path, np.full((4, 4), 2.5))

@@ -29,6 +29,8 @@ from blindgi.retrieval import (
     centered_box_mask,
     fourier_error,
     _initial_iterate,
+    _run_stack,
+    _StackEngine,
 )
 from blindgi import objects
 
@@ -254,15 +256,16 @@ class TestRun:
         want = er_step(x0, target, support)
         npt.assert_allclose(recon.image.values, want, atol=1e-14)
 
-    def test_deterministic_and_worker_invariant(self):
+    def test_rerun_byte_identical(self):
         g = grid()
         obj = objects.rectangle(g, 9, 7)
         target = magnitude_of(obj.values, g)
         support = centered_box_mask(g, 13, 11)
         sched = self.schedule(restarts=4, cycles=2)
-        a = run(target, sched, support, workers=1)
-        b = run(target, sched, support, workers=4)
-        npt.assert_array_equal(a.image.values, b.image.values)
+        a = run(target, sched, support)
+        b = run(target, sched, support)
+        assert a.image.values.tobytes() == b.image.values.tobytes()
+        assert a.ef_trace.tobytes() == b.ef_trace.tobytes()
         assert a.restart_id == b.restart_id and a.fourier_error == b.fourier_error
 
     def test_trace_shape_and_final_error(self):
@@ -274,6 +277,73 @@ class TestRun:
         recon = run(target, sched, support)
         assert recon.ef_trace.shape == (sched.total_iterations,)
         assert recon.iterations_run == sched.total_iterations
+
+
+class TestStackEngine:
+    """The batched engine against the single-iterate reference, restart by restart.
+
+    HIO amplifies roundoff, so whole HIO runs are not compared: single steps
+    of both kinds are, and so are ER-only runs, where errors do not grow.
+    """
+
+    SHAPES = [(32, 32), (33, 31), (30, 35)]  # (ny, nx): even, odd and mixed
+
+    def problem(self, ny, nx, symmetric):
+        g = Grid2D(nx=nx, ny=ny, pitch=1e-5)
+        if symmetric:
+            target = magnitude_of(objects.letter(g, height=12, stroke=2).values, g)
+        else:  # not the magnitude of any real image: the engine must still agree
+            target = MagnitudeSpectrum(g, np.random.default_rng(3).random((ny, nx)), centered=False)
+        support = centered_box_mask(g, ny // 2 - 2, nx // 2 - 1)
+        x0 = np.stack([_initial_iterate(target.values, seed=11, restart_id=r) for r in range(5)])
+        return target, support, x0
+
+    @pytest.mark.parametrize("free_dc_radius", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_step_matches_reference(self, shape, symmetric, free_dc_radius):
+        target, support, x0 = self.problem(*shape, symmetric)
+        engine = _StackEngine(target, support, free_dc_radius, len(x0))
+        engine.transform(x0)
+        npt.assert_allclose(
+            engine.errors(), [fourier_error(x, target, free_dc_radius) for x in x0], rtol=1e-12
+        )
+        for block in (ScheduleBlock("ER", 1), ScheduleBlock("HIO", 1, beta=0.7)):
+            got = x0.copy()
+            engine.transform(got)
+            engine.step(got, block)
+            for r, x in enumerate(x0):
+                if block.algorithm == "ER":
+                    want = er_step(x, target, support, free_dc_radius)
+                else:
+                    want = hio_step(x, target, support, block.beta, free_dc_radius)
+                assert np.max(np.abs(got[r] - want)) <= 1e-12 * np.max(np.abs(x)), block
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_er_run_matches_reference_per_restart(self, shape, symmetric):
+        target, support, x0 = self.problem(*shape, symmetric)
+        sched = RetrievalSchedule((ScheduleBlock("ER", 50),), restarts=len(x0), free_dc_radius=1.0)
+        engine = _StackEngine(target, support, 1.0, len(x0))
+        errors, images, traces = _run_stack(engine, sched, x0.copy())
+        for r, x in enumerate(x0):
+            scale = np.max(np.abs(x))
+            trace = []
+            for _ in range(50):
+                x = er_step(x, target, support, 1.0)
+                trace.append(fourier_error(x, target, 1.0))
+            assert np.max(np.abs(images[r] - x)) <= 1e-12 * scale
+            # E_F is already normalized by the target, so its scale is 1.
+            npt.assert_allclose(traces[r], trace, rtol=0, atol=1e-12)
+            assert errors[r] == pytest.approx(trace[-1], rel=0, abs=1e-12)
+
+    def test_zero_iterate_takes_zero_phase(self):
+        g = grid(8)
+        target = MagnitudeSpectrum(g, np.full((8, 8), 2.0), centered=False)
+        engine = _StackEngine(target, centered_box_mask(g, 4, 4), 1.0, 2)
+        engine.transform(np.zeros((2, 8, 8)))
+        want = project_magnitude(np.zeros((8, 8)), target, 1.0).real
+        npt.assert_allclose(engine.project(), [want, want], atol=1e-14)
 
 
 class TestTrivialAmbiguities:
