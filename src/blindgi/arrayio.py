@@ -139,16 +139,12 @@ def read_pgm16(path: str) -> np.ndarray:
             f"(payload starts at byte offset {pos})"
         )
     samples = np.frombuffer(payload, dtype=">u2").reshape(ny, nx).astype(np.float64)
-    vmin = vmax = None
-    with open(path + ".scale") as fh:
-        for line in fh:
-            key, _, val = line.partition("=")
-            if key.strip() == "vmin":
-                vmin = float(val)
-            elif key.strip() == "vmax":
-                vmax = float(val)
-    if vmin is None or vmax is None:
-        raise FormatError(f"{path}.scale: missing vmin/vmax")
+    scale_path = path + ".scale"
+    scale = read_flat_config(scale_path)
+    try:
+        vmin, vmax = float(scale["vmin"]), float(scale["vmax"])
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"{scale_path}: needs numeric vmin and vmax ({exc})") from None
     return vmin + samples / 65535.0 * (vmax - vmin)
 
 
@@ -189,8 +185,9 @@ def write_flat_config(path: str, entries: dict) -> None:
 
 def read_flat_config(path: str) -> dict:
     if not os.path.exists(path):
-        raise FormatError(f"config file not found: {path}")
+        raise FormatError(f"file not found: {path}")
     entries = {}
+    first_line = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -199,5 +196,11 @@ def read_flat_config(path: str) -> dict:
             key, sep, value = stripped.partition("=")
             if not sep:
                 raise FormatError(f"{path}: line {lineno} is not 'key = value': {line!r}")
-            entries[key.strip()] = value.strip()
+            key = key.strip()
+            if key in first_line:
+                raise FormatError(
+                    f"{path}: key {key!r} repeated at lines {first_line[key]} and {lineno}"
+                )
+            first_line[key] = lineno
+            entries[key] = value.strip()
     return entries

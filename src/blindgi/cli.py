@@ -126,7 +126,7 @@ def cmd_reconstruct(args, overrides) -> int:
     os.makedirs(out_dir, exist_ok=True)
     ms = _load_measurements(args.run, cfg)
     truth = _load_truth(args.run, cfg)
-    result = run_reconstruction(cfg, ms, truth=truth, workers=args.workers)
+    result = run_reconstruction(cfg, ms, truth=truth)
 
     pitch = cfg.grid_pitch
 
@@ -206,7 +206,7 @@ def cmd_resolution(args, overrides) -> int:
     cfg = _load_config(args.config, overrides)
     seps = _parse_separations(args, cfg)
     os.makedirs(args.out, exist_ok=True)
-    rows = [resolution_probe(cfg, sep, workers=args.workers) for sep in seps]
+    rows = [resolution_probe(cfg, sep) for sep in seps]
     path = os.path.join(args.out, "resolution.csv")
     with open(path, "w") as fh:
         fh.write("separation_m,separation_px,resolved,contrast,pearson\n")
@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (p_sim, p_rec, p_eval, p_res):
         p.add_argument("--workers", type=int, default=1,
-                       help="threads for the pattern-bucket correlation")
+                       help="accepted for compatibility and ignored: every stage runs "
+                            "on one thread (must be >= 1)")
     return parser
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, UsageError
 from .forward import MeasurementSet, OpticalConfig, pupil_mask
 from .grid import Grid2D, MagnitudeSpectrum, indicator_autocorrelation
-from .patterns import STREAM_CHUNK, pattern_batch
+from .patterns import iter_chunks
 
 
 @dataclass(frozen=True)
@@ -41,42 +41,21 @@ class CorrelationImage:
         object.__setattr__(self, "values", vals)
 
 
-def correlate(measurements: MeasurementSet, workers: int = 1) -> CorrelationImage:
+def correlate(measurements: MeasurementSet) -> CorrelationImage:
     """Correlation image from a measurement set, regenerating patterns on the fly.
 
-    Uses the streaming identity C = (1/J) sum B_j M_j - (mean B)(mean M),
-    accumulated in fixed chunk order so the result is independent of the
-    worker count.
+    Streams the centred form C = (1/J) sum_j (B_j - mean B) M_j, equal to the
+    mean-removed estimator because the centred buckets sum to zero, into one
+    accumulator in fixed chunk order.
     """
     spec = measurements.ensemble
     if spec.count < 2:
         raise UsageError("correlation needs at least 2 measurements")
-    buckets = measurements.buckets
-    shape = spec.grid.shape
-
-    chunks = [(lo, min(lo + STREAM_CHUNK, spec.count)) for lo in range(0, spec.count, STREAM_CHUNK)]
-
-    def partial(bounds):
-        lo, hi = bounds
-        batch = pattern_batch(spec, lo, hi).reshape(hi - lo, -1)
-        return buckets[lo:hi] @ batch, batch.sum(axis=0)
-
-    if workers > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(partial, chunks))
-    else:
-        parts = [partial(c) for c in chunks]
-
-    acc_bm = np.zeros(spec.grid.npixels)
-    acc_m = np.zeros(spec.grid.npixels)
-    for bm, m in parts:  # merge in chunk order: float result independent of workers
-        acc_bm += bm
-        acc_m += m
-    j = spec.count
-    c = acc_bm / j - (buckets.mean()) * (acc_m / j)
-    return CorrelationImage(spec.grid, c.reshape(shape), j)
+    centred = measurements.buckets - measurements.buckets.mean()
+    acc = np.zeros(spec.grid.npixels)
+    for lo, hi, batch in iter_chunks(spec):
+        acc += centred[lo:hi] @ batch.reshape(hi - lo, -1)
+    return CorrelationImage(spec.grid, (acc / spec.count).reshape(spec.grid.shape), spec.count)
 
 
 def magnitude_spectrum(c: CorrelationImage) -> MagnitudeSpectrum:

@@ -17,7 +17,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .grid import Grid2D, RealImage, circ_convolve, point_reflect, require_mask_in_central_half
-from .patterns import EnsembleSpec, Pattern, _philox, pattern_batch, STREAM_CHUNK
+from .patterns import EnsembleSpec, Pattern, _philox, iter_chunks
+# Not called here; kept importable as forward.pattern_batch, the name the
+# benchmark's tracer test (perfbench/tests) patches and restores.
+from .patterns import pattern_batch  # noqa: F401
 
 CASES = ("lens-only", "scattering", "delta")
 NOISE_KINDS = ("none", "gaussian", "poisson")
@@ -292,9 +295,7 @@ def simulate(
     psf = psf_for(config, psf_seed)
     w = bucket_weights(obj, psf).ravel()
     buckets = np.empty(ensemble.count)
-    for lo in range(0, ensemble.count, STREAM_CHUNK):
-        hi = min(lo + STREAM_CHUNK, ensemble.count)
-        batch = pattern_batch(ensemble, lo, hi)
+    for lo, hi, batch in iter_chunks(ensemble):
         buckets[lo:hi] = batch.reshape(hi - lo, -1) @ w
     buckets = _apply_noise(buckets, noise, psf_seed)
     return MeasurementSet(ensemble, buckets, config, psf_seed)

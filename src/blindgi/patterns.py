@@ -2,8 +2,15 @@
 
 Patterns are never stored: each one is regenerated on demand from
 ``(seed, index)`` with a counter-based generator, so ensembles of 10^6
-patterns cost no memory and generation order (or worker count) cannot
-change the result.
+patterns cost no memory and neither generation order nor chunking can
+change a pattern.
+
+Both random kinds read one Philox stream per ensemble, keyed by
+``(seed, _STREAM_PATTERNS)``.  Each Philox counter yields four 64-bit words,
+read as eight little-endian 32-bit scores; pattern j owns the counters
+``[j*P, (j+1)*P)`` with ``P = ceil(npixels / 8)`` and uses its first
+``npixels`` scores in row-major pixel order.  A chunk of patterns is thus one
+``advance`` plus one ``random_raw`` call.
 """
 
 from __future__ import annotations
@@ -19,6 +26,9 @@ from .grid import Grid2D
 KINDS = ("random-binary", "random-fixed-fill", "hadamard", "pixel-scan")
 
 _MASK64 = (1 << 64) - 1
+
+# Key word of the random pattern stream derived from the ensemble seed.
+_STREAM_PATTERNS = 0x5041_5400
 
 
 def _philox(*key_words: int) -> np.random.Generator:
@@ -89,50 +99,82 @@ def generate_pattern(spec: EnsembleSpec, j: int) -> Pattern:
     """Pattern ``j`` of the ensemble; a pure function of (spec.seed, j)."""
     if not 0 <= j < spec.count:
         raise UsageError(f"pattern index {j} out of range [0, {spec.count})")
-    return Pattern(spec.grid, _pattern_values(spec, j), j)
+    return Pattern(spec.grid, pattern_batch(spec, j, j + 1)[0], j)
 
 
-def _pattern_values(spec: EnsembleSpec, j: int) -> np.ndarray:
-    ny, nx = spec.grid.shape
-    if spec.kind == "random-binary":
-        rng = _philox(spec.seed, j)
-        return (rng.random((ny, nx)) < spec.fill_fraction).astype(np.float64)
-    if spec.kind == "random-fixed-fill":
-        rng = _philox(spec.seed, j)
-        scores = rng.random(ny * nx)
-        k = min(max(int(round(spec.fill_fraction * ny * nx)), 1), ny * nx - 1)
-        vals = np.zeros(ny * nx)
-        vals[np.argpartition(scores, k)[:k]] = 1.0
-        return vals.reshape(ny, nx)
-    if spec.kind == "hadamard":
-        hy = hadamard(ny)[j // nx].astype(np.float64)
-        hx = hadamard(nx)[j % nx].astype(np.float64)
-        return (1.0 + np.outer(hy, hx)) / 2.0
-    vals = np.zeros((ny, nx))
-    vals[j // nx, j % nx] = 1.0
-    return vals
+def _scores(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
+    """uint32 scores of patterns start..stop-1, shape (stop-start, npixels)."""
+    npix = spec.grid.npixels
+    per = -(-npix // 8)  # counters per pattern
+    bits = _philox(spec.seed, _STREAM_PATTERNS).bit_generator
+    bits.advance(start * per)
+    raw = bits.random_raw((stop - start) * per * 4)
+    return raw.astype("<u8", copy=False).view("<u4").reshape(stop - start, per * 8)[:, :npix]
+
+
+def _fixed_fill(scores: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Set row i of ``out`` (n, npix) to 1 on its k lowest scores, 0 elsewhere.
+
+    The k-th order statistic (counting from 0) comes from partitioning a copy
+    of the scores held in ``out``'s own memory: a fresh scratch array per
+    chunk costs hundreds of page faults.  A row's pixels below that statistic
+    are exactly its k lowest unless a lower score ties it; such rows are
+    redone by index.
+    """
+    part = out.view(np.uint32)[:, : scores.shape[1]]
+    part[...] = scores
+    part.partition(k, axis=1)
+    kth = part[:, k : k + 1].copy()
+    tied = np.flatnonzero(part[:, :k].max(axis=1) == kth[:, 0])
+    np.less(scores, kth, out=out)
+    for i in tied:
+        out[i] = 0.0
+        out[i, np.argpartition(scores[i], k)[:k]] = 1.0
 
 
 def pattern_batch(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
     """Patterns start..stop-1 stacked as a (stop-start, ny, nx) float array."""
     if not 0 <= start <= stop <= spec.count:
         raise UsageError(f"batch range [{start}, {stop}) out of bounds for count {spec.count}")
-    out = np.empty((stop - start, *spec.grid.shape))
-    for i, j in enumerate(range(start, stop)):
-        out[i] = _pattern_values(spec, j)
+    ny, nx = spec.grid.shape
+    n = stop - start
+    out = np.empty((n, ny, nx))
+    flat = out.reshape(n, ny * nx)
+    if spec.kind == "random-binary":
+        threshold = np.uint32(min(round(spec.fill_fraction * 2**32), 2**32 - 1))
+        np.less(_scores(spec, start, stop), threshold, out=flat)
+    elif spec.kind == "random-fixed-fill":
+        k = min(max(int(round(spec.fill_fraction * ny * nx)), 1), ny * nx - 1)
+        _fixed_fill(_scores(spec, start, stop), k, flat)
+    elif spec.kind == "hadamard":
+        j = np.arange(start, stop)
+        hy, hx = hadamard(ny)[j // nx], hadamard(nx)[j % nx]
+        out[:] = (1 + hy[:, :, None] * hx[:, None, :]) / 2
+    else:
+        flat[:] = 0.0
+        flat[np.arange(n), np.arange(start, stop)] = 1.0
     return out
 
 
 # Chunk size for streaming passes over an ensemble.  Fixed so that summation
-# order never depends on the caller or on worker count.
-STREAM_CHUNK = 512
+# order never depends on the caller.  On 64x64, 32 to 256 ran equally fast;
+# 128 keeps a chunk's arrays at 6 MB and its Python overhead small on small
+# grids.
+STREAM_CHUNK = 128
+
+
+def iter_chunks(spec: EnsembleSpec):
+    """Yield ``(lo, hi, patterns lo..hi-1)`` over the ensemble in fixed chunks."""
+    for lo in range(0, spec.count, STREAM_CHUNK):
+        hi = min(lo + STREAM_CHUNK, spec.count)
+        yield lo, hi, pattern_batch(spec, lo, hi)
 
 
 def ensemble_mean(spec: EnsembleSpec) -> np.ndarray:
     """Per-pixel mean of the ensemble, streamed in fixed chunk order."""
     acc = np.zeros(spec.grid.shape)
-    for lo in range(0, spec.count, STREAM_CHUNK):
-        acc += pattern_batch(spec, lo, min(lo + STREAM_CHUNK, spec.count)).sum(axis=0)
+    for _, _, batch in iter_chunks(spec):
+        acc += batch.sum(axis=0)
     return acc / spec.count
 
 
@@ -155,8 +197,7 @@ def ensemble_autocorrelations(
             raise UsageError(f"lag {(dy, dx)} outside grid {spec.grid.shape}")
     mean = ensemble_mean(spec)
     acc = np.zeros(len(lags))
-    for lo in range(0, spec.count, STREAM_CHUNK):
-        batch = pattern_batch(spec, lo, min(lo + STREAM_CHUNK, spec.count))
+    for _, _, batch in iter_chunks(spec):
         d = batch - mean
         for i, (dy, dx) in enumerate(lags):
             d_shift = np.roll(d, (-dy, -dx), axis=(1, 2))

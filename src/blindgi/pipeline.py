@@ -94,10 +94,9 @@ def run_reconstruction(
     cfg: RunConfig,
     measurements: MeasurementSet,
     truth: RealImage | None = None,
-    workers: int = 1,
 ) -> ReconstructionResult:
     """Correlate, form the magnitude target per the configured mode, retrieve."""
-    corr = correlate(measurements, workers=workers)
+    corr = correlate(measurements)
     spec = magnitude_spectrum(corr)
     filt = filter_model(measurements.config)
     if cfg.compensation_mode == "compensated":
@@ -122,14 +121,14 @@ def run_reconstruction(
     )
 
 
-def run_pipeline(cfg: RunConfig, workers: int = 1):
+def run_pipeline(cfg: RunConfig):
     """Full simulate-and-reconstruct run; returns (measurements, truth, result)."""
     ms, obj, _ = run_simulation(cfg)
-    result = run_reconstruction(cfg, ms, truth=obj, workers=workers)
+    result = run_reconstruction(cfg, ms, truth=obj)
     return ms, obj, result
 
 
-def resolution_probe(cfg: RunConfig, separation: float, workers: int = 1) -> dict:
+def resolution_probe(cfg: RunConfig, separation: float) -> dict:
     """Two-point resolvability at a physical separation (meters).
 
     Runs the full pipeline on a two-point object and reports the Rayleigh-style
@@ -144,7 +143,7 @@ def resolution_probe(cfg: RunConfig, separation: float, workers: int = 1) -> dic
     from dataclasses import replace
 
     cfg = replace(cfg, object_source=f"two-points({sep_px})")
-    ms, obj, result = run_pipeline(cfg, workers=workers)
+    ms, obj, result = run_pipeline(cfg)
     from .evaluation import is_resolved, two_point_contrast
     from .objects import two_point_columns
 

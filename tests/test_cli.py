@@ -198,9 +198,24 @@ class TestBadInputs:
         assert "1e+30" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_must_be_positive(self, run_dir, capsys, workers):
-        assert run_cli("reconstruct", "--run", run_dir, "--workers", workers) == 2
-        assert workers in capsys.readouterr().err
+    def test_workers_must_be_positive(self, run_dir, tmp_path, capsys, workers):
+        # --workers has no effect, but every subcommand still validates it
+        for argv in (
+            ["simulate", "--out", str(tmp_path / "s")],
+            ["reconstruct", "--run", run_dir],
+            ["evaluate", "--run", run_dir],
+            ["resolution", "--out", str(tmp_path / "r"), "--separations", "1e-4"],
+        ):
+            assert run_cli(*argv, "--workers", workers) == 2
+            assert workers in capsys.readouterr().err
+
+    def test_repeated_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("ensemble.count = 1024\nobject = letter\nensemble.count = 2048\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert "'ensemble.count' repeated at lines 1 and 3" in err
+        assert "Traceback" not in err
 
 
 class TestGridShapes:

@@ -115,12 +115,18 @@ class TestCorrelate:
         ref = np.einsum("j,jyx->yx", b - b.mean(), stack - stack.mean(axis=0)) / ens.count
         assert np.max(np.abs(streamed - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_worker_count_invariant(self):
+    def test_rerun_byte_identical_and_matches_dense(self):
         cfg = optical(n=32)
         obj = objects.rectangle(cfg.object_grid, 8, 6)
-        ens = EnsembleSpec(kind="random-binary", grid=cfg.object_grid, count=2**11, seed=5)
+        ens = EnsembleSpec(kind="random-fixed-fill", grid=cfg.object_grid, count=1000, seed=5)
         ms = simulate(obj, cfg, ens, NoiseModel(), psf_seed=2)
-        npt.assert_array_equal(correlate(ms, workers=1).values, correlate(ms, workers=4).values)
+        first = correlate(ms).values
+        npt.assert_array_equal(first, correlate(ms).values)
+        # dense reference on the materialized ensemble, both sides centred
+        m = pattern_batch(ens, 0, ens.count).reshape(ens.count, -1)
+        b = ms.buckets
+        ref = ((b - b.mean()) @ (m - m.mean(axis=0)) / ens.count).reshape(first.shape)
+        assert np.max(np.abs(first - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.slow
     def test_converges_to_complete_basis_limit(self):

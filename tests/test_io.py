@@ -1,5 +1,7 @@
 """File-format round trips and validation errors."""
 
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -73,6 +75,19 @@ class TestPGM:
         with pytest.raises(FormatError):
             arrayio.read_pgm16(path)
 
+    @pytest.mark.parametrize(
+        "sidecar", [None, "vmin = abc\nvmax = 1.0\n", "vmin = 0.0\n", "vmin = abc\n"]
+    )
+    def test_bad_sidecar_is_format_error(self, tmp_path, sidecar):
+        path = str(tmp_path / "s.pgm")
+        arrayio.write_pgm16(path, np.ones((2, 3)))
+        if sidecar is None:
+            os.remove(path + ".scale")
+        else:
+            open(path + ".scale", "w").write(sidecar)
+        with pytest.raises(FormatError, match="s.pgm.scale"):
+            arrayio.read_pgm16(path)
+
     def test_constant_image(self, tmp_path):
         path = str(tmp_path / "c.pgm")
         arrayio.write_pgm16(path, np.full((4, 4), 2.5))
@@ -126,6 +141,12 @@ class TestFlatConfig:
         path = tmp_path / "cfg.txt"
         path.write_text("this is not a pair\n")
         with pytest.raises(FormatError, match="line 1"):
+            arrayio.read_flat_config(str(path))
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("ensemble.count = 128\n# comment\nensemble.count = 256\n")
+        with pytest.raises(FormatError, match=r"'ensemble.count' repeated at lines 1 and 3"):
             arrayio.read_flat_config(str(path))
 
     def test_write_is_sorted(self, tmp_path):
