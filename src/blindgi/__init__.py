@@ -12,14 +12,11 @@ from .errors import (
     UsageError,
 )
 from .grid import (
-    ComplexField,
     Grid2D,
     MagnitudeSpectrum,
     RealImage,
     circ_convolve,
     disk_autocorrelation,
-    fft2,
-    ifft2,
     point_reflect,
 )
 from .patterns import EnsembleSpec, Pattern, ensemble_autocorrelation, generate_pattern

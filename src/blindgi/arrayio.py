@@ -9,11 +9,11 @@ Formats are versioned and byte-reproducible:
 * ``.pgm`` previews: binary P5, maxval 65535, big-endian samples,
   min-max scaled; the scale is recorded in a ``.pgm.scale`` sidecar.
 * buckets: CSV with header ``j,value`` and repr-formatted floats.
+
+Text files (buckets, configs, scale sidecars) are UTF-8.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -31,6 +31,8 @@ KIND_CORRELATION = 3.0
 
 _HEADER_COUNT = 8
 _HEADER_BYTES = _HEADER_COUNT * 8
+
+TEXT_ENCODING = "utf-8"
 
 
 def write_array(
@@ -64,9 +66,10 @@ def read_array(path: str) -> tuple[np.ndarray, dict]:
         raise FormatError(f"{path}: bad magic at byte offset 0")
     if header[1] != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {header[1]} at byte offset 8")
-    nx, ny = int(header[2]), int(header[3])
-    if nx < 1 or ny < 1:
-        raise FormatError(f"{path}: bad dimensions {nx}x{ny} at byte offset 16")
+    dims = header[2:4]
+    if not np.all(np.isfinite(dims) & (dims >= 1) & (dims == np.floor(dims))):
+        raise FormatError(f"{path}: bad dimensions {dims[0]}x{dims[1]} at byte offset 16")
+    nx, ny = int(dims[0]), int(dims[1])
     expected = _HEADER_BYTES + nx * ny * 8
     if len(raw) != expected:
         raise FormatError(
@@ -97,7 +100,7 @@ def write_pgm16(path: str, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{nx} {ny}\n65535\n".encode("ascii"))
         fh.write(samples.tobytes())
-    with open(path + ".scale", "w") as fh:
+    with open(path + ".scale", "w", encoding=TEXT_ENCODING) as fh:
         fh.write(f"vmin = {vmin!r}\nvmax = {vmax!r}\n")
 
 
@@ -148,59 +151,69 @@ def read_pgm16(path: str) -> np.ndarray:
     return vmin + samples / 65535.0 * (vmax - vmin)
 
 
+def _read_lines(path: str) -> list[str]:
+    """Lines of a text file, or FormatError naming it if unreadable or not UTF-8."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
+    try:
+        return raw.decode(TEXT_ENCODING).splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not {TEXT_ENCODING} text (byte offset {exc.start})") from None
+
+
 def write_buckets_csv(path: str, buckets: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding=TEXT_ENCODING, newline="") as fh:
         fh.write("j,value\n")
         for j, value in enumerate(buckets):
             fh.write(f"{j},{float(value)!r}\n")
 
 
 def read_buckets_csv(path: str) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "j,value":
-            raise FormatError(f"{path}: expected header 'j,value', got {header!r} (line 1)")
-        values = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            j_str, _, v_str = line.partition(",")
-            try:
-                j = int(j_str)
-                values.append(float(v_str))
-            except ValueError as exc:
-                raise FormatError(f"{path}: bad row at line {lineno}: {line!r}") from exc
-            if j != len(values) - 1:
-                raise FormatError(f"{path}: non-sequential index {j} at line {lineno}")
+    lines = _read_lines(path)
+    header = lines[0].strip() if lines else ""
+    if header != "j,value":
+        raise FormatError(f"{path}: expected header 'j,value', got {header!r} (line 1)")
+    values = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        j_str, _, v_str = line.partition(",")
+        try:
+            j = int(j_str)
+            values.append(float(v_str))
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad row at line {lineno}: {line!r}") from exc
+        if j != len(values) - 1:
+            raise FormatError(f"{path}: non-sequential index {j} at line {lineno}")
     return np.array(values)
 
 
 def write_flat_config(path: str, entries: dict) -> None:
     """Write ``key = value`` lines, sorted for byte reproducibility."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding=TEXT_ENCODING) as fh:
         for key in sorted(entries):
             fh.write(f"{key} = {entries[key]}\n")
 
 
 def read_flat_config(path: str) -> dict:
-    if not os.path.exists(path):
-        raise FormatError(f"file not found: {path}")
     entries = {}
     first_line = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            key, sep, value = stripped.partition("=")
-            if not sep:
-                raise FormatError(f"{path}: line {lineno} is not 'key = value': {line!r}")
-            key = key.strip()
-            if key in first_line:
-                raise FormatError(
-                    f"{path}: key {key!r} repeated at lines {first_line[key]} and {lineno}"
-                )
-            first_line[key] = lineno
-            entries[key] = value.strip()
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, value = stripped.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise FormatError(f"{path}: line {lineno} is not 'key = value': {line!r}")
+        if key in first_line:
+            raise FormatError(
+                f"{path}: key {key!r} repeated at lines {first_line[key]} and {lineno}"
+            )
+        first_line[key] = lineno
+        entries[key] = value.strip()
     return entries

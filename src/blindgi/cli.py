@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 usage/config, 3 data format, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -189,12 +190,22 @@ def cmd_evaluate(args, overrides) -> int:
     return 0
 
 
+def _float_list(flag: str, text: str) -> list[float]:
+    try:
+        values = [float(s) for s in text.split(",") if s.strip()]
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{flag} values must be finite, got {text!r}")
+    return values
+
+
 def _parse_separations(args, cfg: RunConfig) -> list[float]:
     if args.separations:
-        seps = [float(s) for s in args.separations.split(",") if s.strip()]
+        seps = _float_list("--separations", args.separations)
     elif args.separations_rel:
         unit = cfg.optical().resolution_limit
-        seps = [float(s) * unit for s in args.separations_rel.split(",") if s.strip()]
+        seps = [s * unit for s in _float_list("--separations-rel", args.separations_rel)]
     else:
         seps = []
     if not seps:
@@ -219,8 +230,15 @@ def cmd_resolution(args, overrides) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting, so main() reports it like any other."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blindgi",
         description="Ghost imaging through an unknown scatterer: simulate, reconstruct, evaluate.",
     )
@@ -264,8 +282,8 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
     try:
+        args, extra = parser.parse_known_args(argv)
         if args.workers < 1:
             raise UsageError(f"--workers must be >= 1, got {args.workers}")
         overrides = _extract_overrides(extra)

@@ -7,6 +7,7 @@ file values which override defaults.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -219,6 +220,8 @@ def config_from_entries(entries: dict[str, str], base: RunConfig | None = None) 
             value = parser(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+        if parser is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {raw!r}")
         if path.startswith("support."):
             support[path.split(".", 1)[1]] = value
         elif path.startswith("schedule."):

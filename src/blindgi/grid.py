@@ -1,11 +1,9 @@
-"""Sampled-plane arithmetic: grids, unitary FFTs, circular convolution,
-and aperture autocorrelations.
+"""Sampled-plane arithmetic: grids, circular convolution, and aperture
+autocorrelations.
 
 Conventions fixed here and used everywhere else:
 
 * Arrays are ``(ny, nx)`` with a single physical pixel pitch for both axes.
-* ``fft2``/``ifft2`` are unitary (``norm="ortho"``), so Parseval holds as an
-  equality and round trips are exact to float precision.
 * Frequency bin ``k`` maps to ``u_k = k / (N * pitch)`` cycles per meter.
 * "Centered" layout puts zero frequency (or zero lag) at index
   ``(ny // 2, nx // 2)``; uncentered layout puts it at ``(0, 0)``.
@@ -98,18 +96,6 @@ class RealImage:
 
 
 @dataclass(frozen=True)
-class ComplexField:
-    """A complex-valued field sampled on a grid."""
-
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_values(self.values, np.complex128))
-        _check_field(self.grid, self.values, "ComplexField")
-
-
-@dataclass(frozen=True)
 class MagnitudeSpectrum:
     """A nonnegative magnitude array; ``centered`` records the frequency layout."""
 
@@ -128,18 +114,6 @@ class MagnitudeSpectrum:
 
     def as_uncentered(self) -> np.ndarray:
         return np.fft.ifftshift(self.values) if self.centered else self.values
-
-
-def fft2(field: RealImage | ComplexField) -> ComplexField:
-    """Unitary 2-D DFT; Parseval's sum is preserved exactly (to roundoff)."""
-    _check_field(field.grid, field.values, "fft2 input")
-    return ComplexField(field.grid, np.fft.fft2(field.values, norm="ortho"))
-
-
-def ifft2(spectrum: ComplexField) -> ComplexField:
-    """Unitary inverse 2-D DFT; exact inverse of :func:`fft2`."""
-    _check_field(spectrum.grid, spectrum.values, "ifft2 input")
-    return ComplexField(spectrum.grid, np.fft.ifft2(spectrum.values, norm="ortho"))
 
 
 def circ_convolve(a: RealImage, b: RealImage) -> RealImage:

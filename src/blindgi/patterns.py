@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .errors import ConfigError, UsageError
 from .grid import Grid2D
@@ -39,6 +38,14 @@ def _philox(*key_words: int) -> np.random.Generator:
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _hadamard(n: int) -> np.ndarray:
+    """Sylvester-order +-1 integer Hadamard matrix of power-of-two order ``n``."""
+    h = np.ones((1, 1), dtype=int)
+    while len(h) < n:  # double: H -> [[H, H], [H, -H]]
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,7 @@ def pattern_batch(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
         _fixed_fill(_scores(spec, start, stop), k, flat)
     elif spec.kind == "hadamard":
         j = np.arange(start, stop)
-        hy, hx = hadamard(ny)[j // nx], hadamard(nx)[j % nx]
+        hy, hx = _hadamard(ny)[j // nx], _hadamard(nx)[j % nx]
         out[:] = (1 + hy[:, :, None] * hx[:, None, :]) / 2
     else:
         flat[:] = 0.0

@@ -2,9 +2,11 @@
 
 import hashlib
 import os
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from blindgi import arrayio
 from blindgi.cli import main
@@ -216,6 +218,91 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert "'ensemble.count' repeated at lines 1 and 3" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["run_config.txt", "buckets.csv"])
+    def test_non_utf8_run_file(self, run_dir, tmp_path, capsys, name):
+        run = str(tmp_path / "run")
+        shutil.copytree(run_dir, run)
+        with open(os.path.join(run, name), "ab") as fh:
+            fh.write(b"\xff")
+        assert run_cli("reconstruct", "--run", run) == 3
+        err = capsys.readouterr().err
+        assert name in err and "not utf-8 text" in err
+        assert "Traceback" not in err
+
+    def test_empty_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("object = letter\n= 3\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+        assert "line 2" in capsys.readouterr().err
+
+
+TINY = [
+    "--grid.nx", "16", "--grid.ny", "16", "--grid.pitch", "1.25e-5",
+    "--ensemble.count", "256", "--ensemble.kind", "random-fixed-fill",
+    "--ensemble.fill-fraction", "0.5", "--ensemble.seed", "3", "--psf-seed", "2",
+    "--optical.case", "delta", "--optical.z-o", "0.3",
+    "--noise.kind", "gaussian", "--noise.snr-db", "30",
+    "--schedule.cycles", "1", "--schedule.restarts", "1", "--schedule.hio-iterations", "5",
+    "--schedule.er-iterations", "5", "--schedule.final-er", "5", "--schedule.beta", "0.9",
+    "--schedule.free-dc-radius", "1", "--schedule.seed", "4",
+]
+
+# Values no flag accepts: not a number, not finite, or no known name.
+BAD_VALUES = ["", " ", "nan", "inf", "-inf", "1e400", "0x10", "--", "1.5.2"]
+MANGLED = st.one_of(st.sampled_from(BAD_VALUES), st.text(max_size=6).map(lambda s: "@" + s))
+COMMANDS = ["simulate", "reconstruct", "evaluate", "resolution"]
+
+
+class TestMangledFlags:
+    """Any single flag value replaced by a mangled one exits 2, 3 or 4."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        run = str(tmp_path_factory.mktemp("mangled") / "run")
+        assert run_cli("simulate", "--out", run, *TINY, "--object", "rectangle(4,4)") == 0
+        assert run_cli("reconstruct", "--run", run) == 0
+        return run
+
+    @staticmethod
+    def argv(command, run_dir, out):
+        return {
+            "simulate": ["simulate", "--out", out, *TINY, "--object", "rectangle(4,4)",
+                         "--dump-patterns", "1", "--workers", "1"],
+            "reconstruct": [
+                "reconstruct", "--run", run_dir, "--out", out, "--support.box", "8x8",
+                "--support.threshold-fraction", "0.04", "--support.margin-px", "2",
+                "--compensation.mode", "compensated", "--compensation.epsilon-fraction", "0.01",
+                "--schedule.restarts", "2", "--workers", "1",
+            ],
+            "evaluate": ["evaluate", "--run", run_dir, "--out", out, "--workers", "1"],
+            # resolution sets the object itself (two points)
+            "resolution": ["resolution", "--out", out, *TINY, "--separations", "5e-5"],
+        }[command]
+
+    @staticmethod
+    def value_sites(argv):
+        """Indices of the values of every flag but the directory paths."""
+        return [i + 1 for i, tok in enumerate(argv)
+                if tok.startswith("--") and tok not in ("--out", "--run")]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_flag_rejects_bad_values(self, run_dir, tmp_path, command):
+        argv = self.argv(command, run_dir, str(tmp_path / "o"))
+        assert run_cli(*argv) == 0
+        for at in self.value_sites(argv):
+            for bad in BAD_VALUES:
+                mangled = argv[:at] + [bad] + argv[at + 1:]
+                assert run_cli(*mangled) in (2, 3, 4), mangled
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_mangled_value(self, run_dir, tmp_path, data):
+        argv = self.argv(data.draw(st.sampled_from(COMMANDS)), run_dir, str(tmp_path / "o"))
+        at = data.draw(st.sampled_from(self.value_sites(argv)))
+        argv[at] = data.draw(MANGLED)
+        assert run_cli(*argv) in (2, 3, 4), argv
 
 
 class TestGridShapes:

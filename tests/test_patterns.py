@@ -1,13 +1,19 @@
 """Pattern ensemble tests: determinism, statistics, and orthogonality."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import blindgi
 from blindgi import ConfigError, EnsembleSpec, Grid2D, UsageError, generate_pattern
 from blindgi.patterns import (
     _STREAM_PATTERNS,
     _fixed_fill,
+    _hadamard,
     ensemble_autocorrelation,
     ensemble_autocorrelations,
     pattern_batch,
@@ -106,11 +112,17 @@ class TestGeneratePattern:
 
     def test_hadamard_batch_is_kronecker_rows(self):
         # pattern j is row j of kron(H_ny, H_nx), remapped to {0, 1}
-        for ny, nx in ((8, 8), (4, 16)):
+        for ny, nx in ((8, 8), (4, 16), (64, 64), (2, 32)):
             s = spec(kind="hadamard", n=ny, nx=nx, count=ny * nx)
             want = (1 + np.kron(hadamard(ny), hadamard(nx))) / 2
             npt.assert_array_equal(pattern_batch(s, 0, s.count).reshape(s.count, -1), want)
             npt.assert_array_equal(pattern_batch(s, 5, 21).reshape(16, -1), want[5:21])
+
+    def test_hadamard_builder_matches_scipy(self):
+        for k in range(9):
+            got, want = _hadamard(2**k), hadamard(2**k)
+            assert got.dtype == want.dtype
+            npt.assert_array_equal(got, want)
 
     def test_hadamard_needs_power_of_two(self):
         with pytest.raises(ConfigError):
@@ -139,6 +151,17 @@ class TestGeneratePattern:
                 for a, b in ((0, 1), (5, 133), (127, 129), (129, 300), (299, 300)):
                     npt.assert_array_equal(pattern_batch(s, a, b), full[a:b])
                 npt.assert_array_equal(generate_pattern(s, 131).values, full[131])
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(blindgi.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, blindgi, blindgi.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestEnsembleAutocorrelation:
