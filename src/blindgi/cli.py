@@ -82,6 +82,8 @@ def _write_run_config(out_dir: str, cfg: RunConfig) -> None:
 
 
 def cmd_simulate(args, overrides) -> int:
+    if args.dump_patterns < 0:
+        raise UsageError(f"--dump-patterns must be >= 0, got {args.dump_patterns}")
     cfg = _load_config(args.config, overrides)
     os.makedirs(args.out, exist_ok=True)
     ms, obj, psf = run_simulation(cfg)
@@ -105,11 +107,8 @@ def cmd_simulate(args, overrides) -> int:
 
 
 def _load_measurements(run_dir: str, cfg: RunConfig) -> MeasurementSet:
-    buckets_path = os.path.join(run_dir, BUCKETS_FILE)
-    if not os.path.exists(buckets_path):
-        raise FormatError(f"measurement file not found: {buckets_path}")
-    buckets = arrayio.read_buckets_csv(buckets_path)
-    return MeasurementSet(cfg.ensemble(), buckets, cfg.optical(), cfg.psf_seed)
+    buckets = arrayio.read_buckets_csv(os.path.join(run_dir, BUCKETS_FILE))
+    return MeasurementSet(cfg.ensemble(), buckets, cfg.optical())
 
 
 def _load_truth(run_dir: str, cfg: RunConfig) -> RealImage | None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .forward import NoiseModel, OpticalConfig
@@ -57,6 +57,14 @@ class ScheduleConfig:
     seed: int = 2024
     free_dc_radius: float = 1.0
 
+    def __post_init__(self):
+        minimum = {"cycles": 0, "hio_iterations": 1, "er_iterations": 1,
+                   "final_er": 1, "restarts": 1}
+        for name, low in minimum.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ConfigError(f"schedule.{name} must be >= {low}, got {value}")
+
     def build(self) -> RetrievalSchedule:
         return default_schedule(
             seed=self.seed,
@@ -79,10 +87,7 @@ class RunConfig:
     grid_pitch: float = 12.5e-6
 
     wavelength: float = 532e-9
-    z_m: float = 0.07
-    z_l: float = 0.25
     z_o: float = 0.3
-    focal_length: float = 0.025
     aperture_diameter: float = 6e-3
     dmd_pitch: float = 7.4e-6
     case: str = "scattering"
@@ -118,10 +123,7 @@ class RunConfig:
     def optical(self) -> OpticalConfig:
         return OpticalConfig(
             wavelength=self.wavelength,
-            z_m=self.z_m,
-            z_l=self.z_l,
             z_o=self.z_o,
-            focal_length=self.focal_length,
             aperture_diameter=self.aperture_diameter,
             dmd_pitch=self.dmd_pitch,
             object_grid=self.grid(),
@@ -144,25 +146,12 @@ class RunConfig:
 
 
 # dotted key -> (attribute path, parser)
-_BOOL = {"true": True, "false": False, "1": True, "0": False}
-
-
-def _parse_bool(s: str) -> bool:
-    try:
-        return _BOOL[s.strip().lower()]
-    except KeyError:
-        raise ConfigError(f"expected a boolean, got {s!r}") from None
-
-
-KEYMAP: dict[str, tuple[str, type | object]] = {
+KEYMAP: dict[str, tuple[str, type]] = {
     "grid.nx": ("grid_nx", int),
     "grid.ny": ("grid_ny", int),
     "grid.pitch": ("grid_pitch", float),
     "optical.wavelength": ("wavelength", float),
-    "optical.z_m": ("z_m", float),
-    "optical.z_l": ("z_l", float),
     "optical.z_o": ("z_o", float),
-    "optical.focal_length": ("focal_length", float),
     "optical.aperture_diameter": ("aperture_diameter", float),
     "optical.dmd_pitch": ("dmd_pitch", float),
     "optical.case": ("case", str),
@@ -214,8 +203,6 @@ def config_from_entries(entries: dict[str, str], base: RunConfig | None = None) 
         if key not in KEYMAP:
             raise ConfigError(f"unknown config key {key!r}")
         path, parser = KEYMAP[key]
-        if parser is bool:
-            parser = _parse_bool
         try:
             value = parser(raw)
         except ValueError as exc:
@@ -228,8 +215,6 @@ def config_from_entries(entries: dict[str, str], base: RunConfig | None = None) 
             schedule[path.split(".", 1)[1]] = value
         else:
             top[path] = value
-
-    from dataclasses import replace
 
     new_support = replace(base.support, **support) if support else base.support
     new_schedule = replace(base.schedule, **schedule) if schedule else base.schedule

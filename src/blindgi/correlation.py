@@ -97,8 +97,9 @@ def filter_model(config: OpticalConfig) -> FilterModel:
     """Model of the overall spatial filter for the configured optical path.
 
     lens-only: lens MTF = normalized pupil autocorrelation, speckle term unity.
-    scattering: speckle MTF = sqrt of the pupil autocorrelation (the lens
-    passband exceeds the aperture cutoff, so its term is unity).
+    scattering: speckle MTF = sqrt of the pupil autocorrelation; the model
+    assumes the aperture stop alone limits the band (no lens cuts it
+    further), so the lens term is unity.
     delta: both unity; only the source-pixel footprint remains.
     """
     grid = config.object_grid

@@ -37,8 +37,9 @@ _POISSON_LAM_MAX = 9.2e18
 class OpticalConfig:
     """Geometry of the projection system, in meters.
 
-    ``aperture_diameter`` is the stop in front of the scattering layer; its
-    incoherent cutoff ``aperture_diameter / (wavelength * z_o)`` must be
+    ``aperture_diameter`` is the stop in front of the scattering layer and
+    ``z_o`` the distance from it to the object plane; the stop's incoherent
+    cutoff ``aperture_diameter / (wavelength * z_o)`` must be
     representable on the object grid.  ``case`` selects the PSF model:
     a diffraction-limited lens, one speckle realization behind a diffuser,
     or an ideal single-pixel kernel ("delta", useful as a no-optics
@@ -46,10 +47,7 @@ class OpticalConfig:
     """
 
     wavelength: float
-    z_m: float
-    z_l: float
     z_o: float
-    focal_length: float
     aperture_diameter: float
     dmd_pitch: float
     object_grid: Grid2D
@@ -58,10 +56,7 @@ class OpticalConfig:
     def __post_init__(self):
         lengths = {
             "wavelength": self.wavelength,
-            "z_m": self.z_m,
-            "z_l": self.z_l,
             "z_o": self.z_o,
-            "focal_length": self.focal_length,
             "aperture_diameter": self.aperture_diameter,
             "dmd_pitch": self.dmd_pitch,
         }
@@ -228,12 +223,13 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Everything the reconstruction side is allowed to see, plus the buckets."""
+    """Everything the reconstruction side is allowed to see: the pattern
+    recipe, the buckets, and the optics that set the band.  The diffuser
+    realization is not part of it."""
 
     ensemble: EnsembleSpec
     buckets: np.ndarray
     config: OpticalConfig
-    psf_seed: int
 
     def __post_init__(self):
         b = np.asarray(self.buckets, dtype=np.float64)
@@ -245,11 +241,6 @@ class MeasurementSet:
             raise DataError("buckets contain non-finite values")
         b.setflags(write=False)
         object.__setattr__(self, "buckets", b)
-
-
-def validate_object_support(obj: RealImage) -> None:
-    """Objects must fit in the central half of the grid (both axes)."""
-    require_mask_in_central_half(obj.grid, obj.values, "object support")
 
 
 def _apply_noise(buckets: np.ndarray, noise: NoiseModel, psf_seed: int) -> np.ndarray:
@@ -290,7 +281,7 @@ def simulate(
         raise ConfigError("object grid does not match the configured grid")
     if np.any(obj.values < 0):
         raise DataError("object transmittance must be nonnegative")
-    validate_object_support(obj)
+    require_mask_in_central_half(obj.grid, obj.values, "object support")
 
     psf = psf_for(config, psf_seed)
     w = bucket_weights(obj, psf).ravel()
@@ -298,4 +289,4 @@ def simulate(
     for lo, hi, batch in iter_chunks(ensemble):
         buckets[lo:hi] = batch.reshape(hi - lo, -1) @ w
     buckets = _apply_noise(buckets, noise, psf_seed)
-    return MeasurementSet(ensemble, buckets, config, psf_seed)
+    return MeasurementSet(ensemble, buckets, config)

@@ -41,11 +41,6 @@ class Grid2D:
         return self.nx * self.ny
 
     @property
-    def extent(self) -> tuple[float, float]:
-        """Physical size (height, width) in meters."""
-        return (self.ny * self.pitch, self.nx * self.pitch)
-
-    @property
     def nyquist(self) -> float:
         """Highest representable spatial frequency, cycles/m."""
         return 1.0 / (2.0 * self.pitch)

@@ -32,7 +32,7 @@ _STREAM_PATTERNS = 0x5041_5400
 
 def _philox(*key_words: int) -> np.random.Generator:
     """Counter-based stream keyed by up to two 64-bit words."""
-    key = [int(w) & _MASK64 for w in key_words]
+    key = np.array([int(w) & _MASK64 for w in key_words], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -7,6 +7,7 @@ factorization and end-to-end checks is session-scoped.
 Run: pytest tests/test_acceptance.py -v -s
 """
 
+import os
 import time
 from dataclasses import replace
 
@@ -24,7 +25,8 @@ from blindgi import (
     magnitude_spectrum,
     run as run_retrieval,
 )
-from blindgi.config import RunConfig, ScheduleConfig, SupportPolicy
+from blindgi.arrayio import read_flat_config
+from blindgi.config import RunConfig, ScheduleConfig, SupportPolicy, config_from_entries
 from blindgi.forward import otf_magnitude, speckle_psf
 from blindgi.grid import disk_autocorrelation
 from blindgi import objects
@@ -61,6 +63,25 @@ HEADLINE = RunConfig(
     compensation_mode="direct",
     epsilon_fraction=0.25,
 )
+
+# criterion 8's scan
+RESOLUTION = replace(
+    HEADLINE,
+    aperture_diameter=2e-3,  # resolution limit ~6.4 px
+    ensemble_count=2**14,
+    psf_seed=11,
+)
+
+# the ready-made config files and the criteria configs they reproduce
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+CONFIG_FILES = {"headline.txt": HEADLINE, "resolution.txt": RESOLUTION}
+
+
+def test_config_files_match_criteria():
+    assert sorted(os.listdir(CONFIG_DIR)) == sorted(CONFIG_FILES)
+    for name, cfg in CONFIG_FILES.items():
+        parsed = config_from_entries(read_flat_config(os.path.join(CONFIG_DIR, name)))
+        assert parsed == cfg, name
 
 
 @pytest.fixture(scope="session")
@@ -230,14 +251,8 @@ def test_criterion_7_end_to_end(headline_measurement):
 
 
 def test_criterion_8_resolution_law():
-    cfg = replace(
-        HEADLINE,
-        aperture_diameter=2e-3,  # resolution limit ~6.4 px
-        ensemble_count=2**14,
-        psf_seed=11,
-    )
-    limit = cfg.optical().resolution_limit
-    rows = [resolution_probe(cfg, rel * limit) for rel in (0.35, 0.7, 1.4, 2.0)]
+    limit = RESOLUTION.optical().resolution_limit
+    rows = [resolution_probe(RESOLUTION, rel * limit) for rel in (0.35, 0.7, 1.4, 2.0)]
     flags = [r["resolved"] for r in rows]
     monotone = all(b >= a for a, b in zip(flags, flags[1:]))
     resolved_seps = [r["separation_m"] for r in rows if r["resolved"]]

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
@@ -230,6 +231,35 @@ class TestBadInputs:
         assert name in err and "not utf-8 text" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,flags,name", [
+        ("reconstruct", ["--schedule.cycles", "-1"], "schedule.cycles"),
+        ("reconstruct", ["--schedule.hio-iterations", "-5", "--schedule.cycles", "0"],
+         "schedule.hio_iterations"),
+        ("reconstruct", ["--schedule.er-iterations", "0"], "schedule.er_iterations"),
+        ("reconstruct", ["--schedule.final-er", "0"], "schedule.final_er"),
+        ("reconstruct", ["--schedule.restarts", "0"], "schedule.restarts"),
+        ("simulate", ["--dump-patterns", "-3"], "--dump-patterns"),
+    ])
+    def test_integer_below_minimum(self, run_dir, tmp_path, capsys, command, flags, name):
+        where = ["--run", run_dir] if command == "reconstruct" else SMALL
+        assert run_cli(command, *where, "--out", str(tmp_path / "o"), *flags) == 2
+        assert name in capsys.readouterr().err
+
+    def test_zero_cycles_accepted(self, run_dir, tmp_path):
+        # cycles = 0 runs only the final ER block
+        assert run_cli("reconstruct", "--run", run_dir, "--out", str(tmp_path / "o"),
+                       "--schedule.cycles", "0") == 0
+
+    def test_retired_optical_key(self, run_dir, tmp_path, capsys):
+        # a run_config.txt from before optical.z_m, z_l and focal_length were
+        # removed is rejected, naming the key
+        run = str(tmp_path / "run")
+        shutil.copytree(run_dir, run)
+        with open(os.path.join(run, "run_config.txt"), "a") as fh:
+            fh.write("optical.z_m = 0.07\n")
+        assert run_cli("reconstruct", "--run", run) == 2
+        assert "'optical.z_m'" in capsys.readouterr().err
+
     def test_empty_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("object = letter\n= 3\n")
@@ -318,3 +348,17 @@ class TestGridShapes:
         assert run_cli("reconstruct", "--run", out, "--support.box", "half") == 0
         recon, meta = arrayio.read_array(os.path.join(out, "reconstruction.f64"))
         assert (meta["ny"], meta["nx"]) == (ny, nx)
+
+    @settings(max_examples=25, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ny=st.integers(8, 40), nx=st.integers(8, 40),
+           kind=st.sampled_from(["random-binary", "random-fixed-fill"]))
+    def test_any_small_grid(self, tmp_path, ny, nx, kind):
+        out = tempfile.mkdtemp(dir=tmp_path)
+        args = ["--grid.ny", str(ny), "--grid.nx", str(nx), "--ensemble.kind", kind,
+                "--ensemble.count", "256", "--object", "rectangle(2,2)",
+                "--schedule.cycles", "1", "--schedule.restarts", "2"]
+        assert run_cli("simulate", "--out", out, *args) == 0
+        assert run_cli("reconstruct", "--run", out) == 0
+        recon, meta = arrayio.read_array(os.path.join(out, "reconstruction.f64"))
+        assert recon.shape == (ny, nx)

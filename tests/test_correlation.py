@@ -33,7 +33,7 @@ def grid(n=16, pitch=12.5e-6):
 
 def optical(n=16, pitch=12.5e-6, aperture=2e-3, case="delta"):
     return OpticalConfig(
-        wavelength=532e-9, z_m=0.07, z_l=0.25, z_o=0.3, focal_length=0.025,
+        wavelength=532e-9, z_o=0.3,
         aperture_diameter=aperture, dmd_pitch=7.4e-6,
         object_grid=grid(n, pitch), case=case,
     )
@@ -71,14 +71,14 @@ class TestCorrelate:
     def test_needs_two_measurements(self):
         cfg = optical()
         ens = EnsembleSpec(kind="pixel-scan", grid=cfg.object_grid, count=1, seed=0)
-        ms = MeasurementSet(ens, np.array([1.0]), cfg, 0)
+        ms = MeasurementSet(ens, np.array([1.0]), cfg)
         with pytest.raises(UsageError):
             correlate(ms)
 
     def test_constant_buckets_give_zero(self):
         cfg = optical()
         ens = EnsembleSpec(kind="random-binary", grid=cfg.object_grid, count=32, seed=3)
-        ms = MeasurementSet(ens, np.full(32, 7.5), cfg, 0)
+        ms = MeasurementSet(ens, np.full(32, 7.5), cfg)
         npt.assert_allclose(correlate(ms).values, 0.0, atol=1e-12)
 
     def test_pixel_scan_closed_form(self):

@@ -128,7 +128,7 @@ class TestTwoPointContrast:
 
 class TestObjects:
     def test_builders_fit_central_half(self):
-        from blindgi.forward import validate_object_support
+        from blindgi.grid import require_mask_in_central_half
 
         g = Grid2D(nx=64, ny=64, pitch=1e-5)
         for img in (
@@ -137,7 +137,7 @@ class TestObjects:
             objects.double_slit(g),
             objects.two_points(g, 9),
         ):
-            validate_object_support(img)  # raises on violation
+            require_mask_in_central_half(g, img.values, "object")  # raises on violation
             assert set(np.unique(img.values)) <= {0.0, 1.0}
 
     def test_from_spec_parsing(self):

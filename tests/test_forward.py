@@ -39,10 +39,7 @@ def grid(n=64, pitch=12.5e-6):
 def optical(n=64, pitch=12.5e-6, aperture=2e-3, case="scattering"):
     return OpticalConfig(
         wavelength=532e-9,
-        z_m=0.07,
-        z_l=0.25,
         z_o=0.3,
-        focal_length=0.025,
         aperture_diameter=aperture,
         dmd_pitch=7.4e-6,
         object_grid=grid(n, pitch),

@@ -1,8 +1,10 @@
 """Pattern ensemble tests: determinism, statistics, and orthogonality."""
 
+import functools
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +16,7 @@ from blindgi.patterns import (
     _STREAM_PATTERNS,
     _fixed_fill,
     _hadamard,
+    _philox,
     ensemble_autocorrelation,
     ensemble_autocorrelations,
     pattern_batch,
@@ -62,6 +65,17 @@ class TestGeneratePattern:
         a = generate_pattern(spec(seed=1), 0).values
         b = generate_pattern(spec(seed=2), 0).values
         assert not np.array_equal(a, b)
+
+    def test_negative_seeds_have_own_streams(self):
+        # a seed is taken mod 2^64; key words at or above 2^63 keep their
+        # low bits, so -1 is not 0 and -2 is not -3 (no float cast, no warning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pats = {s: pattern_batch(spec(seed=s, count=2), 0, 2) for s in (0, -1, -2, -3)}
+            key = _philox(-1, 5).bit_generator.state["state"]["key"]
+        assert not np.array_equal(pats[-1], pats[0])
+        assert not np.array_equal(pats[-2], pats[-3])
+        npt.assert_array_equal(key, [2**64 - 1, 5])
 
     def test_index_range_checked(self):
         with pytest.raises(UsageError):
@@ -194,8 +208,11 @@ class TestEnsembleAutocorrelation:
             ensemble_autocorrelation(spec(n=8, count=4), (8, 0))
 
 
+@functools.lru_cache(maxsize=None)
 def max_offpeak_autocorrelation(kind, count, seed, lags=None):
-    """Helper shared with the acceptance suite: max |autocorr| over fixed lags."""
+    """Helper shared with the acceptance suite: max |autocorr| over fixed lags.
+
+    Cached, so criterion 3 and the decay test below share one computation."""
     lags = lags or [(1, 0), (0, 1), (1, 1), (2, 3), (5, 0), (0, 7), (3, 3), (6, 2)]
     s = EnsembleSpec(kind=kind, grid=grid(64), count=count, fill_fraction=0.5, seed=seed)
     return max(abs(v) for v in ensemble_autocorrelations(s, lags))
