@@ -41,10 +41,8 @@ from .correlation import (
 )
 from .retrieval import (
     Reconstruction,
-    RetrievalSchedule,
-    ScheduleBlock,
+    ScheduleConfig,
     SupportMask,
-    default_schedule,
     er_step,
     estimate_support,
     hio_step,
@@ -52,7 +50,7 @@ from .retrieval import (
     run,
 )
 from .evaluation import AlignmentResult, align_and_score, apply_alignment
-from .config import RunConfig, ScheduleConfig, SupportPolicy
+from .config import RunConfig, SupportPolicy
 
 __version__ = "0.1.0"
 

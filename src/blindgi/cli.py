@@ -137,7 +137,7 @@ def cmd_reconstruct(args, overrides) -> int:
     dump("correlation", result.correlation.values, kind=arrayio.KIND_CORRELATION)
     dump("spectrum", result.spectrum.values, centered=True, kind=arrayio.KIND_SPECTRUM)
     if cfg.compensation_mode == "compensated":
-        dump("target", result.target.as_centered(), centered=True, kind=arrayio.KIND_SPECTRUM)
+        dump("target", result.target.values, centered=True, kind=arrayio.KIND_SPECTRUM)
     dump("reconstruction", result.reconstruction.image.values)
 
     trace = result.reconstruction.ef_trace

@@ -15,7 +15,7 @@ from .errors import ConfigError
 from .forward import NoiseModel, OpticalConfig
 from .grid import Grid2D
 from .patterns import EnsembleSpec
-from .retrieval import RetrievalSchedule, default_schedule
+from .retrieval import ScheduleConfig
 
 COMPENSATION_MODES = ("direct", "compensated")
 
@@ -42,40 +42,6 @@ class SupportPolicy:
         if not m:
             raise ConfigError(f"support.box must be 'estimate', 'half' or 'HxW', got {self.box!r}")
         return int(m.group(1)), int(m.group(2))
-
-
-@dataclass(frozen=True)
-class ScheduleConfig:
-    """Parametric form of the standard (HIO, ER) alternation schedule."""
-
-    cycles: int = 20
-    hio_iterations: int = 40
-    er_iterations: int = 10
-    beta: float = 0.9
-    final_er: int = 100
-    restarts: int = 16
-    seed: int = 2024
-    free_dc_radius: float = 1.0
-
-    def __post_init__(self):
-        minimum = {"cycles": 0, "hio_iterations": 1, "er_iterations": 1,
-                   "final_er": 1, "restarts": 1}
-        for name, low in minimum.items():
-            value = getattr(self, name)
-            if value < low:
-                raise ConfigError(f"schedule.{name} must be >= {low}, got {value}")
-
-    def build(self) -> RetrievalSchedule:
-        return default_schedule(
-            seed=self.seed,
-            restarts=self.restarts,
-            free_dc_radius=self.free_dc_radius,
-            cycles=self.cycles,
-            hio_iterations=self.hio_iterations,
-            er_iterations=self.er_iterations,
-            beta=self.beta,
-            final_er=self.final_er,
-        )
 
 
 @dataclass(frozen=True)
@@ -116,6 +82,18 @@ class RunConfig:
             raise ConfigError(
                 f"compensation.mode must be one of {COMPENSATION_MODES}, got {self.compensation_mode!r}"
             )
+        if not self.epsilon_fraction > 0:
+            raise ConfigError(
+                f"compensation.epsilon_fraction must be > 0, got {self.epsilon_fraction}"
+            )
+        ny, nx = self.grid().shape
+        if self.support.box not in ("estimate", "half"):
+            h, w = self.support.fixed_box()
+            if not (1 <= h <= ny // 2 and 1 <= w <= nx // 2):
+                raise ConfigError(
+                    f"support.box {self.support.box!r} must be between 1x1 and "
+                    f"{ny // 2}x{nx // 2}, the central half of the {ny}x{nx} grid"
+                )
 
     def grid(self) -> Grid2D:
         return Grid2D(nx=self.grid_nx, ny=self.grid_ny, pitch=self.grid_pitch)

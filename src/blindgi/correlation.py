@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
+from .errors import UsageError
 from .forward import MeasurementSet, OpticalConfig, pupil_mask
-from .grid import Grid2D, MagnitudeSpectrum, indicator_autocorrelation
+from .grid import Grid2D, MagnitudeSpectrum, _check_field, _frozen_values, indicator_autocorrelation
 from .patterns import iter_chunks
 
 
@@ -32,13 +32,8 @@ class CorrelationImage:
     count_used: int
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != self.grid.shape:
-            raise ConfigError("correlation shape does not match grid")
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError("correlation contains non-finite values")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen_values(self.values, np.float64))
+        _check_field(self.grid, self.values, "correlation")
 
 
 def correlate(measurements: MeasurementSet) -> CorrelationImage:
@@ -61,7 +56,7 @@ def correlate(measurements: MeasurementSet) -> CorrelationImage:
 def magnitude_spectrum(c: CorrelationImage) -> MagnitudeSpectrum:
     """Centered Fourier magnitude of the correlation image (unitary transform)."""
     mag = np.abs(np.fft.fftshift(np.fft.fft2(c.values, norm="ortho")))
-    return MagnitudeSpectrum(c.grid, mag, centered=True)
+    return MagnitudeSpectrum(c.grid, mag)
 
 
 @dataclass(frozen=True)
@@ -112,10 +107,10 @@ def filter_model(config: OpticalConfig) -> FilterModel:
     pixel = _source_pixel_mtf(config)
     product = lens * speckle * pixel
     return FilterModel(
-        mtf=MagnitudeSpectrum(grid, product, centered=True),
-        lens_mtf=MagnitudeSpectrum(grid, lens, centered=True),
-        speckle_mtf=MagnitudeSpectrum(grid, speckle, centered=True),
-        source_pixel_mtf=MagnitudeSpectrum(grid, pixel, centered=True),
+        mtf=MagnitudeSpectrum(grid, product),
+        lens_mtf=MagnitudeSpectrum(grid, lens),
+        speckle_mtf=MagnitudeSpectrum(grid, speckle),
+        source_pixel_mtf=MagnitudeSpectrum(grid, pixel),
     )
 
 
@@ -131,13 +126,10 @@ def compensate(
     if not epsilon > 0:
         raise UsageError(f"epsilon must be positive, got {epsilon}")
     grid = spectrum.grid
-    f = filt.mtf.as_centered()
-    est = spectrum.as_centered() * f / (f**2 + epsilon**2)
+    f = filt.mtf.values
+    est = spectrum.values * f / (f**2 + epsilon**2)
     est[grid.ny // 2, grid.nx // 2] = 0.0
-    out = np.maximum(est, 0.0)
-    if not spectrum.centered:
-        out = np.fft.ifftshift(out)
-    return MagnitudeSpectrum(grid, out, centered=spectrum.centered)
+    return MagnitudeSpectrum(grid, np.maximum(est, 0.0))
 
 
 def default_epsilon(filt: FilterModel, fraction: float = 1e-2) -> float:

@@ -92,23 +92,16 @@ class RealImage:
 
 @dataclass(frozen=True)
 class MagnitudeSpectrum:
-    """A nonnegative magnitude array; ``centered`` records the frequency layout."""
+    """A nonnegative magnitude array in centered layout."""
 
     grid: Grid2D
     values: np.ndarray
-    centered: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_values(self.values, np.float64))
         _check_field(self.grid, self.values, "MagnitudeSpectrum")
         if np.any(self.values < 0):
             raise DataError("MagnitudeSpectrum values must be nonnegative")
-
-    def as_centered(self) -> np.ndarray:
-        return self.values if self.centered else np.fft.fftshift(self.values)
-
-    def as_uncentered(self) -> np.ndarray:
-        return np.fft.ifftshift(self.values) if self.centered else self.values
 
 
 def circ_convolve(a: RealImage, b: RealImage) -> RealImage:
@@ -188,4 +181,4 @@ def disk_autocorrelation(diameter_px: float, grid: Grid2D) -> MagnitudeSpectrum:
             f"disk diameter {diameter_px} px must be in (0, {min(grid.nx, grid.ny)}]"
         )
     ac = indicator_autocorrelation(grid, centered_disk(grid, diameter_px))
-    return MagnitudeSpectrum(grid, ac, centered=True)
+    return MagnitudeSpectrum(grid, ac)

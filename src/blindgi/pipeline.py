@@ -69,13 +69,7 @@ def choose_support(cfg: RunConfig, spectrum: MagnitudeSpectrum) -> SupportMask:
         return centered_box_mask(grid, grid.ny // 2, grid.nx // 2)
     if policy.box == "estimate":
         return estimate_support(spectrum, policy.threshold_fraction, policy.margin_px)
-    h, w = policy.fixed_box()
-    if not (1 <= h <= grid.ny // 2 and 1 <= w <= grid.nx // 2):
-        raise ConfigError(
-            f"support.box {policy.box!r} must be between 1x1 and {grid.ny // 2}x{grid.nx // 2}, "
-            f"the central half of the {grid.ny}x{grid.nx} grid"
-        )
-    return centered_box_mask(grid, h, w)
+    return centered_box_mask(grid, *policy.fixed_box())
 
 
 @dataclass(frozen=True)
@@ -104,7 +98,7 @@ def run_reconstruction(
     else:
         target = spec
     support = choose_support(cfg, target)
-    recon = run_retrieval(target, cfg.schedule.build(), support)
+    recon = run_retrieval(target, cfg.schedule, support)
     alignment = aligned = None
     if truth is not None and truth.values.std() > 0 and recon.image.values.std() > 0:
         alignment = align_and_score(recon.image, truth)

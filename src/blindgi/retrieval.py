@@ -1,9 +1,9 @@
 """Object recovery from a Fourier-magnitude target with support and
 nonnegativity constraints: error-reduction and hybrid input-output steps,
-block schedules, and seeded random restarts.
+stepped as (HIO, ER) cycles and an ER tail from seeded random restarts.
 
-Iterates live in the object domain as real arrays in uncentered layout.
-Magnitude targets may be centered or not; they are converted once.  Bins
+Iterates live in the object domain as real arrays in uncentered layout;
+magnitude targets are centered and are shifted to match.  Bins
 within ``free_dc_radius`` of zero frequency are left unconstrained, because
 the correlation estimator's zero-frequency content carries the illumination
 background rather than object information.
@@ -53,54 +53,44 @@ def centered_box_mask(grid: Grid2D, height: int, width: int) -> SupportMask:
 
 
 @dataclass(frozen=True)
-class ScheduleBlock:
-    algorithm: str  # "ER" or "HIO"
-    iterations: int
+class ScheduleConfig:
+    """The retrieval schedule: ``cycles`` x (HIO, ER) blocks, then an ER tail
+    of ``final_er`` iterations, from ``restarts`` seeded random starts.
+
+    Iterating yields the blocks in order as ``(algorithm, iterations)``
+    pairs; the last one is always ER.
+    """
+
+    cycles: int = 20
+    hio_iterations: int = 40
+    er_iterations: int = 10
     beta: float = 0.9
-
-    def __post_init__(self):
-        if self.algorithm not in ("ER", "HIO"):
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.iterations < 1:
-            raise ConfigError("block iterations must be >= 1")
-        if not 0 < self.beta <= 1:
-            raise ConfigError(f"beta must be in (0, 1], got {self.beta}")
-
-
-@dataclass(frozen=True)
-class RetrievalSchedule:
-    """Ordered ER/HIO blocks, restart count, seed, and the free low-frequency radius."""
-
-    blocks: tuple[ScheduleBlock, ...]
+    final_er: int = 100
     restarts: int = 16
-    seed: int = 0
+    seed: int = 2024
     free_dc_radius: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        if not self.blocks:
-            raise ConfigError("schedule needs at least one block")
-        if self.restarts < 1:
-            raise ConfigError("restarts must be >= 1")
-        if self.free_dc_radius < 0:
-            raise ConfigError("free_dc_radius must be >= 0")
+        minimum = {"cycles": 0, "hio_iterations": 1, "er_iterations": 1,
+                   "final_er": 1, "restarts": 1}
+        for name, low in minimum.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ConfigError(f"schedule.{name} must be >= {low}, got {value}")
+        if not 0 < self.beta <= 1:
+            raise ConfigError(f"schedule.beta must be in (0, 1], got {self.beta}")
+        if not self.free_dc_radius >= 0:
+            raise ConfigError(f"schedule.free_dc_radius must be >= 0, got {self.free_dc_radius}")
+
+    def __iter__(self):
+        for _ in range(self.cycles):
+            yield "HIO", self.hio_iterations
+            yield "ER", self.er_iterations
+        yield "ER", self.final_er
 
     @property
     def total_iterations(self) -> int:
-        return sum(b.iterations for b in self.blocks)
-
-
-def default_schedule(seed: int = 0, restarts: int = 16, free_dc_radius: float = 1.0,
-                     cycles: int = 20, hio_iterations: int = 40, er_iterations: int = 10,
-                     beta: float = 0.9, final_er: int = 100) -> RetrievalSchedule:
-    """The standard alternation: (HIO, ER) cycles followed by a long ER tail."""
-    blocks = []
-    for _ in range(cycles):
-        blocks.append(ScheduleBlock("HIO", hio_iterations, beta))
-        blocks.append(ScheduleBlock("ER", er_iterations, beta))
-    blocks.append(ScheduleBlock("ER", final_er, beta))
-    return RetrievalSchedule(tuple(blocks), restarts=restarts, seed=seed,
-                             free_dc_radius=free_dc_radius)
+        return self.cycles * (self.hio_iterations + self.er_iterations) + self.final_er
 
 
 @dataclass(frozen=True)
@@ -127,13 +117,6 @@ def _free_bin_mask(grid: Grid2D, free_dc_radius: float) -> np.ndarray:
     return np.fft.ifftshift(grid.pixel_radius() < free_dc_radius)
 
 
-def _target_uncentered(target: MagnitudeSpectrum) -> np.ndarray:
-    vals = target.as_uncentered()
-    if np.any(vals < 0):
-        raise DataError("magnitude target must be nonnegative")
-    return vals
-
-
 def project_magnitude(
     iterate: np.ndarray, target: MagnitudeSpectrum, free_dc_radius: float = 0.0
 ) -> np.ndarray:
@@ -146,7 +129,7 @@ def project_magnitude(
     grid = target.grid
     if iterate.shape != grid.shape:
         raise ConfigError("iterate shape does not match target grid")
-    t = _target_uncentered(target)
+    t = np.fft.ifftshift(target.values)
     g_hat = np.fft.fft2(iterate, norm="ortho")
     mag = np.abs(g_hat)
     phase = np.where(mag > 0, g_hat / np.where(mag > 0, mag, 1.0), 1.0 + 0.0j)
@@ -161,7 +144,7 @@ def fourier_error(
     iterate: np.ndarray, target: MagnitudeSpectrum, free_dc_radius: float = 0.0
 ) -> float:
     """Normalized RMS magnitude mismatch over the constrained bins."""
-    t = _target_uncentered(target)
+    t = np.fft.ifftshift(target.values)
     mag = np.abs(np.fft.fft2(iterate, norm="ortho"))
     keep = ~_free_bin_mask(target.grid, free_dc_radius) if free_dc_radius > 0 else np.ones(t.shape, bool)
     denom = float(np.sum(t[keep] ** 2))
@@ -214,7 +197,7 @@ def estimate_support(
         raise UsageError(f"threshold_fraction must be in (0,1), got {threshold_fraction}")
     grid = spectrum.grid
     ny, nx = grid.shape
-    ac = np.fft.fftshift(np.fft.ifft2(spectrum.as_uncentered() ** 2).real)
+    ac = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(spectrum.values) ** 2).real)
     peak = ac[ny // 2, nx // 2]
     if peak <= 0:
         raise NumericalError("autocorrelation peak is not positive; cannot estimate support")
@@ -227,10 +210,10 @@ def estimate_support(
     return centered_box_mask(grid, box_h, box_w)
 
 
-def _initial_iterate(target_u: np.ndarray, seed: int, restart_id: int) -> np.ndarray:
+def _initial_iterate(target: MagnitudeSpectrum, seed: int, restart_id: int) -> np.ndarray:
     rng = _philox(seed ^ _STREAM_RESTART, restart_id)
-    phases = rng.random(target_u.shape) * (2.0 * np.pi)
-    return np.fft.ifft2(target_u * np.exp(1j * phases), norm="ortho").real
+    phases = rng.random(target.grid.shape) * (2.0 * np.pi)
+    return np.fft.ifft2(np.fft.ifftshift(target.values) * np.exp(1j * phases), norm="ortho").real
 
 
 class _StackEngine:
@@ -253,7 +236,7 @@ class _StackEngine:
 
     def __init__(self, target: MagnitudeSpectrum, support: SupportMask,
                  free_dc_radius: float, restarts: int):
-        t = _target_uncentered(target)
+        t = np.fft.ifftshift(target.values)
         ny, nx = t.shape
         half = nx // 2 + 1
         t_sym = 0.5 * (t + point_reflect(t))
@@ -309,54 +292,50 @@ class _StackEngine:
         np.fft.ifft(self.spec, axis=-2, norm="ortho", out=self.spec)
         return np.fft.irfft(self.spec, n=self.nx, axis=-1, norm="ortho", out=self.gp)
 
-    def step(self, x: np.ndarray, block: ScheduleBlock) -> None:
+    def step(self, x: np.ndarray, algorithm: str, beta: float) -> None:
         """One ER or HIO step of every restart, in place on ``x``."""
         gp = self.project()
-        if block.algorithm == "ER":
+        if algorithm == "ER":
             np.maximum(gp, 0.0, out=x)
             x *= self.support
             return
-        x -= np.multiply(gp, block.beta, out=self.tmp)
+        x -= np.multiply(gp, beta, out=self.tmp)
         feasible = np.greater_equal(gp, 0.0, out=self.feasible)
         feasible &= self.support
         np.copyto(x, gp, where=feasible)
 
 
 def _run_stack(
-    engine: _StackEngine, schedule: RetrievalSchedule, x: np.ndarray
+    engine: _StackEngine, schedule: ScheduleConfig, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Iterate the schedule on the stack ``x`` (in place); returns (final E_F,
     images, traces).
 
     The E_F of iteration k is taken from the spectrum that iteration k + 1
     projects, so the loop costs one forward and one inverse real transform
-    per iteration.
+    per iteration.  The last block is ER, so the images already satisfy the
+    object constraints.
     """
     trace = np.empty((len(x), schedule.total_iterations))
     engine.transform(x)
     k = 0
-    for block in schedule.blocks:
-        for _ in range(block.iterations):
+    for algorithm, iterations in schedule:
+        for _ in range(iterations):
             if k:
                 trace[:, k - 1] = engine.errors()
-            engine.step(x, block)
+            engine.step(x, algorithm, schedule.beta)
             engine.transform(x)
             k += 1
     trace[:, -1] = engine.errors()
-    # Land on the object constraints whatever the last block was; a no-op
-    # after ER.
-    np.maximum(x, 0.0, out=x)
-    x *= engine.support
-    engine.transform(x)
-    return engine.errors(), x, trace
+    return trace[:, -1], x, trace
 
 
 def run(
     target: MagnitudeSpectrum,
-    schedule: RetrievalSchedule,
+    schedule: ScheduleConfig,
     support: SupportMask,
 ) -> Reconstruction:
-    """Run the block schedule from ``restarts`` independent random starts.
+    """Run the schedule from ``restarts`` independent random starts.
 
     All restarts advance together as one stack.  Returns the restart with
     the lowest final Fourier error (ties broken by restart id);
@@ -365,8 +344,7 @@ def run(
     if target.grid != support.grid:
         raise ConfigError("target and support grids differ")
     engine = _StackEngine(target, support, schedule.free_dc_radius, schedule.restarts)
-    target_u = _target_uncentered(target)
-    x0 = np.stack([_initial_iterate(target_u, schedule.seed, rid) for rid in range(schedule.restarts)])
+    x0 = np.stack([_initial_iterate(target, schedule.seed, rid) for rid in range(schedule.restarts)])
     errors, images, traces = _run_stack(engine, schedule, x0)
     rid = int(np.argmin(errors))  # first minimum: ties go to the lowest id
     return Reconstruction(

@@ -19,7 +19,6 @@ from blindgi import (
     MagnitudeSpectrum,
     align_and_score,
     correlate,
-    default_schedule,
     estimate_support,
     filter_model,
     magnitude_spectrum,
@@ -172,7 +171,7 @@ def test_criterion_5_factorization(headline_measurement):
     beyond = rbin >= maxr + 3  # the diffuser passes nothing out here
 
     def ratio_profile(ms):
-        c_mag = magnitude_spectrum(correlate(ms)).as_centered()
+        c_mag = magnitude_spectrum(correlate(ms)).values
         noise_power = np.mean(c_mag[beyond] ** 2)
         debiased = np.sqrt(np.maximum(c_mag**2 - noise_power, 0.0))
         return np.array(
@@ -217,10 +216,10 @@ def test_criterion_6_retrieval_oracle():
     ):
         start = time.time()
         target = MagnitudeSpectrum(
-            g, np.abs(np.fft.fft2(obj.values, norm="ortho")), centered=False
+            g, np.fft.fftshift(np.abs(np.fft.fft2(obj.values, norm="ortho")))
         )
         support = estimate_support(target, 0.04)
-        recon = run_retrieval(target, default_schedule(seed=77, restarts=16), support)
+        recon = run_retrieval(target, ScheduleConfig(seed=77, restarts=16), support)
         score = align_and_score(recon.image, obj)
         elapsed = time.time() - start
         results.append((name, score.pearson, recon.fourier_error, elapsed))
@@ -273,11 +272,11 @@ def test_criterion_8_resolution_law():
 def test_criterion_9_er_monotonicity():
     g = Grid2D(nx=32, ny=32, pitch=1e-5)
     obj = objects.rectangle(g, 10, 7)
-    target = MagnitudeSpectrum(g, np.abs(np.fft.fft2(obj.values, norm="ortho")), centered=False)
+    target = MagnitudeSpectrum(g, np.fft.fftshift(np.abs(np.fft.fft2(obj.values, norm="ortho"))))
     support = centered_box_mask(g, 14, 11)
     worst_rise = -np.inf
     for start_id in range(50):
-        x = _initial_iterate(target.values, seed=start_id, restart_id=start_id)
+        x = _initial_iterate(target, seed=start_id, restart_id=start_id)
         prev = None
         for _ in range(100):
             x = er_step(x, target, support)

@@ -173,6 +173,17 @@ class TestResolution:
                open(os.path.join(b, "resolution.csv")).read()
 
 
+# Real-valued keys out of range, and the key each error must name.
+OUT_OF_RANGE = [
+    (["--schedule.beta", "0"], "schedule.beta"),
+    (["--schedule.beta", "2"], "schedule.beta"),
+    (["--schedule.free-dc-radius", "-1"], "schedule.free_dc_radius"),
+    *[(["--compensation.mode", mode, "--compensation.epsilon-fraction", eps],
+       "compensation.epsilon_fraction")
+      for mode in ("direct", "compensated") for eps in ("0", "-1")],
+]
+
+
 class TestBadInputs:
     """Every bad value exits with its documented code and is named on stderr."""
 
@@ -189,6 +200,11 @@ class TestBadInputs:
                        "--support.box", box)
         assert code == 2
         assert repr(box) in capsys.readouterr().err
+        # simulate checks the box too, before it writes anything
+        out = tmp_path / "s"
+        assert run_cli("simulate", "--out", str(out), *SMALL, "--support.box", box) == 2
+        assert repr(box) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_largest_support_box_accepted(self, run_dir, tmp_path):
         assert run_cli("reconstruct", "--run", run_dir, "--out", str(tmp_path / "o"),
@@ -239,11 +255,28 @@ class TestBadInputs:
         ("reconstruct", ["--schedule.final-er", "0"], "schedule.final_er"),
         ("reconstruct", ["--schedule.restarts", "0"], "schedule.restarts"),
         ("simulate", ["--dump-patterns", "-3"], "--dump-patterns"),
+        *[(command, flags, name) for command in ("simulate", "reconstruct")
+          for flags, name in OUT_OF_RANGE],
     ])
     def test_integer_below_minimum(self, run_dir, tmp_path, capsys, command, flags, name):
+        # and real-valued keys out of range: each is rejected when the config
+        # is read, before any work or output
         where = ["--run", run_dir] if command == "reconstruct" else SMALL
-        assert run_cli(command, *where, "--out", str(tmp_path / "o"), *flags) == 2
+        out = tmp_path / "o"
+        assert run_cli(command, *where, "--out", str(out), *flags) == 2
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the bucket mean overflows
+    def test_correlation_overflow_is_data_error(self, run_dir, tmp_path, capsys):
+        run = str(tmp_path / "run")
+        shutil.copytree(run_dir, run)
+        huge = np.resize([1e308, 1.7e308], 4096)
+        arrayio.write_buckets_csv(os.path.join(run, "buckets.csv"), huge)
+        assert run_cli("reconstruct", "--run", run) == 3
+        err = capsys.readouterr().err
+        assert "correlation contains non-finite values" in err
+        assert "Traceback" not in err
 
     def test_zero_cycles_accepted(self, run_dir, tmp_path):
         # cycles = 0 runs only the final ER block

@@ -163,7 +163,6 @@ class TestMagnitudeSpectrum:
 
         spec = magnitude_spectrum(CorrelationImage(g, c, 2))
         npt.assert_allclose(spec.values, 1.0 / 16, atol=1e-14)
-        assert spec.centered
 
     def test_real_input_centrosymmetric(self):
         from blindgi.correlation import CorrelationImage
@@ -251,7 +250,7 @@ class TestCompensate:
         fm = filter_model(cfg)  # all components unity for 1-px footprint
         g = cfg.object_grid
         rng = np.random.default_rng(2)
-        spec = MagnitudeSpectrum(g, rng.random(g.shape), centered=True)
+        spec = MagnitudeSpectrum(g, rng.random(g.shape))
         out = compensate(spec, fm, epsilon=1e-9)
         expected = spec.values.copy()
         expected[8, 8] = 0.0
@@ -263,7 +262,7 @@ class TestCompensate:
         g = cfg.object_grid
         rng = np.random.default_rng(3)
         o_mag = rng.random(g.shape) + 0.5
-        synthetic = MagnitudeSpectrum(g, o_mag * fm.mtf.values, centered=True)
+        synthetic = MagnitudeSpectrum(g, o_mag * fm.mtf.values)
         eps = 1e-3 * fm.mtf.values.max()
         out = compensate(synthetic, fm, epsilon=eps)
         region = fm.mtf.values > 10 * eps
@@ -275,7 +274,7 @@ class TestCompensate:
         cfg = optical(n=64, case="scattering", aperture=2e-3)
         fm = filter_model(cfg)
         g = cfg.object_grid
-        spec = MagnitudeSpectrum(g, np.ones(g.shape), centered=True)
+        spec = MagnitudeSpectrum(g, np.ones(g.shape))
         out = compensate(spec, fm, epsilon=default_epsilon(fm))
         nulls = fm.mtf.values == 0
         assert nulls.any()
@@ -284,6 +283,6 @@ class TestCompensate:
     def test_epsilon_validated(self):
         cfg = optical(case="delta")
         fm = filter_model(cfg)
-        spec = MagnitudeSpectrum(cfg.object_grid, np.ones((16, 16)), centered=True)
+        spec = MagnitudeSpectrum(cfg.object_grid, np.ones((16, 16)))
         with pytest.raises(UsageError):
             compensate(spec, fm, epsilon=0.0)

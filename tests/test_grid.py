@@ -13,6 +13,7 @@ from blindgi import (
     ConfigError,
     DataError,
     Grid2D,
+    MagnitudeSpectrum,
     RealImage,
     circ_convolve,
     disk_autocorrelation,
@@ -81,6 +82,12 @@ class TestGrid2D:
         x[3, 3] = np.nan
         with pytest.raises(DataError):
             RealImage(grid(8), x)
+
+    def test_magnitude_spectrum_rejects_negative(self):
+        x = np.ones((8, 8))
+        x[2, 5] = -1e-300
+        with pytest.raises(DataError, match="nonnegative"):
+            MagnitudeSpectrum(grid(8), x)
 
 
 class TestFFT:
