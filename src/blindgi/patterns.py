@@ -7,15 +7,24 @@ change a pattern.
 
 Both random kinds read one Philox stream per ensemble, keyed by
 ``(seed, _STREAM_PATTERNS)``.  Each Philox counter yields four 64-bit words,
-read as eight little-endian 32-bit scores; pattern j owns the counters
-``[j*P, (j+1)*P)`` with ``P = ceil(npixels / 8)`` and uses its first
-``npixels`` scores in row-major pixel order.  A chunk of patterns is thus one
+256 bits read little-endian and cut into w-bit scores: pattern j owns the
+counters ``[j*P, (j+1)*P)`` with ``P = ceil(npixels * w / 256)`` and pixel i
+reads the little-endian w-bit field i, in row-major pixel order, dropping the
+padding fields.  random-binary uses the smallest w of 1, 8 or 16 for which
+``fill * 2^w`` is an integer, and 32 otherwise, and turns pixel i on where
+its score is below ``round(fill * 2^w)``: fill 0.5 costs one bit per pixel.
+random-fixed-fill always uses w = 32.  A chunk of patterns is thus one
 ``advance`` plus one ``random_raw`` call.
+
+Earlier versions read every random kind at w = 32.  At w = 32 the layout is
+the same, so random-fixed-fill and random-binary at any other fill (0.3,
+say) keep their patterns bit for bit, while random-binary at a fill that is
+a multiple of 2^-16 (0.5, 0.25, ...) now draws different patterns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,9 +79,13 @@ class Pattern:
 class EnsembleSpec:
     """Recipe for an ensemble of binary patterns.
 
-    kind: "random-binary" (i.i.d. Bernoulli pixels), "random-fixed-fill"
-    (exactly round(fill * nx * ny) pixels on, positions drawn without
-    replacement, which removes the per-pattern fill fluctuation and with it
+    kind: "random-binary" (i.i.d. Bernoulli pixels: a pixel is on where its
+    w-bit score is below round(fill * 2^w), w the fewest of 1, 8 or 16 bits
+    that hold fill exactly and 32 otherwise, so other fills are rounded to a
+    multiple of 2^-32; fills that are multiples of 2^-16 draw other patterns
+    than the earlier all-32-bit scores did), "random-fixed-fill" (exactly
+    round(fill * nx * ny) pixels on, positions drawn without replacement by
+    32-bit scores, which removes the per-pattern fill fluctuation and with it
     the dominant bucket background noise), "hadamard" (rows of the 2-D
     Walsh-Hadamard basis remapped to {0,1}), or "pixel-scan" (one pixel on
     per pattern, raster order; a complete scan needs count = nx*ny).
@@ -109,14 +122,25 @@ def generate_pattern(spec: EnsembleSpec, j: int) -> Pattern:
     return Pattern(spec.grid, pattern_batch(spec, j, j + 1)[0], j)
 
 
-def _scores(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
-    """uint32 scores of patterns start..stop-1, shape (stop-start, npixels)."""
+def _score_bits(fill: float) -> int:
+    """Bits per random-binary score: the fewest of 1, 8, 16 that hold fill exactly, else 32."""
+    return next((w for w in (1, 8, 16) if (fill * 2**w).is_integer()), 32)
+
+
+def _scores(spec: EnsembleSpec, start: int, stop: int, w: int) -> np.ndarray:
+    """w-bit scores of patterns start..stop-1, shape (stop-start, npixels).
+
+    w is 1, 8, 16 or 32; the scores are uint8 bits for w = 1, else uintw.
+    """
     npix = spec.grid.npixels
-    per = -(-npix // 8)  # counters per pattern
+    per = -(-npix * w // 256)  # counters per pattern
     bits = _philox(spec.seed, _STREAM_PATTERNS).bit_generator
     bits.advance(start * per)
-    raw = bits.random_raw((stop - start) * per * 4)
-    return raw.astype("<u8", copy=False).view("<u4").reshape(stop - start, per * 8)[:, :npix]
+    raw = bits.random_raw((stop - start) * per * 4).astype("<u8", copy=False)
+    raw = raw.view(np.uint8).reshape(stop - start, per * 32)
+    if w == 1:
+        return np.unpackbits(raw, axis=1, count=npix, bitorder="little")
+    return raw.view(f"<u{w // 8}")[:, :npix]
 
 
 def _fixed_fill(scores: np.ndarray, k: int, out: np.ndarray) -> None:
@@ -148,11 +172,13 @@ def pattern_batch(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
     out = np.empty((n, ny, nx))
     flat = out.reshape(n, ny * nx)
     if spec.kind == "random-binary":
-        threshold = np.uint32(min(round(spec.fill_fraction * 2**32), 2**32 - 1))
-        np.less(_scores(spec, start, stop), threshold, out=flat)
+        w = _score_bits(spec.fill_fraction)
+        scores = _scores(spec, start, stop, w)
+        threshold = min(round(spec.fill_fraction * 2**w), 2**w - 1)
+        np.less(scores, scores.dtype.type(threshold), out=flat)
     elif spec.kind == "random-fixed-fill":
         k = min(max(int(round(spec.fill_fraction * ny * nx)), 1), ny * nx - 1)
-        _fixed_fill(_scores(spec, start, stop), k, flat)
+        _fixed_fill(_scores(spec, start, stop, 32), k, flat)
     elif spec.kind == "hadamard":
         j = np.arange(start, stop)
         hy, hx = _hadamard(ny)[j // nx], _hadamard(nx)[j % nx]
@@ -177,17 +203,18 @@ def iter_chunks(spec: EnsembleSpec):
         yield lo, hi, pattern_batch(spec, lo, hi)
 
 
-def ensemble_mean(spec: EnsembleSpec) -> np.ndarray:
-    """Per-pixel mean of the ensemble, streamed in fixed chunk order."""
-    acc = np.zeros(spec.grid.shape)
-    for _, _, batch in iter_chunks(spec):
-        acc += batch.sum(axis=0)
-    return acc / spec.count
+def _lag_sums(stack: np.ndarray, lags: list[tuple[int, int]]) -> np.ndarray:
+    """sum_p s(p) s(p+lag) per row s of an (n, ny, nx) stack: shape (n, len(lags))."""
+    return np.stack(
+        [np.einsum("jyx,jyx->j", stack, np.roll(stack, (-dy, -dx), axis=(1, 2)))
+         for dy, dx in lags],
+        axis=1,
+    )
 
 
 def ensemble_autocorrelations(
-    spec: EnsembleSpec, lags: list[tuple[int, int]]
-) -> list[float]:
+    spec: EnsembleSpec, lags: list[tuple[int, int]], counts: list[int] | None = None
+) -> np.ndarray:
     """Mean-removed ensemble autocorrelation at several pixel lags (dy, dx).
 
     Each value is (1/J) sum_j <dM_j(p) dM_j(p+lag)>_p with dM_j = M_j minus
@@ -195,23 +222,35 @@ def ensemble_autocorrelations(
     is the mean per-pixel variance; away from zero it decays like 1/sqrt(J)
     for random ensembles and vanishes for a complete Hadamard basis.
 
-    One streaming pass serves all lags, so scanning lags costs little more
-    than a single evaluation.
+    Row i holds the values for the ensemble's first ``counts[i]`` patterns
+    (default: all of them), one column per lag.  Those ensembles are prefixes
+    of one stream, so a single pass serves every count and every lag through
+    the moment form (1/J) sum_j <M_j(p) M_j(p+lag)>_p - <m(p) m(p+lag)>_p,
+    m the per-pixel mean of the J patterns.
     """
     ny, nx = spec.grid.shape
     for dy, dx in lags:
         if abs(dy) >= ny or abs(dx) >= nx:
             raise UsageError(f"lag {(dy, dx)} outside grid {spec.grid.shape}")
-    mean = ensemble_mean(spec)
-    acc = np.zeros(len(lags))
-    for _, _, batch in iter_chunks(spec):
-        d = batch - mean
-        for i, (dy, dx) in enumerate(lags):
-            d_shift = np.roll(d, (-dy, -dx), axis=(1, 2))
-            acc[i] += float(np.einsum("jyx,jyx->", d, d_shift))
-    return list(acc / (spec.count * spec.grid.npixels))
+    counts = [spec.count] if counts is None else list(counts)
+    for c in counts:
+        if not 1 <= c <= spec.count:
+            raise UsageError(f"prefix count {c} out of range [1, {spec.count}]")
+    total = np.zeros(spec.grid.shape)  # per-pixel sum of the patterns so far
+    prod = np.zeros(len(lags))  # sum over those patterns of sum_p M(p) M(p+lag)
+    out = np.empty((len(counts), len(lags)))
+    for lo, hi, batch in iter_chunks(replace(spec, count=max(counts))):
+        per_pattern = _lag_sums(batch, lags)
+        for i, c in enumerate(counts):
+            if lo < c <= hi:
+                mean = (total + batch[: c - lo].sum(axis=0)) / c
+                moment = (prod + per_pattern[: c - lo].sum(axis=0)) / c
+                out[i] = (moment - _lag_sums(mean[None], lags)[0]) / spec.grid.npixels
+        total += batch.sum(axis=0)
+        prod += per_pattern.sum(axis=0)
+    return out
 
 
 def ensemble_autocorrelation(spec: EnsembleSpec, lag: tuple[int, int]) -> float:
     """Single-lag form of :func:`ensemble_autocorrelations`."""
-    return ensemble_autocorrelations(spec, [lag])[0]
+    return float(ensemble_autocorrelations(spec, [lag])[0, 0])

@@ -34,7 +34,8 @@ def dir_digest(path, names=None):
         full = os.path.join(path, name)
         if os.path.isfile(full):
             digest.update(name.encode())
-            digest.update(open(full, "rb").read())
+            with open(full, "rb") as f:
+                digest.update(f.read())
     return digest.hexdigest()
 
 
@@ -112,7 +113,8 @@ class TestReconstruct:
         run_cli("reconstruct", "--run", run_dir)
         assert run_cli("evaluate", "--run", run_dir) == 0
         path = os.path.join(run_dir, "evaluation.csv")
-        header, row = open(path).read().splitlines()
+        with open(path) as f:
+            header, row = f.read().splitlines()
         assert header == "pearson,shift_dy,shift_dx,flipped"
         assert float(row.split(",")[0]) > 0.8
 
@@ -150,7 +152,8 @@ class TestResolution:
             "--separations", "5e-5,1.5e-4",
         )
         assert code == 0
-        lines = open(os.path.join(out, "resolution.csv")).read().splitlines()
+        with open(os.path.join(out, "resolution.csv")) as f:
+            lines = f.read().splitlines()
         assert lines[0] == "separation_m,separation_px,resolved,contrast,pearson"
         assert len(lines) == 3
 
@@ -169,8 +172,9 @@ class TestResolution:
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         run_cli(*args, "--out", a)
         run_cli(*args, "--out", b)
-        assert open(os.path.join(a, "resolution.csv")).read() == \
-               open(os.path.join(b, "resolution.csv")).read()
+        with open(os.path.join(a, "resolution.csv")) as fa, \
+                open(os.path.join(b, "resolution.csv")) as fb:
+            assert fa.read() == fb.read()
 
 
 # Real-valued keys out of range, and the key each error must name.

@@ -34,8 +34,10 @@ class TestArrayFormat:
         values = np.ones((8, 8))
         path = str(tmp_path / "t.f64")
         arrayio.write_array(path, values, pitch=1e-5)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-16])
+        with open(path, "rb") as f:
+            raw = f.read()
+        with open(path, "wb") as f:
+            f.write(raw[:-16])
         with pytest.raises(FormatError, match="offset"):
             arrayio.read_array(path)
 
@@ -50,7 +52,8 @@ class TestArrayFormat:
     def test_header_is_recognizable(self, tmp_path):
         path = str(tmp_path / "h.f64")
         arrayio.write_array(path, np.zeros((4, 4)), pitch=1e-5)
-        assert open(path, "rb").read(8) == arrayio.MAGIC_BYTES
+        with open(path, "rb") as f:
+            assert f.read(8) == arrayio.MAGIC_BYTES
 
 
 class TestPGM:
@@ -66,7 +69,8 @@ class TestPGM:
     def test_header_layout(self, tmp_path):
         path = str(tmp_path / "img.pgm")
         arrayio.write_pgm16(path, np.zeros((3, 5)))
-        raw = open(path, "rb").read()
+        with open(path, "rb") as f:
+            raw = f.read()
         assert raw.startswith(b"P5\n5 3\n65535\n")
         assert len(raw) == len(b"P5\n5 3\n65535\n") + 3 * 5 * 2
 
@@ -74,13 +78,15 @@ class TestPGM:
         values = np.array([[0.0, 1.0]])
         path = str(tmp_path / "be.pgm")
         arrayio.write_pgm16(path, values)
-        raw = open(path, "rb").read()
+        with open(path, "rb") as f:
+            raw = f.read()
         assert raw.endswith(b"\x00\x00\xff\xff")
 
     @pytest.mark.parametrize("raw", [b"P5\n64", b"P5\n64 64\n", b"P5\nab 64\n65535\n", b"P5\n0 5\n65535\n"])
     def test_bad_header_is_format_error(self, tmp_path, raw):
         path = str(tmp_path / "bad.pgm")
-        open(path, "wb").write(raw)
+        with open(path, "wb") as f:
+            f.write(raw)
         with pytest.raises(FormatError):
             arrayio.read_pgm16(path)
 
@@ -93,7 +99,8 @@ class TestPGM:
         if sidecar is None:
             os.remove(path + ".scale")
         else:
-            open(path + ".scale", "w").write(sidecar)
+            with open(path + ".scale", "w") as f:
+                f.write(sidecar)
         with pytest.raises(FormatError, match="s.pgm.scale"):
             arrayio.read_pgm16(path)
 
@@ -111,7 +118,8 @@ class TestBucketsCSV:
         path = str(tmp_path / "b.csv")
         arrayio.write_buckets_csv(path, buckets)
         npt.assert_array_equal(arrayio.read_buckets_csv(path), buckets)
-        assert open(path).readline() == "j,value\n"
+        with open(path) as f:
+            assert f.readline() == "j,value\n"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "b.csv"
@@ -184,13 +192,15 @@ class TestFlatConfig:
         # the encoding is fixed, not taken from the locale
         path = str(tmp_path / "cfg.txt")
         arrayio.write_flat_config(path, {"note": "5 \u00b5m"})
-        assert open(path, "rb").read() == b"note = 5 \xc2\xb5m\n"
+        with open(path, "rb") as f:
+            assert f.read() == b"note = 5 \xc2\xb5m\n"
         assert arrayio.read_flat_config(path) == {"note": "5 \u00b5m"}
 
     def test_write_is_sorted(self, tmp_path):
         path = str(tmp_path / "cfg.txt")
         arrayio.write_flat_config(path, {"b.two": "2", "a.one": "1"})
-        lines = open(path).read().splitlines()
+        with open(path) as f:
+            lines = f.read().splitlines()
         assert lines == ["a.one = 1", "b.two = 2"]
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -19,6 +20,7 @@ from blindgi.patterns import (
     _philox,
     ensemble_autocorrelation,
     ensemble_autocorrelations,
+    iter_chunks,
     pattern_batch,
 )
 from scipy.linalg import hadamard
@@ -112,13 +114,18 @@ class TestGeneratePattern:
 
     def test_random_stream_layout(self):
         # pattern j reads counters [j*P, (j+1)*P) of one Philox stream keyed by
-        # (seed, stream word); P = ceil(npixels / 8), padding scores dropped
-        s = spec(n=33, nx=31, count=4, fill=0.25, seed=11)
-        per = -(-33 * 31 // 8)
-        raw = np.random.Philox(key=[11, _STREAM_PATTERNS]).random_raw(4 * per * 4)
-        scores = raw.astype("<u8").view("<u4").reshape(4, per * 8)[:, : 33 * 31]
-        want = (scores < 2**30).reshape(4, 33, 31)
-        npt.assert_array_equal(pattern_batch(s, 0, 4), want)
+        # (seed, stream word); P = ceil(npixels * w / 256) and pixel i is on
+        # where the little-endian w-bit field i is below round(fill * 2^w),
+        # padding fields dropped; 33 x 31 * w is no multiple of 256
+        npix = 33 * 31
+        for fill, w in ((0.5, 1), (0.25, 8), (0.3, 32)):
+            s = spec(n=33, nx=31, count=4, fill=fill, seed=11)
+            per = -(-npix * w // 256)
+            raw = np.random.Philox(key=[11, _STREAM_PATTERNS]).random_raw(4 * per * 4)
+            fields = [[(int(word) >> (w * b)) & (2**w - 1) for word in row
+                       for b in range(64 // w)] for row in raw.reshape(4, per * 4)]
+            want = np.array(fields)[:, :npix] < round(fill * 2**w)
+            npt.assert_array_equal(pattern_batch(s, 0, 4), want.reshape(4, 33, 31))
 
     def test_hadamard_first_is_all_ones(self):
         s = spec(kind="hadamard", n=8, count=64)
@@ -157,10 +164,11 @@ class TestGeneratePattern:
         for i, j in enumerate(range(2, 7)):
             npt.assert_array_equal(batch[i], generate_pattern(s, j).values)
         # any sub-batch is the same rows of one stream, across chunk
-        # boundaries and when npixels % 8 != 0 (33 x 31)
-        for kind in ("random-binary", "random-fixed-fill"):
+        # boundaries and when npixels % 8 != 0 (33 x 31), at every score width
+        cases = [("random-binary", f) for f in (0.5, 0.25, 0.3)] + [("random-fixed-fill", 0.3)]
+        for kind, fill in cases:
             for n, nx in ((64, 64), (33, 31)):
-                s = spec(kind=kind, n=n, nx=nx, count=300, fill=0.3)
+                s = spec(kind=kind, n=n, nx=nx, count=300, fill=fill)
                 full = pattern_batch(s, 0, s.count)
                 for a, b in ((0, 1), (5, 133), (127, 129), (129, 300), (299, 300)):
                     npt.assert_array_equal(pattern_batch(s, a, b), full[a:b])
@@ -207,25 +215,53 @@ class TestEnsembleAutocorrelation:
         with pytest.raises(UsageError):
             ensemble_autocorrelation(spec(n=8, count=4), (8, 0))
 
+    def test_prefix_counts_match_two_pass_form(self):
+        # one pass over every prefix count against the mean-then-products
+        # reference run on each count's own ensemble
+        lags = [(0, 0), (1, 0), (0, 1), (2, 3), (-3, 5)]
+        for kind, n, nx in (("random-binary", 33, 31), ("random-fixed-fill", 16, 16),
+                            ("hadamard", 16, 16)):
+            s = spec(kind=kind, n=n, nx=nx, count=256, fill=0.3)
+            counts = [1, 2, 100, 128, 129, 256, 200]
+            got = ensemble_autocorrelations(s, lags, counts)
+            assert got.shape == (len(counts), len(lags))
+            for row, c in zip(got, counts):
+                npt.assert_allclose(row, two_pass_autocorrelations(replace(s, count=c), lags),
+                                    rtol=0, atol=1e-12)
+        with pytest.raises(UsageError):
+            ensemble_autocorrelations(s, lags, [257])
+        with pytest.raises(UsageError):
+            ensemble_autocorrelations(s, lags, [0])
+
+
+def two_pass_autocorrelations(s, lags):
+    """Reference form: the per-pixel mean in one pass, then mean-removed products."""
+    mean = sum(batch.sum(axis=0) for _, _, batch in iter_chunks(s)) / s.count
+    acc = np.zeros(len(lags))
+    for _, _, batch in iter_chunks(s):
+        d = batch - mean
+        for i, (dy, dx) in enumerate(lags):
+            acc[i] += float(np.einsum("jyx,jyx->", d, np.roll(d, (-dy, -dx), axis=(1, 2))))
+    return acc / (s.count * s.grid.npixels)
+
 
 @functools.lru_cache(maxsize=None)
-def max_offpeak_autocorrelation(kind, count, seed, lags=None):
-    """Helper shared with the acceptance suite: max |autocorr| over fixed lags.
+def max_offpeak_autocorrelations(kind, seed, exponents=tuple(range(8, 15))):
+    """Helper shared with the acceptance suite: max |autocorr| over fixed lags
+    for each J = 2^k, k in ``exponents``, from one pass over the ensemble.
 
     Cached, so criterion 3 and the decay test below share one computation."""
-    lags = lags or [(1, 0), (0, 1), (1, 1), (2, 3), (5, 0), (0, 7), (3, 3), (6, 2)]
-    s = EnsembleSpec(kind=kind, grid=grid(64), count=count, fill_fraction=0.5, seed=seed)
-    return max(abs(v) for v in ensemble_autocorrelations(s, lags))
+    lags = [(1, 0), (0, 1), (1, 1), (2, 3), (5, 0), (0, 7), (3, 3), (6, 2)]
+    counts = [2**k for k in exponents]
+    s = EnsembleSpec(kind=kind, grid=grid(64), count=max(counts), fill_fraction=0.5, seed=seed)
+    return np.abs(ensemble_autocorrelations(s, lags, counts)).max(axis=1)
 
 
 def offpeak_decay_slope(kind="random-binary", exponents=range(8, 15), seeds=(5, 6, 7)):
     """Log-log slope of the off-peak autocorrelation level versus J."""
-    logj, logv = [], []
-    for k in exponents:
-        vals = [max_offpeak_autocorrelation(kind, 2**k, seed) for seed in seeds]
-        logj.append(k * np.log10(2.0))
-        logv.append(np.mean([np.log10(v) for v in vals]))
-    slope = np.polyfit(logj, logv, 1)[0]
+    vals = np.array([max_offpeak_autocorrelations(kind, seed, tuple(exponents)) for seed in seeds])
+    logj = np.array(exponents) * np.log10(2.0)
+    slope = np.polyfit(logj, np.log10(vals).mean(axis=0), 1)[0]
     return float(slope)
 
 
