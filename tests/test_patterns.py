@@ -254,7 +254,7 @@ def max_offpeak_autocorrelations(kind, seed, exponents=tuple(range(8, 15))):
     lags = [(1, 0), (0, 1), (1, 1), (2, 3), (5, 0), (0, 7), (3, 3), (6, 2)]
     counts = [2**k for k in exponents]
     s = EnsembleSpec(kind=kind, grid=grid(64), count=max(counts), fill_fraction=0.5, seed=seed)
-    return np.abs(ensemble_autocorrelations(s, lags, counts)).max(axis=1)
+    return tuple(np.abs(ensemble_autocorrelations(s, lags, counts)).max(axis=1))
 
 
 def offpeak_decay_slope(kind="random-binary", exponents=range(8, 15), seeds=(5, 6, 7)):
