@@ -19,7 +19,7 @@ from .grid import (
     disk_autocorrelation,
     point_reflect,
 )
-from .patterns import EnsembleSpec, Pattern, ensemble_autocorrelation, generate_pattern
+from .patterns import EnsembleSpec, Pattern, generate_pattern
 from .forward import (
     MeasurementSet,
     NoiseModel,

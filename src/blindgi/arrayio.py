@@ -7,10 +7,10 @@ Formats are versioned and byte-reproducible:
   (magic, version, nx, ny, pitch, centered flag, kind tag, reserved)
   followed by ny*nx row-major little-endian float64 samples.
 * ``.pgm`` previews: binary P5, maxval 65535, big-endian samples,
-  min-max scaled; the scale is recorded in a ``.pgm.scale`` sidecar.
+  min-max scaled; write-only pictures, never read back.
 * buckets: CSV with header ``j,value`` and repr-formatted floats.
 
-Text files (buckets, configs, scale sidecars) are UTF-8.
+Text files (buckets, configs) are UTF-8.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def read_array(path: str) -> tuple[np.ndarray, dict]:
 
 
 def write_pgm16(path: str, values: np.ndarray) -> None:
-    """Min-max scaled 16-bit PGM preview plus a ``.scale`` sidecar."""
+    """Min-max scaled 16-bit PGM preview."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise UsageError("PGM preview needs a 2-D array")
@@ -100,55 +100,6 @@ def write_pgm16(path: str, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{nx} {ny}\n65535\n".encode("ascii"))
         fh.write(samples.tobytes())
-    with open(path + ".scale", "w", encoding=TEXT_ENCODING) as fh:
-        fh.write(f"vmin = {vmin!r}\nvmax = {vmax!r}\n")
-
-
-def read_pgm16(path: str) -> np.ndarray:
-    """Read back a P5 preview, rescaled to physical values via the sidecar."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        if pos >= len(raw):
-            raise FormatError(f"{path}: truncated header, {len(fields)} of 4 fields (byte offset {pos})")
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    if fields[0] != b"P5":
-        raise FormatError(f"{path}: not a binary PGM (byte offset 0)")
-    try:
-        nx, ny, maxval = (int(f) for f in fields[1:])
-    except ValueError:
-        raise FormatError(f"{path}: non-numeric header fields {fields[1:]!r}") from None
-    if nx < 1 or ny < 1:
-        raise FormatError(f"{path}: bad dimensions {nx}x{ny}")
-    if maxval != 65535:
-        raise FormatError(f"{path}: expected maxval 65535, got {maxval}")
-    pos += 1  # single whitespace after maxval
-    expected = nx * ny * 2
-    payload = raw[pos:]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} sample bytes, got {len(payload)} "
-            f"(payload starts at byte offset {pos})"
-        )
-    samples = np.frombuffer(payload, dtype=">u2").reshape(ny, nx).astype(np.float64)
-    scale_path = path + ".scale"
-    scale = read_flat_config(scale_path)
-    try:
-        vmin, vmax = float(scale["vmin"]), float(scale["vmax"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{scale_path}: needs numeric vmin and vmax ({exc})") from None
-    return vmin + samples / 65535.0 * (vmax - vmin)
 
 
 def _read_lines(path: str) -> list[str]:

@@ -68,13 +68,12 @@ def _extract_overrides(extra: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _load_config(path: str | None, overrides: dict[str, str],
-                 base: RunConfig | None = None) -> RunConfig:
+def _load_config(path: str | None, overrides: dict[str, str]) -> RunConfig:
     entries = {}
     if path:
         entries.update(arrayio.read_flat_config(path))
     entries.update(overrides)
-    return config_from_entries(entries, base=base)
+    return config_from_entries(entries)
 
 
 def _write_run_config(out_dir: str, cfg: RunConfig) -> None:
@@ -85,8 +84,8 @@ def cmd_simulate(args, overrides) -> int:
     if args.dump_patterns < 0:
         raise UsageError(f"--dump-patterns must be >= 0, got {args.dump_patterns}")
     cfg = _load_config(args.config, overrides)
-    os.makedirs(args.out, exist_ok=True)
     ms, obj, psf = run_simulation(cfg)
+    os.makedirs(args.out, exist_ok=True)
     pitch = cfg.grid_pitch
     arrayio.write_buckets_csv(os.path.join(args.out, BUCKETS_FILE), ms.buckets)
     arrayio.write_array(
@@ -122,11 +121,11 @@ def _load_truth(run_dir: str, cfg: RunConfig) -> RealImage | None:
 def cmd_reconstruct(args, overrides) -> int:
     run_cfg_path = os.path.join(args.run, CONFIG_FILE)
     cfg = _load_config(run_cfg_path, overrides)
-    out_dir = args.out or args.run
-    os.makedirs(out_dir, exist_ok=True)
     ms = _load_measurements(args.run, cfg)
     truth = _load_truth(args.run, cfg)
     result = run_reconstruction(cfg, ms, truth=truth)
+    out_dir = args.out or args.run
+    os.makedirs(out_dir, exist_ok=True)
 
     pitch = cfg.grid_pitch
 
@@ -215,8 +214,8 @@ def _parse_separations(args, cfg: RunConfig) -> list[float]:
 def cmd_resolution(args, overrides) -> int:
     cfg = _load_config(args.config, overrides)
     seps = _parse_separations(args, cfg)
-    os.makedirs(args.out, exist_ok=True)
     rows = [resolution_probe(cfg, sep) for sep in seps]
+    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "resolution.csv")
     with open(path, "w") as fh:
         fh.write("separation_m,separation_px,resolved,contrast,pearson\n")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .forward import NoiseModel, OpticalConfig
@@ -94,6 +94,10 @@ class RunConfig:
                     f"support.box {self.support.box!r} must be between 1x1 and "
                     f"{ny // 2}x{nx // 2}, the central half of the {ny}x{nx} grid"
                 )
+        # the optics, ensemble and noise check their own keys, naming them
+        self.optical()
+        self.ensemble()
+        self.noise()
 
     def grid(self) -> Grid2D:
         return Grid2D(nx=self.grid_nx, ny=self.grid_ny, pitch=self.grid_pitch)
@@ -171,9 +175,8 @@ def config_to_entries(cfg: RunConfig) -> dict[str, str]:
     return entries
 
 
-def config_from_entries(entries: dict[str, str], base: RunConfig | None = None) -> RunConfig:
-    """Build a RunConfig from dotted-key strings, over defaults or a base config."""
-    base = base or RunConfig()
+def config_from_entries(entries: dict[str, str]) -> RunConfig:
+    """Build a RunConfig from dotted-key strings over the defaults."""
     top: dict[str, object] = {}
     support: dict[str, object] = {}
     schedule: dict[str, object] = {}
@@ -193,7 +196,4 @@ def config_from_entries(entries: dict[str, str], base: RunConfig | None = None) 
             schedule[path.split(".", 1)[1]] = value
         else:
             top[path] = value
-
-    new_support = replace(base.support, **support) if support else base.support
-    new_schedule = replace(base.schedule, **schedule) if schedule else base.schedule
-    return replace(base, support=new_support, schedule=new_schedule, **top)
+    return RunConfig(support=SupportPolicy(**support), schedule=ScheduleConfig(**schedule), **top)

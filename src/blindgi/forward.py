@@ -62,15 +62,16 @@ class OpticalConfig:
         }
         for name, value in lengths.items():
             if not (value > 0 and np.isfinite(value)):
-                raise ConfigError(f"optical length {name} must be positive, got {value}")
+                raise ConfigError(f"optical.{name} must be positive, got {value}")
         if self.case not in CASES:
-            raise ConfigError(f"unknown case {self.case!r}; expected one of {CASES}")
+            raise ConfigError(f"unknown optical.case {self.case!r}; expected one of {CASES}")
         if self.case != "delta" and self.cutoff_frequency > self.object_grid.nyquist:
             raise ConfigError(
                 "aperture cutoff above grid Nyquist: "
                 f"aperture_diameter/(wavelength*z_o) = {self.cutoff_frequency:.4g} cycles/m "
                 f"exceeds 1/(2*pitch) = {self.object_grid.nyquist:.4g} cycles/m; "
-                "reduce aperture_diameter, or increase wavelength, z_o, or grid pitch"
+                "reduce optical.aperture_diameter, or increase optical.wavelength, "
+                "optical.z_o or grid.pitch"
             )
 
     @property
@@ -214,11 +215,11 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
-            raise ConfigError(f"unknown noise kind {self.kind!r}; expected one of {NOISE_KINDS}")
+            raise ConfigError(f"unknown noise.kind {self.kind!r}; expected one of {NOISE_KINDS}")
         if self.kind == "gaussian" and not np.isfinite(self.snr_db):
-            raise ConfigError("gaussian noise needs a finite snr_db")
+            raise ConfigError(f"gaussian noise needs a finite noise.snr_db, got {self.snr_db}")
         if self.kind == "poisson" and not self.photons > 0:
-            raise ConfigError("poisson noise needs photons > 0")
+            raise ConfigError(f"poisson noise needs noise.photons > 0, got {self.photons}")
 
 
 @dataclass(frozen=True)

@@ -92,13 +92,16 @@ BUILTIN_NAMES = ("letter", "two-points", "rectangle", "double-slit")
 
 
 def from_spec(grid: Grid2D, spec: str) -> RealImage:
-    """Build an object from a "name" or "name(arg, ...)" string."""
+    """Build an object from a "name" or "name(arg, ...)" string.
+
+    Errors name the spec as the value of the ``object`` config key.
+    """
     m = _SPEC_RE.match(spec)
     if not m:
         raise ConfigError(f"cannot parse object spec {spec!r}")
     name, argstr = m.group(1), m.group(2)
-    args = [int(a) for a in argstr.split(",")] if argstr else []
     try:
+        args = [int(a) for a in argstr.split(",")] if argstr else []
         if name == "letter":
             return letter(grid, *args)
         if name == "two-points":
@@ -111,6 +114,8 @@ def from_spec(grid: Grid2D, spec: str) -> RealImage:
             return rectangle(grid, args[0], args[1])
         if name == "double-slit":
             return double_slit(grid, *args)
-    except TypeError as exc:
-        raise ConfigError(f"bad arguments for object {name!r}: {argstr!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"object {spec!r}: bad arguments for {name!r}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"object {spec!r}: {exc}") from None
     raise ConfigError(f"unknown object {name!r}; built-ins are {BUILTIN_NAMES}")

@@ -15,11 +15,6 @@ padding fields.  random-binary uses the smallest w of 1, 8 or 16 for which
 its score is below ``round(fill * 2^w)``: fill 0.5 costs one bit per pixel.
 random-fixed-fill always uses w = 32.  A chunk of patterns is thus one
 ``advance`` plus one ``random_raw`` call.
-
-Earlier versions read every random kind at w = 32.  At w = 32 the layout is
-the same, so random-fixed-fill and random-binary at any other fill (0.3,
-say) keep their patterns bit for bit, while random-binary at a fill that is
-a multiple of 2^-16 (0.5, 0.25, ...) now draws different patterns.
 """
 
 from __future__ import annotations
@@ -82,13 +77,12 @@ class EnsembleSpec:
     kind: "random-binary" (i.i.d. Bernoulli pixels: a pixel is on where its
     w-bit score is below round(fill * 2^w), w the fewest of 1, 8 or 16 bits
     that hold fill exactly and 32 otherwise, so other fills are rounded to a
-    multiple of 2^-32; fills that are multiples of 2^-16 draw other patterns
-    than the earlier all-32-bit scores did), "random-fixed-fill" (exactly
-    round(fill * nx * ny) pixels on, positions drawn without replacement by
-    32-bit scores, which removes the per-pattern fill fluctuation and with it
-    the dominant bucket background noise), "hadamard" (rows of the 2-D
-    Walsh-Hadamard basis remapped to {0,1}), or "pixel-scan" (one pixel on
-    per pattern, raster order; a complete scan needs count = nx*ny).
+    multiple of 2^-32), "random-fixed-fill" (exactly round(fill * nx * ny)
+    pixels on, positions drawn without replacement by 32-bit scores, which
+    removes the per-pattern fill fluctuation and with it the dominant bucket
+    background noise), "hadamard" (rows of the 2-D Walsh-Hadamard basis
+    remapped to {0,1}), or "pixel-scan" (one pixel on per pattern, raster
+    order; a complete scan needs count = nx*ny).
     """
 
     kind: str
@@ -99,20 +93,19 @@ class EnsembleSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown ensemble kind {self.kind!r}; expected one of {KINDS}")
+            raise ConfigError(f"unknown ensemble.kind {self.kind!r}; expected one of {KINDS}")
         if self.count < 1:
-            raise ConfigError(f"ensemble count must be >= 1, got {self.count}")
+            raise ConfigError(f"ensemble.count must be >= 1, got {self.count}")
         if self.kind in ("random-binary", "random-fixed-fill") and not 0 < self.fill_fraction < 1:
-            raise ConfigError(f"fill_fraction must be in (0,1), got {self.fill_fraction}")
+            raise ConfigError(f"ensemble.fill_fraction must be in (0,1), got {self.fill_fraction}")
         if self.kind == "hadamard":
             if not (_is_pow2(self.grid.nx) and _is_pow2(self.grid.ny)):
-                raise ConfigError("hadamard ensemble needs power-of-two grid dimensions")
-            if self.count > self.grid.npixels:
-                raise ConfigError(
-                    f"hadamard ensemble supports at most {self.grid.npixels} patterns"
-                )
-        if self.kind == "pixel-scan" and self.count > self.grid.npixels:
-            raise ConfigError("pixel-scan ensemble supports at most nx*ny patterns")
+                raise ConfigError("ensemble.kind 'hadamard' needs power-of-two grid dimensions")
+        if self.kind in ("hadamard", "pixel-scan") and self.count > self.grid.npixels:
+            raise ConfigError(
+                f"ensemble.count must be <= nx*ny = {self.grid.npixels} for "
+                f"ensemble.kind {self.kind!r}, got {self.count}"
+            )
 
 
 def generate_pattern(spec: EnsembleSpec, j: int) -> Pattern:
@@ -250,7 +243,3 @@ def ensemble_autocorrelations(
         prod += per_pattern.sum(axis=0)
     return out
 
-
-def ensemble_autocorrelation(spec: EnsembleSpec, lag: tuple[int, int]) -> float:
-    """Single-lag form of :func:`ensemble_autocorrelations`."""
-    return float(ensemble_autocorrelations(spec, [lag])[0, 0])

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .config import RunConfig
 from .correlation import (
     CorrelationImage,
-    FilterModel,
     compensate,
     correlate,
     default_epsilon,
@@ -77,7 +76,6 @@ class ReconstructionResult:
     correlation: CorrelationImage
     spectrum: MagnitudeSpectrum
     target: MagnitudeSpectrum
-    filter: FilterModel
     support: SupportMask
     reconstruction: Reconstruction
     alignment: AlignmentResult | None = None
@@ -92,8 +90,8 @@ def run_reconstruction(
     """Correlate, form the magnitude target per the configured mode, retrieve."""
     corr = correlate(measurements)
     spec = magnitude_spectrum(corr)
-    filt = filter_model(measurements.config)
     if cfg.compensation_mode == "compensated":
+        filt = filter_model(measurements.config)
         target = compensate(spec, filt, default_epsilon(filt, cfg.epsilon_fraction))
     else:
         target = spec
@@ -107,7 +105,6 @@ def run_reconstruction(
         correlation=corr,
         spectrum=spec,
         target=target,
-        filter=filt,
         support=support,
         reconstruction=recon,
         alignment=alignment,

@@ -187,6 +187,14 @@ OUT_OF_RANGE = [
       for mode in ("direct", "compensated") for eps in ("0", "-1")],
 ]
 
+# Values the optics, ensemble and noise models reject, and the key each names.
+BAD_MODEL_VALUES = [
+    (["--ensemble.count", "0"], "ensemble.count"),
+    (["--optical.wavelength", "-1"], "optical.wavelength"),
+    (["--noise.kind", "bogus"], "noise.kind"),
+    (["--optical.case", "foo"], "optical.case"),
+]
+
 
 class TestBadInputs:
     """Every bad value exits with its documented code and is named on stderr."""
@@ -215,10 +223,13 @@ class TestBadInputs:
                        "--support.box", "16x16") == 0
 
     def test_poisson_photons_too_large(self, tmp_path, capsys):
-        code = run_cli("simulate", "--out", str(tmp_path / "p"), *SMALL,
+        # found only after the buckets are simulated, still before any output
+        out = tmp_path / "p"
+        code = run_cli("simulate", "--out", str(out), *SMALL,
                        "--noise.kind", "poisson", "--noise.photons", "1e30")
         assert code == 2
         assert "1e+30" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_must_be_positive(self, run_dir, tmp_path, capsys, workers):
@@ -261,10 +272,16 @@ class TestBadInputs:
         ("simulate", ["--dump-patterns", "-3"], "--dump-patterns"),
         *[(command, flags, name) for command in ("simulate", "reconstruct")
           for flags, name in OUT_OF_RANGE],
+        *[(command, flags, name) for command in ("simulate", "reconstruct")
+          for flags, name in BAD_MODEL_VALUES],
+        # only simulate builds the object; reconstruct reads the stored truth
+        ("simulate", ["--object", "rectangle(60,60)"], "object 'rectangle(60,60)'"),
+        ("simulate", ["--object", "rectangle(a,6)"], "object 'rectangle(a,6)'"),
     ])
     def test_integer_below_minimum(self, run_dir, tmp_path, capsys, command, flags, name):
-        # and real-valued keys out of range: each is rejected when the config
-        # is read, before any work or output
+        # and real-valued keys out of range, and values the models reject:
+        # each is rejected before any output, when the config is read (the
+        # object when simulate builds it)
         where = ["--run", run_dir] if command == "reconstruct" else SMALL
         out = tmp_path / "o"
         assert run_cli(command, *where, "--out", str(out), *flags) == 2

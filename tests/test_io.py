@@ -57,14 +57,24 @@ class TestArrayFormat:
 
 
 class TestPGM:
+    @staticmethod
+    def samples(path, shape):
+        """The big-endian 16-bit samples after the P5 header."""
+        with open(path, "rb") as f:
+            raw = f.read()
+        header = b"P5\n%d %d\n65535\n" % (shape[1], shape[0])
+        assert raw.startswith(header)
+        return np.frombuffer(raw[len(header):], dtype=">u2").reshape(shape)
+
     def test_round_trip_within_quantization(self, tmp_path):
         rng = np.random.default_rng(1)
         values = rng.normal(size=(12, 20)) * 3.0 + 5.0
         path = str(tmp_path / "img.pgm")
         arrayio.write_pgm16(path, values)
-        back = arrayio.read_pgm16(path)
         span = values.max() - values.min()
-        assert np.max(np.abs(back - values)) <= span / 65535
+        expected = np.round((values - values.min()) / span * 65535)
+        npt.assert_array_equal(self.samples(path, values.shape), expected)
+        assert not os.path.exists(path + ".scale")
 
     def test_header_layout(self, tmp_path):
         path = str(tmp_path / "img.pgm")
@@ -82,33 +92,10 @@ class TestPGM:
             raw = f.read()
         assert raw.endswith(b"\x00\x00\xff\xff")
 
-    @pytest.mark.parametrize("raw", [b"P5\n64", b"P5\n64 64\n", b"P5\nab 64\n65535\n", b"P5\n0 5\n65535\n"])
-    def test_bad_header_is_format_error(self, tmp_path, raw):
-        path = str(tmp_path / "bad.pgm")
-        with open(path, "wb") as f:
-            f.write(raw)
-        with pytest.raises(FormatError):
-            arrayio.read_pgm16(path)
-
-    @pytest.mark.parametrize(
-        "sidecar", [None, "vmin = abc\nvmax = 1.0\n", "vmin = 0.0\n", "vmin = abc\n"]
-    )
-    def test_bad_sidecar_is_format_error(self, tmp_path, sidecar):
-        path = str(tmp_path / "s.pgm")
-        arrayio.write_pgm16(path, np.ones((2, 3)))
-        if sidecar is None:
-            os.remove(path + ".scale")
-        else:
-            with open(path + ".scale", "w") as f:
-                f.write(sidecar)
-        with pytest.raises(FormatError, match="s.pgm.scale"):
-            arrayio.read_pgm16(path)
-
     def test_constant_image(self, tmp_path):
         path = str(tmp_path / "c.pgm")
         arrayio.write_pgm16(path, np.full((4, 4), 2.5))
-        back = arrayio.read_pgm16(path)
-        npt.assert_array_equal(back, 2.5)
+        npt.assert_array_equal(self.samples(path, (4, 4)), 0)
 
 
 class TestBucketsCSV:
@@ -221,27 +208,6 @@ ARRAY_BYTES = st.one_of(
         st.binary(max_size=40),
     ),
 )
-_pgm_token = st.one_of(
-    st.sampled_from([b"1", b"2", b"0", b"-1", b"65535", b"255", b"ab", b"#c\n", b"\xff"]),
-    st.binary(max_size=3),
-)
-
-
-def _tiny_pgm(shape):
-    """A valid P5 header for ``(nx, ny)`` followed by exactly its sample bytes."""
-    size = 2 * shape[0] * shape[1]
-    return st.binary(min_size=size, max_size=size).map(lambda s: b"P5\n%d %d\n65535\n" % shape + s)
-
-
-PGM_BYTES = st.one_of(
-    st.binary(max_size=48),
-    st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(_tiny_pgm),
-    st.builds(
-        lambda tokens, payload: b"P5\n" + b" ".join(tokens) + b"\n" + payload,
-        st.lists(_pgm_token, max_size=4),
-        st.binary(max_size=12),
-    ),
-)
 
 
 def _text_bytes(lines):
@@ -283,18 +249,6 @@ class TestReadersOnAnyBytes:
         path = tmp_path / "a.f64"
         path.write_bytes(raw)
         returns_or_format_error(arrayio.read_array, str(path))
-
-    @FUZZ
-    @given(raw=PGM_BYTES, sidecar=st.none() | CONFIG_BYTES)
-    def test_read_pgm16(self, tmp_path, raw, sidecar):
-        path = tmp_path / "p.pgm"
-        path.write_bytes(raw)
-        scale = tmp_path / "p.pgm.scale"
-        if sidecar is None:
-            scale.unlink(missing_ok=True)
-        else:
-            scale.write_bytes(sidecar)
-        returns_or_format_error(arrayio.read_pgm16, str(path))
 
     @FUZZ
     @given(raw=CONFIG_BYTES)

@@ -18,7 +18,6 @@ from blindgi.patterns import (
     _fixed_fill,
     _hadamard,
     _philox,
-    ensemble_autocorrelation,
     ensemble_autocorrelations,
     iter_chunks,
     pattern_batch,
@@ -189,18 +188,18 @@ def test_import_loads_no_scipy():
 class TestEnsembleAutocorrelation:
     def test_zero_lag_is_pixel_variance(self):
         s = spec(count=4096)
-        value = ensemble_autocorrelation(s, (0, 0))
+        value = ensemble_autocorrelations(s, [(0, 0)])[0, 0]
         assert abs(value - 0.25) < 3 / np.sqrt(4096 * 64 * 64)
 
     def test_nonzero_lag_small(self):
         s = spec(count=4096)
-        value = ensemble_autocorrelation(s, (1, 0))
+        value = ensemble_autocorrelations(s, [(1, 0)])[0, 0]
         assert abs(value) < 0.25 * 4 / np.sqrt(4096 * 64 * 64)
 
     def test_hadamard_complete_basis_off_peak_zero(self):
         s = spec(kind="hadamard", n=8, count=64)
-        for lag in [(1, 0), (0, 1), (3, 5)]:
-            assert abs(ensemble_autocorrelation(s, lag)) < 1e-12
+        lags = [(1, 0), (0, 1), (3, 5)]
+        assert np.max(np.abs(ensemble_autocorrelations(s, lags))) < 1e-12
 
     def test_hadamard_complete_basis_diagonal(self):
         # sum_j dM_j(p) dM_j(p') over the full basis is exactly diagonal
@@ -213,7 +212,7 @@ class TestEnsembleAutocorrelation:
 
     def test_lag_out_of_range(self):
         with pytest.raises(UsageError):
-            ensemble_autocorrelation(spec(n=8, count=4), (8, 0))
+            ensemble_autocorrelations(spec(n=8, count=4), [(8, 0)])
 
     def test_prefix_counts_match_two_pass_form(self):
         # one pass over every prefix count against the mean-then-products
