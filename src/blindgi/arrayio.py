@@ -102,17 +102,50 @@ def write_pgm16(path: str, values: np.ndarray) -> None:
         fh.write(samples.tobytes())
 
 
-def _read_lines(path: str) -> list[str]:
-    """Lines of a text file, or FormatError naming it if unreadable or not UTF-8."""
+# Bytes a text reader takes from its file at a time.
+_READ_BLOCK = 1 << 16
+
+
+def _text_pieces(fh):
+    """The bytes of a binary file in pieces that each end just after a line
+    feed, the last piece excepted.  A line feed byte never occurs inside a
+    multi-byte UTF-8 character or a CR LF pair, so the pieces decode and
+    split into lines one at a time exactly as the whole file would."""
+    tail = bytearray()
+    while block := fh.read(_READ_BLOCK):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield tail + block[:cut]
+            tail = bytearray(block[cut:])
+        else:
+            tail += block
+    if tail:
+        yield tail
+
+
+def _iter_lines(path: str):
+    """Lines of a text file as ``str.splitlines`` cuts them, read a piece at a
+    time; FormatError naming the file if it is unreadable or not UTF-8.
+
+    The whole file is checked for UTF-8 before the first line is yielded,
+    so a bad byte is reported wherever it sits.
+    """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            offset = 0
+            for piece in _text_pieces(fh):
+                try:
+                    piece.decode(TEXT_ENCODING)
+                except UnicodeDecodeError as exc:
+                    raise FormatError(
+                        f"{path}: not {TEXT_ENCODING} text (byte offset {offset + exc.start})"
+                    ) from None
+                offset += len(piece)
+            fh.seek(0)
+            for piece in _text_pieces(fh):
+                yield from piece.decode(TEXT_ENCODING).splitlines()
     except OSError as exc:
         raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
-    try:
-        return raw.decode(TEXT_ENCODING).splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not {TEXT_ENCODING} text (byte offset {exc.start})") from None
 
 
 def write_buckets_csv(path: str, buckets: np.ndarray) -> None:
@@ -123,24 +156,30 @@ def write_buckets_csv(path: str, buckets: np.ndarray) -> None:
 
 
 def read_buckets_csv(path: str) -> np.ndarray:
-    lines = _read_lines(path)
-    header = lines[0].strip() if lines else ""
+    """Bucket values of a ``j,value`` CSV, streamed into a float64 array."""
+    lines = _iter_lines(path)
+    header = next(lines, "").strip()
     if header != "j,value":
         raise FormatError(f"{path}: expected header 'j,value', got {header!r} (line 1)")
-    values = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    values = np.empty(1024)
+    n = 0
+    for lineno, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
             continue
         j_str, _, v_str = line.partition(",")
         try:
             j = int(j_str)
-            values.append(float(v_str))
+            value = float(v_str)
         except ValueError as exc:
             raise FormatError(f"{path}: bad row at line {lineno}: {line!r}") from exc
-        if j != len(values) - 1:
+        if j != n:
             raise FormatError(f"{path}: non-sequential index {j} at line {lineno}")
-    return np.array(values)
+        if n == len(values):
+            values = np.concatenate([values, np.empty(n)])
+        values[n] = value
+        n += 1
+    return values[:n].copy()
 
 
 def write_flat_config(path: str, entries: dict) -> None:
@@ -153,7 +192,7 @@ def write_flat_config(path: str, entries: dict) -> None:
 def read_flat_config(path: str) -> dict:
     entries = {}
     first_line = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(_iter_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

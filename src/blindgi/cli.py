@@ -106,7 +106,12 @@ def cmd_simulate(args, overrides) -> int:
 
 
 def _load_measurements(run_dir: str, cfg: RunConfig) -> MeasurementSet:
-    buckets = arrayio.read_buckets_csv(os.path.join(run_dir, BUCKETS_FILE))
+    path = os.path.join(run_dir, BUCKETS_FILE)
+    buckets = arrayio.read_buckets_csv(path)
+    if len(buckets) != cfg.ensemble_count:
+        raise FormatError(
+            f"{path}: {len(buckets)} bucket rows, but ensemble.count is {cfg.ensemble_count}"
+        )
     return MeasurementSet(cfg.ensemble(), buckets, cfg.optical())
 
 

@@ -20,6 +20,13 @@ def _blank(grid: Grid2D) -> np.ndarray:
     return np.zeros(grid.shape)
 
 
+def _require_sizes(**sizes: int) -> None:
+    """ConfigError naming the first size below one pixel."""
+    for name, value in sizes.items():
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1 px, got {value}")
+
+
 def _centered_box(grid: Grid2D, height: int, width: int, what: str) -> tuple[int, int]:
     """Top-left corner of a centered box, checked against the central half."""
     y0 = grid.ny // 2 - height // 2
@@ -33,6 +40,7 @@ def letter(grid: Grid2D, height: int | None = None, stroke: int | None = None) -
     """A blocky hollow digit-two glyph built from five bar segments."""
     h = height if height is not None else max(8, (grid.ny * 7) // 16)
     t = stroke if stroke is not None else max(2, h // 7)
+    _require_sizes(height=h, stroke=t)
     w = max(t + 2, (h * 2) // 3)
     y0, x0 = _centered_box(grid, h, w, "letter glyph")
     img = _blank(grid)
@@ -47,8 +55,7 @@ def letter(grid: Grid2D, height: int | None = None, stroke: int | None = None) -
 
 def two_points(grid: Grid2D, separation_px: int) -> RealImage:
     """Two unit pixels on the center row, separated along x."""
-    if separation_px < 1:
-        raise ConfigError(f"separation must be >= 1 px, got {separation_px}")
+    _require_sizes(separation=separation_px)
     cy, x_left, x_right = two_point_columns(grid, separation_px)
     require_central_half(grid, (cy, cy), (x_left, x_right), f"two-point pair {separation_px} px apart")
     img = _blank(grid)
@@ -65,8 +72,7 @@ def two_point_columns(grid: Grid2D, separation_px: int) -> tuple[int, int, int]:
 
 def rectangle(grid: Grid2D, width: int, height: int) -> RealImage:
     """A filled centered rectangle."""
-    if width < 1 or height < 1:
-        raise ConfigError("rectangle needs positive width and height")
+    _require_sizes(width=width, height=height)
     y0, x0 = _centered_box(grid, height, width, "rectangle")
     img = _blank(grid)
     img[y0 : y0 + height, x0 : x0 + width] = 1
@@ -78,6 +84,7 @@ def double_slit(
 ) -> RealImage:
     """Two parallel vertical slits separated by a gap."""
     h = slit_height if slit_height is not None else max(8, grid.ny // 4)
+    _require_sizes(slit_width=slit_width, slit_height=h, gap=gap)
     total_w = 2 * slit_width + gap
     y0, x0 = _centered_box(grid, h, total_w, "double slit")
     img = _blank(grid)

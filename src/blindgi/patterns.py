@@ -13,8 +13,9 @@ reads the little-endian w-bit field i, in row-major pixel order, dropping the
 padding fields.  random-binary uses the smallest w of 1, 8 or 16 for which
 ``fill * 2^w`` is an integer, and 32 otherwise, and turns pixel i on where
 its score is below ``round(fill * 2^w)``: fill 0.5 costs one bit per pixel.
-random-fixed-fill always uses w = 32.  A chunk of patterns is thus one
-``advance`` plus one ``random_raw`` call.
+random-fixed-fill always uses w = 32.  A batch of patterns sets the
+stream's counter once and then draws its words in row blocks of about
+256 KB, so no batch holds the raw words of all its patterns at once.
 """
 
 from __future__ import annotations
@@ -34,10 +35,13 @@ _MASK64 = (1 << 64) - 1
 _STREAM_PATTERNS = 0x5041_5400
 
 
+def _key(*key_words: int) -> np.ndarray:
+    return np.array([int(w) & _MASK64 for w in key_words], dtype=np.uint64)
+
+
 def _philox(*key_words: int) -> np.random.Generator:
     """Counter-based stream keyed by up to two 64-bit words."""
-    key = np.array([int(w) & _MASK64 for w in key_words], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(*key_words)))
 
 
 def _is_pow2(n: int) -> bool:
@@ -120,17 +124,33 @@ def _score_bits(fill: float) -> int:
     return next((w for w in (1, 8, 16) if (fill * 2**w).is_integer()), 32)
 
 
-def _scores(spec: EnsembleSpec, start: int, stop: int, w: int) -> np.ndarray:
-    """w-bit scores of patterns start..stop-1, shape (stop-start, npixels).
+def _seek(bits: np.random.Philox, seed: int, counter: int) -> None:
+    """Point ``bits`` at ``counter`` of the pattern stream of ``seed``.
+
+    Same state as a fresh generator advanced by ``counter``, without asking
+    the OS for the seed entropy a new bit generator draws.
+    """
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([(counter >> (64 * i)) & _MASK64 for i in range(4)], np.uint64),
+            "key": _key(seed, _STREAM_PATTERNS),
+        },
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _next_scores(bits: np.random.Philox, n: int, npix: int, w: int) -> np.ndarray:
+    """w-bit scores of the next n patterns of the stream, shape (n, npix).
 
     w is 1, 8, 16 or 32; the scores are uint8 bits for w = 1, else uintw.
     """
-    npix = spec.grid.npixels
     per = -(-npix * w // 256)  # counters per pattern
-    bits = _philox(spec.seed, _STREAM_PATTERNS).bit_generator
-    bits.advance(start * per)
-    raw = bits.random_raw((stop - start) * per * 4).astype("<u8", copy=False)
-    raw = raw.view(np.uint8).reshape(stop - start, per * 32)
+    raw = bits.random_raw(n * per * 4).astype("<u8", copy=False)
+    raw = raw.view(np.uint8).reshape(n, per * 32)
     if w == 1:
         return np.unpackbits(raw, axis=1, count=npix, bitorder="little")
     return raw.view(f"<u{w // 8}")[:, :npix]
@@ -156,26 +176,58 @@ def _fixed_fill(scores: np.ndarray, k: int, out: np.ndarray) -> None:
         out[i, np.argpartition(scores[i], k)[:k]] = 1.0
 
 
-def pattern_batch(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
-    """Patterns start..stop-1 stacked as a (stop-start, ny, nx) float array."""
+# Bytes of Philox words a random batch draws at a time.
+_DRAW_BLOCK = 1 << 18
+
+
+def pattern_batch(
+    spec: EnsembleSpec,
+    start: int,
+    stop: int,
+    out: np.ndarray | None = None,
+    bits: np.random.Philox | None = None,
+) -> np.ndarray:
+    """Patterns start..stop-1 stacked as a (stop-start, ny, nx) float array.
+
+    They are written into ``out`` when it is given (a C-contiguous float64
+    array of that shape), which is then returned.  ``bits`` is a Philox bit
+    generator to draw with; its state is overwritten, so one generator can
+    serve every batch of a pass.
+    """
     if not 0 <= start <= stop <= spec.count:
         raise UsageError(f"batch range [{start}, {stop}) out of bounds for count {spec.count}")
     ny, nx = spec.grid.shape
     n = stop - start
-    out = np.empty((n, ny, nx))
+    if out is None:
+        out = np.empty((n, ny, nx))
+    elif out.shape != (n, ny, nx) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise UsageError(
+            f"pattern buffer must be a C-contiguous float64 array of shape {(n, ny, nx)}, "
+            f"got {out.dtype} {out.shape}"
+        )
     flat = out.reshape(n, ny * nx)
-    if spec.kind == "random-binary":
-        w = _score_bits(spec.fill_fraction)
-        scores = _scores(spec, start, stop, w)
-        threshold = min(round(spec.fill_fraction * 2**w), 2**w - 1)
-        np.less(scores, scores.dtype.type(threshold), out=flat)
-    elif spec.kind == "random-fixed-fill":
-        k = min(max(int(round(spec.fill_fraction * ny * nx)), 1), ny * nx - 1)
-        _fixed_fill(_scores(spec, start, stop, 32), k, flat)
+    if spec.kind in ("random-binary", "random-fixed-fill"):
+        fill = spec.fill_fraction
+        w = 32 if spec.kind == "random-fixed-fill" else _score_bits(fill)
+        k = min(max(int(round(fill * ny * nx)), 1), ny * nx - 1)
+        threshold = min(round(fill * 2**w), 2**w - 1)
+        per = -(-ny * nx * w // 256)
+        bits = np.random.Philox(key=_key(spec.seed, _STREAM_PATTERNS)) if bits is None else bits
+        _seek(bits, spec.seed, start * per)
+        rows = max(1, _DRAW_BLOCK // (per * 32))
+        for a in range(0, n, rows):
+            block = flat[a : a + rows]
+            scores = _next_scores(bits, len(block), ny * nx, w)
+            if spec.kind == "random-binary":
+                np.less(scores, scores.dtype.type(threshold), out=block)
+            else:
+                _fixed_fill(scores, k, block)
     elif spec.kind == "hadamard":
         j = np.arange(start, stop)
         hy, hx = _hadamard(ny)[j // nx], _hadamard(nx)[j % nx]
-        out[:] = (1 + hy[:, :, None] * hx[:, None, :]) / 2
+        np.multiply(hy[:, :, None], hx[:, None, :], out=out)
+        out += 1
+        out /= 2
     else:
         flat[:] = 0.0
         flat[np.arange(n), np.arange(start, stop)] = 1.0
@@ -184,25 +236,39 @@ def pattern_batch(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
 
 # Chunk size for streaming passes over an ensemble.  Fixed so that summation
 # order never depends on the caller.  On 64x64, 32 to 256 ran equally fast;
-# 128 keeps a chunk's arrays at 6 MB and its Python overhead small on small
+# 128 keeps a pass's workspace at 4 MB and its Python overhead small on small
 # grids.
 STREAM_CHUNK = 128
 
 
 def iter_chunks(spec: EnsembleSpec):
-    """Yield ``(lo, hi, patterns lo..hi-1)`` over the ensemble in fixed chunks."""
+    """Yield ``(lo, hi, patterns lo..hi-1)`` over the ensemble in fixed chunks.
+
+    A pass allocates one chunk-sized workspace and one bit generator, and
+    every chunk it yields is a view of that workspace: a chunk is valid only
+    until the next one is asked for, so a caller that keeps one must copy it.
+    """
+    work = np.empty((min(STREAM_CHUNK, spec.count), *spec.grid.shape))
+    bits = np.random.Philox(key=_key(spec.seed, _STREAM_PATTERNS))
     for lo in range(0, spec.count, STREAM_CHUNK):
         hi = min(lo + STREAM_CHUNK, spec.count)
-        yield lo, hi, pattern_batch(spec, lo, hi)
+        yield lo, hi, pattern_batch(spec, lo, hi, work[: hi - lo], bits)
 
 
 def _lag_sums(stack: np.ndarray, lags: list[tuple[int, int]]) -> np.ndarray:
-    """sum_p s(p) s(p+lag) per row s of an (n, ny, nx) stack: shape (n, len(lags))."""
-    return np.stack(
-        [np.einsum("jyx,jyx->j", stack, np.roll(stack, (-dy, -dx), axis=(1, 2)))
-         for dy, dx in lags],
-        axis=1,
-    )
+    """sum_p s(p) s(p+lag) per row s of an (n, ny, nx) stack: shape (n, len(lags)).
+
+    Rows are shifted a block at a time, so no copy of the whole stack is made.
+    """
+    rows = max(1, _DRAW_BLOCK // stack[0].nbytes)
+    out = np.empty((len(stack), len(lags)))
+    for a in range(0, len(stack), rows):
+        block = stack[a : a + rows]
+        for i, (dy, dx) in enumerate(lags):
+            out[a : a + rows, i] = np.einsum(
+                "jyx,jyx->j", block, np.roll(block, (-dy, -dx), axis=(1, 2))
+            )
+    return out
 
 
 def ensemble_autocorrelations(

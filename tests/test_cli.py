@@ -195,6 +195,17 @@ BAD_MODEL_VALUES = [
     (["--optical.case", "foo"], "optical.case"),
 ]
 
+# object sizes below one pixel; only simulate builds the object
+BAD_OBJECT_SIZES = [
+    ("letter(0)", "height"),
+    ("letter(-5)", "height"),
+    ("letter(12,0)", "stroke"),
+    ("double-slit(0)", "slit_width"),
+    ("double-slit(2,0)", "slit_height"),
+    ("double-slit(2,8,0)", "gap"),
+    ("rectangle(0,6)", "width"),
+]
+
 
 class TestBadInputs:
     """Every bad value exits with its documented code and is named on stderr."""
@@ -251,6 +262,20 @@ class TestBadInputs:
         assert "'ensemble.count' repeated at lines 1 and 3" in err
         assert "Traceback" not in err
 
+    def test_bucket_count_mismatch_is_format_error(self, run_dir, tmp_path, capsys):
+        run = str(tmp_path / "run")
+        shutil.copytree(run_dir, run)
+        path = os.path.join(run, "buckets.csv")
+        with open(path, encoding="utf-8") as fh:
+            rows = fh.readlines()[:30]  # the header and 29 buckets
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(rows)
+        out = tmp_path / "o"
+        assert run_cli("reconstruct", "--run", run, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "buckets.csv: 29 bucket rows, but ensemble.count is 4096" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["run_config.txt", "buckets.csv"])
     def test_non_utf8_run_file(self, run_dir, tmp_path, capsys, name):
         run = str(tmp_path / "run")
@@ -277,6 +302,8 @@ class TestBadInputs:
         # only simulate builds the object; reconstruct reads the stored truth
         ("simulate", ["--object", "rectangle(60,60)"], "object 'rectangle(60,60)'"),
         ("simulate", ["--object", "rectangle(a,6)"], "object 'rectangle(a,6)'"),
+        *[("simulate", ["--object", spec], f"object {spec!r}: {size} must be >= 1 px")
+          for spec, size in BAD_OBJECT_SIZES],
     ])
     def test_integer_below_minimum(self, run_dir, tmp_path, capsys, command, flags, name):
         # and real-valued keys out of range, and values the models reject:
