@@ -15,6 +15,8 @@ Text files (buckets, configs) are UTF-8.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import numpy as np
 
 from .errors import FormatError, UsageError
@@ -157,28 +159,28 @@ def write_buckets_csv(path: str, buckets: np.ndarray) -> None:
 
 def read_buckets_csv(path: str) -> np.ndarray:
     """Bucket values of a ``j,value`` CSV, streamed into a float64 array."""
-    lines = _iter_lines(path)
-    header = next(lines, "").strip()
-    if header != "j,value":
-        raise FormatError(f"{path}: expected header 'j,value', got {header!r} (line 1)")
     values = np.empty(1024)
     n = 0
-    for lineno, line in enumerate(lines, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        j_str, _, v_str = line.partition(",")
-        try:
-            j = int(j_str)
-            value = float(v_str)
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad row at line {lineno}: {line!r}") from exc
-        if j != n:
-            raise FormatError(f"{path}: non-sequential index {j} at line {lineno}")
-        if n == len(values):
-            values = np.concatenate([values, np.empty(n)])
-        values[n] = value
-        n += 1
+    with closing(_iter_lines(path)) as lines:
+        header = next(lines, "").strip()
+        if header != "j,value":
+            raise FormatError(f"{path}: expected header 'j,value', got {header!r} (line 1)")
+        for lineno, line in enumerate(lines, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            j_str, _, v_str = line.partition(",")
+            try:
+                j = int(j_str)
+                value = float(v_str)
+            except ValueError as exc:
+                raise FormatError(f"{path}: bad row at line {lineno}: {line!r}") from exc
+            if j != n:
+                raise FormatError(f"{path}: non-sequential index {j} at line {lineno}")
+            if n == len(values):
+                values = np.concatenate([values, np.empty(n)])
+            values[n] = value
+            n += 1
     return values[:n].copy()
 
 
@@ -192,7 +194,8 @@ def write_flat_config(path: str, entries: dict) -> None:
 def read_flat_config(path: str) -> dict:
     entries = {}
     first_line = {}
-    for lineno, line in enumerate(_iter_lines(path), start=1):
+    # a config is a few dozen lines: list() reads it whole and closes the file
+    for lineno, line in enumerate(list(_iter_lines(path)), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -3,7 +3,7 @@
 All builders center the object on the grid and keep it inside the central
 half, which the forward model requires.  ``from_spec`` parses the compact
 "name(args)" strings used in config files, e.g. ``two-points(9)`` or
-``rectangle(20,12)``.
+``rectangle(20,12)``.  Every size is in pixels and must be at least 1.
 """
 
 from __future__ import annotations

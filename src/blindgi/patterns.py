@@ -176,8 +176,9 @@ def _fixed_fill(scores: np.ndarray, k: int, out: np.ndarray) -> None:
         out[i, np.argpartition(scores[i], k)[:k]] = 1.0
 
 
-# Bytes of Philox words a random batch draws at a time.
-_DRAW_BLOCK = 1 << 18
+# Bytes of Philox words a random batch draws, or of patterns a lag sum
+# shifts, at a time.
+_BLOCK_BYTES = 1 << 18
 
 
 def pattern_batch(
@@ -214,7 +215,7 @@ def pattern_batch(
         per = -(-ny * nx * w // 256)
         bits = np.random.Philox(key=_key(spec.seed, _STREAM_PATTERNS)) if bits is None else bits
         _seek(bits, spec.seed, start * per)
-        rows = max(1, _DRAW_BLOCK // (per * 32))
+        rows = max(1, _BLOCK_BYTES // (per * 32))
         for a in range(0, n, rows):
             block = flat[a : a + rows]
             scores = _next_scores(bits, len(block), ny * nx, w)
@@ -260,7 +261,7 @@ def _lag_sums(stack: np.ndarray, lags: list[tuple[int, int]]) -> np.ndarray:
 
     Rows are shifted a block at a time, so no copy of the whole stack is made.
     """
-    rows = max(1, _DRAW_BLOCK // stack[0].nbytes)
+    rows = max(1, _BLOCK_BYTES // stack[0].nbytes)
     out = np.empty((len(stack), len(lags)))
     for a in range(0, len(stack), rows):
         block = stack[a : a + rows]

@@ -249,14 +249,21 @@ def test_criterion_7_end_to_end(headline_measurement):
     )
 
 
-def test_criterion_8_resolution_law():
-    limit = RESOLUTION.optical().resolution_limit
-    rows = [resolution_probe(RESOLUTION, rel * limit) for rel in (0.35, 0.7, 1.4, 2.0)]
+def resolution_scan(cfg=RESOLUTION):
+    """Criterion 8's four probes on ``cfg``: (rows, monotone, threshold, bracketed)."""
+    limit = cfg.optical().resolution_limit
+    rows = [resolution_probe(cfg, rel * limit) for rel in (0.35, 0.7, 1.4, 2.0)]
     flags = [r["resolved"] for r in rows]
     monotone = all(b >= a for a, b in zip(flags, flags[1:]))
     resolved_seps = [r["separation_m"] for r in rows if r["resolved"]]
     threshold = min(resolved_seps) if resolved_seps else float("inf")
     bracketed = limit / 2 <= threshold <= 2 * limit
+    return rows, monotone, threshold, bracketed
+
+
+def test_criterion_8_resolution_law():
+    limit = RESOLUTION.optical().resolution_limit
+    rows, monotone, threshold, bracketed = resolution_scan()
     detail = ", ".join(
         f"{r['separation_px']}px:{'R' if r['resolved'] else '-'}({r['contrast']:.2f})"
         for r in rows

@@ -1,6 +1,7 @@
 """File-format round trips and validation errors."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -125,6 +126,35 @@ class TestBucketsCSV:
         path.write_bytes(b"j,value\n0,1.0\n\xff")
         with pytest.raises(FormatError, match=r"b\.csv: not utf-8 text \(byte offset 14\)"):
             arrayio.read_buckets_csv(str(path))
+
+    def test_streams_across_read_blocks(self, tmp_path):
+        # rows, CR LF pairs and bad bytes on both sides of the reader's block
+        # boundaries are handled as a whole-file read would handle them
+        body = b"".join(f"{j},{j / 7!r}\r\n".encode() for j in range(20000))
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"j,value\r\n" + body)
+        npt.assert_array_equal(arrayio.read_buckets_csv(str(path)), np.arange(20000) / 7)
+        lines = body.splitlines(keepends=True)
+        path.write_bytes(b"j,value\n" + b"".join(lines[:17000]) + b"x\n" + b"".join(lines[17000:]))
+        with pytest.raises(FormatError, match="bad row at line 17002: 'x'"):
+            arrayio.read_buckets_csv(str(path))
+        # the whole file is checked for UTF-8 before any row is parsed
+        bad = b"j,value\n0,1.0\n2,2.0\n" + body[:100000] + b"\xc3\n"
+        path.write_bytes(bad)
+        with pytest.raises(FormatError, match=f"not utf-8 text \\(byte offset {len(bad) - 2}\\)"):
+            arrayio.read_buckets_csv(str(path))
+
+    def test_memory_below_three_file_sizes(self, tmp_path):
+        path = str(tmp_path / "b.csv")
+        arrayio.write_buckets_csv(path, np.random.default_rng(4).normal(size=65536))
+        arrayio.read_buckets_csv(path)
+        tracemalloc.start()
+        try:
+            arrayio.read_buckets_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * os.path.getsize(path)
 
 
 class TestFlatConfig:

@@ -4,6 +4,7 @@ import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -13,7 +14,12 @@ import pytest
 
 import blindgi
 from blindgi import ConfigError, EnsembleSpec, Grid2D, UsageError, generate_pattern
+from blindgi import objects
+from blindgi.config import RunConfig
+from blindgi.correlation import correlate
+from blindgi.forward import NoiseModel, simulate
 from blindgi.patterns import (
+    STREAM_CHUNK,
     _STREAM_PATTERNS,
     _fixed_fill,
     _hadamard,
@@ -172,6 +178,60 @@ class TestGeneratePattern:
                 for a, b in ((0, 1), (5, 133), (127, 129), (129, 300), (299, 300)):
                     npt.assert_array_equal(pattern_batch(s, a, b), full[a:b])
                 npt.assert_array_equal(generate_pattern(s, 131).values, full[131])
+
+
+def traced_peak(fn):
+    """Peak bytes that ``fn()`` holds at once, numpy buffers included."""
+    fn()  # first call untraced: one-time imports and caches are not the pass
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkWorkspace:
+    """A pass yields views of one chunk-sized workspace, and holds little else."""
+
+    def test_chunks_match_one_batch(self):
+        # every chunk, copied out before the next is asked for, equals the same
+        # rows of one pattern_batch; the count ends mid-chunk
+        cases = [(kind, fill, shape) for kind in ("random-binary", "random-fixed-fill")
+                 for fill in (0.5, 0.3) for shape in ((64, 64), (33, 31))]
+        cases += [("hadamard", 0.5, (64, 64)), ("pixel-scan", 0.5, (33, 31))]
+        for kind, fill, (ny, nx) in cases:
+            s = spec(kind=kind, n=ny, nx=nx, count=300, fill=fill)
+            chunks = list(iter_chunks(s))
+            assert [(lo, hi) for lo, hi, _ in chunks] == [(0, 128), (128, 256), (256, 300)]
+            assert all(np.shares_memory(chunks[0][2], batch) for _, _, batch in chunks)
+            copies = [batch.copy() for _, _, batch in iter_chunks(s)]
+            npt.assert_array_equal(np.concatenate(copies), pattern_batch(s, 0, s.count))
+
+    def test_batch_writes_into_out(self):
+        s = spec(kind="random-fixed-fill", count=20)
+        out = np.full((5, 64, 64), -1.0)
+        assert pattern_batch(s, 3, 8, out) is out
+        npt.assert_array_equal(out, pattern_batch(s, 3, 8))
+        for bad in (np.empty((4, 64, 64)), np.empty((5, 64, 64), np.float32),
+                    np.empty((5, 64, 128))[:, :, ::2]):
+            with pytest.raises(UsageError, match="pattern buffer"):
+                pattern_batch(s, 3, 8, bad)
+
+    def test_passes_hold_one_chunk(self):
+        cfg = RunConfig(ensemble_kind="random-fixed-fill", ensemble_count=3 * STREAM_CHUNK + 44)
+        ens, optics = cfg.ensemble(), cfg.optical()
+        obj = objects.from_spec(cfg.grid(), cfg.object_source)
+        ms = simulate(obj, optics, ens, NoiseModel(), cfg.psf_seed)
+        chunk_bytes = STREAM_CHUNK * cfg.grid().npixels * 8
+        for name, fn in (
+            ("simulate", lambda: simulate(obj, optics, ens, NoiseModel(), cfg.psf_seed)),
+            ("correlate", lambda: correlate(ms)),
+            ("ensemble_autocorrelations",
+             lambda: ensemble_autocorrelations(ens, [(0, 0), (1, 2), (-3, 5)], [100, ens.count])),
+        ):
+            peak = traced_peak(fn)
+            assert peak < 1.25 * chunk_bytes, f"{name} held {peak / chunk_bytes:.2f} chunks"
 
 
 def test_import_loads_no_scipy():
