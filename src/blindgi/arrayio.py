@@ -15,6 +15,7 @@ Text files (buckets, configs) are UTF-8.
 
 from __future__ import annotations
 
+from array import array
 from contextlib import closing
 
 import numpy as np
@@ -159,8 +160,7 @@ def write_buckets_csv(path: str, buckets: np.ndarray) -> None:
 
 def read_buckets_csv(path: str) -> np.ndarray:
     """Bucket values of a ``j,value`` CSV, streamed into a float64 array."""
-    values = np.empty(1024)
-    n = 0
+    values = array("d")
     with closing(_iter_lines(path)) as lines:
         header = next(lines, "").strip()
         if header != "j,value":
@@ -172,16 +172,12 @@ def read_buckets_csv(path: str) -> np.ndarray:
             j_str, _, v_str = line.partition(",")
             try:
                 j = int(j_str)
-                value = float(v_str)
+                values.append(float(v_str))
             except ValueError as exc:
                 raise FormatError(f"{path}: bad row at line {lineno}: {line!r}") from exc
-            if j != n:
+            if j != len(values) - 1:
                 raise FormatError(f"{path}: non-sequential index {j} at line {lineno}")
-            if n == len(values):
-                values = np.concatenate([values, np.empty(n)])
-            values[n] = value
-            n += 1
-    return values[:n].copy()
+    return np.array(values)
 
 
 def write_flat_config(path: str, entries: dict) -> None:
