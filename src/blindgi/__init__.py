@@ -19,14 +19,12 @@ from .grid import (
     disk_autocorrelation,
     point_reflect,
 )
-from .patterns import EnsembleSpec, Pattern, generate_pattern
+from .patterns import EnsembleSpec
 from .forward import (
     MeasurementSet,
     NoiseModel,
     OpticalConfig,
     PSF,
-    bucket,
-    illuminate,
     lens_psf,
     simulate,
     speckle_psf,
@@ -43,10 +41,7 @@ from .retrieval import (
     Reconstruction,
     ScheduleConfig,
     SupportMask,
-    er_step,
     estimate_support,
-    hio_step,
-    project_magnitude,
     run,
 )
 from .evaluation import AlignmentResult, align_and_score, apply_alignment

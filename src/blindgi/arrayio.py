@@ -60,8 +60,11 @@ def write_array(
 
 def read_array(path: str) -> tuple[np.ndarray, dict]:
     """Read an ``.f64`` array; returns (values, meta) with grid/kind metadata."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
     if len(raw) < _HEADER_BYTES:
         raise FormatError(f"{path}: truncated header, {len(raw)} bytes < {_HEADER_BYTES} (byte offset 0)")
     header = np.frombuffer(raw[:_HEADER_BYTES], dtype="<f8")

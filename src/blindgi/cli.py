@@ -18,6 +18,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import arrayio
 from .config import KEYMAP, RunConfig, config_from_entries, config_to_entries
@@ -29,8 +30,10 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .grid import RealImage
+from .evaluation import align_and_score
 from .forward import MeasurementSet
+from .grid import RealImage
+from .patterns import iter_chunks
 from .pipeline import resolution_probe, run_reconstruction, run_simulation
 
 CONFIG_FILE = "run_config.txt"
@@ -80,12 +83,20 @@ def _write_run_config(out_dir: str, cfg: RunConfig) -> None:
     arrayio.write_flat_config(os.path.join(out_dir, CONFIG_FILE), config_to_entries(cfg))
 
 
+def _make_out_dir(path: str) -> None:
+    """Create the output directory; an existing directory is reused."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {path}: cannot create directory ({exc.strerror})") from None
+
+
 def cmd_simulate(args, overrides) -> int:
     if args.dump_patterns < 0:
         raise UsageError(f"--dump-patterns must be >= 0, got {args.dump_patterns}")
     cfg = _load_config(args.config, overrides)
     ms, obj, psf = run_simulation(cfg)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     pitch = cfg.grid_pitch
     arrayio.write_buckets_csv(os.path.join(args.out, BUCKETS_FILE), ms.buckets)
     arrayio.write_array(
@@ -95,11 +106,11 @@ def cmd_simulate(args, overrides) -> int:
         os.path.join(args.out, ORACLE_PSF_FILE), psf.values, pitch, kind=arrayio.KIND_PSF
     )
     if args.dump_patterns:
-        from .patterns import generate_pattern
-
-        for j in range(min(args.dump_patterns, cfg.ensemble_count)):
-            pat = generate_pattern(cfg.ensemble(), j)
-            arrayio.write_pgm16(os.path.join(args.out, f"pattern_{j:06d}.pgm"), pat.values)
+        # patterns 0..K-1 are the whole ensemble of count K: one pass writes them
+        first = replace(ms.ensemble, count=min(args.dump_patterns, ms.ensemble.count))
+        for lo, _, batch in iter_chunks(first):
+            for j, pattern in enumerate(batch, start=lo):
+                arrayio.write_pgm16(os.path.join(args.out, f"pattern_{j:06d}.pgm"), pattern)
     _write_run_config(args.out, cfg)
     print(f"simulated {ms.ensemble.count} buckets -> {args.out}")
     return 0
@@ -115,12 +126,22 @@ def _load_measurements(run_dir: str, cfg: RunConfig) -> MeasurementSet:
     return MeasurementSet(cfg.ensemble(), buckets, cfg.optical())
 
 
+def _read_run_image(path: str, cfg: RunConfig) -> RealImage:
+    """An ``.f64`` image of the run directory; FormatError if its shape is not the grid's."""
+    values, meta = arrayio.read_array(path)
+    grid = cfg.grid()
+    if values.shape != grid.shape:
+        raise FormatError(
+            f"{path}: array is {meta['ny']}x{meta['nx']}, run grid is {grid.ny}x{grid.nx}"
+        )
+    return RealImage(grid, values)
+
+
 def _load_truth(run_dir: str, cfg: RunConfig) -> RealImage | None:
     path = os.path.join(run_dir, ORACLE_OBJECT_FILE)
     if not os.path.exists(path):
         return None
-    values, meta = arrayio.read_array(path)
-    return RealImage(cfg.grid(), values)
+    return _read_run_image(path, cfg)
 
 
 def cmd_reconstruct(args, overrides) -> int:
@@ -130,7 +151,7 @@ def cmd_reconstruct(args, overrides) -> int:
     truth = _load_truth(args.run, cfg)
     result = run_reconstruction(cfg, ms, truth=truth)
     out_dir = args.out or args.run
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
 
     pitch = cfg.grid_pitch
 
@@ -178,12 +199,9 @@ def cmd_evaluate(args, overrides) -> int:
     recon_path = os.path.join(args.run, "reconstruction.f64")
     if not os.path.exists(recon_path):
         raise FormatError(f"no reconstruction.f64 in {args.run}; run reconstruct first")
-    values, _ = arrayio.read_array(recon_path)
-    from .evaluation import align_and_score
-
-    result = align_and_score(RealImage(cfg.grid(), values), truth)
+    result = align_and_score(_read_run_image(recon_path, cfg), truth)
     out_dir = args.out or args.run
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     path = os.path.join(out_dir, "evaluation.csv")
     with open(path, "w") as fh:
         fh.write("pearson,shift_dy,shift_dx,flipped\n")
@@ -220,7 +238,7 @@ def cmd_resolution(args, overrides) -> int:
     cfg = _load_config(args.config, overrides)
     seps = _parse_separations(args, cfg)
     rows = [resolution_probe(cfg, sep) for sep in seps]
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     path = os.path.join(args.out, "resolution.csv")
     with open(path, "w") as fh:
         fh.write("separation_m,separation_px,resolved,contrast,pearson\n")
@@ -294,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, FormatError, FileNotFoundError) as exc:
+    except (DataError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

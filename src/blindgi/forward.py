@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .grid import Grid2D, RealImage, circ_convolve, point_reflect, require_mask_in_central_half
-from .patterns import EnsembleSpec, Pattern, _philox, iter_chunks
+from .patterns import EnsembleSpec, _philox, iter_chunks
 # Not called here; kept importable as forward.pattern_batch, the name the
 # benchmark's tracer test (perfbench/tests) patches and restores.
 from .patterns import pattern_batch  # noqa: F401
@@ -172,25 +172,6 @@ def otf_magnitude(psf: PSF) -> np.ndarray:
     otf = np.fft.fftshift(np.fft.fft2(psf.values, norm="ortho"))
     mag = np.abs(otf)
     return mag / mag[psf.grid.ny // 2, psf.grid.nx // 2]
-
-
-def illuminate(pattern: Pattern, psf: PSF) -> RealImage:
-    """Illumination produced by one source pattern: pattern convolved with the PSF."""
-    if pattern.grid != psf.grid:
-        raise ConfigError(
-            f"pattern grid {pattern.grid} does not match PSF grid {psf.grid}"
-        )
-    out = circ_convolve(RealImage(pattern.grid, pattern.values), RealImage(psf.grid, psf.values))
-    return RealImage(out.grid, np.maximum(out.values, 0.0))
-
-
-def bucket(obj: RealImage, illumination: RealImage) -> float:
-    """Bucket-detector reading: total transmitted intensity, pitch^2-weighted."""
-    if obj.grid != illumination.grid:
-        raise ConfigError("object and illumination grids differ")
-    if np.any(obj.values < 0):
-        raise DataError("object transmittance must be nonnegative")
-    return float(np.sum(obj.values * illumination.values)) * obj.grid.pitch**2
 
 
 def bucket_weights(obj: RealImage, psf: PSF) -> np.ndarray:

@@ -57,24 +57,6 @@ def _hadamard(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Pattern:
-    """One binary source pattern with its ordinal in the ensemble."""
-
-    grid: Grid2D
-    values: np.ndarray
-    index: int
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != self.grid.shape:
-            raise ConfigError(f"pattern shape {vals.shape} does not match grid")
-        if not np.all((vals == 0) | (vals == 1)):
-            raise ConfigError("pattern values must be 0 or 1")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
 class EnsembleSpec:
     """Recipe for an ensemble of binary patterns.
 
@@ -110,13 +92,6 @@ class EnsembleSpec:
                 f"ensemble.count must be <= nx*ny = {self.grid.npixels} for "
                 f"ensemble.kind {self.kind!r}, got {self.count}"
             )
-
-
-def generate_pattern(spec: EnsembleSpec, j: int) -> Pattern:
-    """Pattern ``j`` of the ensemble; a pure function of (spec.seed, j)."""
-    if not 0 <= j < spec.count:
-        raise UsageError(f"pattern index {j} out of range [0, {spec.count})")
-    return Pattern(spec.grid, pattern_batch(spec, j, j + 1)[0], j)
 
 
 def _score_bits(fill: float) -> int:

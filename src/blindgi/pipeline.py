@@ -8,8 +8,9 @@ numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from . import arrayio, objects
 from .config import RunConfig
 from .correlation import (
     CorrelationImage,
@@ -20,10 +21,15 @@ from .correlation import (
     magnitude_spectrum,
 )
 from .errors import ConfigError
-from .evaluation import AlignmentResult, align_and_score, apply_alignment
-from .forward import MeasurementSet, simulate
+from .evaluation import (
+    AlignmentResult,
+    align_and_score,
+    apply_alignment,
+    is_resolved,
+    two_point_contrast,
+)
+from .forward import MeasurementSet, psf_for, simulate
 from .grid import MagnitudeSpectrum, RealImage
-from . import objects
 from .retrieval import (
     Reconstruction,
     SupportMask,
@@ -37,9 +43,7 @@ def build_object(cfg: RunConfig) -> RealImage:
     """Resolve the configured object source (built-in name or .f64 path)."""
     source = cfg.object_source
     if source.endswith(".f64"):
-        from .arrayio import read_array
-
-        values, meta = read_array(source)
+        values, meta = arrayio.read_array(source)
         grid = cfg.grid()
         if (meta["ny"], meta["nx"]) != grid.shape:
             raise ConfigError(
@@ -51,8 +55,6 @@ def build_object(cfg: RunConfig) -> RealImage:
 
 def run_simulation(cfg: RunConfig, obj: RealImage | None = None):
     """Simulate a measurement run; returns (measurements, truth object, truth PSF)."""
-    from .forward import psf_for
-
     obj = obj if obj is not None else build_object(cfg)
     optical = cfg.optical()
     ms = simulate(obj, optical, cfg.ensemble(), cfg.noise(), cfg.psf_seed)
@@ -131,14 +133,9 @@ def resolution_probe(cfg: RunConfig, separation: float) -> dict:
             f"separation {separation} m must be at least 2 pixels ({2 * grid.pitch} m)"
         )
     sep_px = int(round(separation / grid.pitch))
-    from dataclasses import replace
-
     cfg = replace(cfg, object_source=f"two-points({sep_px})")
     ms, obj, result = run_pipeline(cfg)
-    from .evaluation import is_resolved, two_point_contrast
-    from .objects import two_point_columns
-
-    y, x_left, x_right = two_point_columns(grid, sep_px)
+    y, x_left, x_right = objects.two_point_columns(grid, sep_px)
     contrast = two_point_contrast(result.aligned_image, y, x_left, x_right)
     return {
         "separation_m": separation,

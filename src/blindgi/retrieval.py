@@ -117,71 +117,6 @@ def _free_bin_mask(grid: Grid2D, free_dc_radius: float) -> np.ndarray:
     return np.fft.ifftshift(grid.pixel_radius() < free_dc_radius)
 
 
-def project_magnitude(
-    iterate: np.ndarray, target: MagnitudeSpectrum, free_dc_radius: float = 0.0
-) -> np.ndarray:
-    """Replace Fourier magnitudes with the target, keeping the current phase.
-
-    Bins within ``free_dc_radius`` of zero frequency keep their current
-    complex value.  Bins with zero current magnitude take the target value at
-    zero phase.  Returns the complex object-domain field.
-    """
-    grid = target.grid
-    if iterate.shape != grid.shape:
-        raise ConfigError("iterate shape does not match target grid")
-    t = np.fft.ifftshift(target.values)
-    g_hat = np.fft.fft2(iterate, norm="ortho")
-    mag = np.abs(g_hat)
-    phase = np.where(mag > 0, g_hat / np.where(mag > 0, mag, 1.0), 1.0 + 0.0j)
-    constrained = t * phase
-    if free_dc_radius > 0:
-        free = _free_bin_mask(grid, free_dc_radius)
-        constrained = np.where(free, g_hat, constrained)
-    return np.fft.ifft2(constrained, norm="ortho")
-
-
-def fourier_error(
-    iterate: np.ndarray, target: MagnitudeSpectrum, free_dc_radius: float = 0.0
-) -> float:
-    """Normalized RMS magnitude mismatch over the constrained bins."""
-    t = np.fft.ifftshift(target.values)
-    mag = np.abs(np.fft.fft2(iterate, norm="ortho"))
-    keep = ~_free_bin_mask(target.grid, free_dc_radius) if free_dc_radius > 0 else np.ones(t.shape, bool)
-    denom = float(np.sum(t[keep] ** 2))
-    if denom <= 0:
-        raise NumericalError("magnitude target is zero on all constrained bins")
-    return float(np.sqrt(np.sum((mag[keep] - t[keep]) ** 2) / denom))
-
-
-def er_step(
-    iterate: np.ndarray,
-    target: MagnitudeSpectrum,
-    support: SupportMask,
-    free_dc_radius: float = 0.0,
-    nonneg: bool = True,
-) -> np.ndarray:
-    """Error reduction: magnitude projection, then clamp to the object constraints."""
-    gp = project_magnitude(iterate, target, free_dc_radius).real
-    if nonneg:
-        gp = np.maximum(gp, 0.0)
-    return np.where(support.mask, gp, 0.0)
-
-
-def hio_step(
-    iterate: np.ndarray,
-    target: MagnitudeSpectrum,
-    support: SupportMask,
-    beta: float,
-    free_dc_radius: float = 0.0,
-) -> np.ndarray:
-    """Hybrid input-output: keep feasible pixels, push back on violators."""
-    if not 0 <= beta <= 1:
-        raise UsageError(f"beta must be in [0, 1], got {beta}")
-    gp = project_magnitude(iterate, target, free_dc_radius).real
-    feasible = support.mask & (gp >= 0)
-    return np.where(feasible, gp, iterate - beta * gp)
-
-
 def estimate_support(
     spectrum: MagnitudeSpectrum, threshold_fraction: float, margin_px: int = 2
 ) -> SupportMask:
@@ -223,11 +158,13 @@ class _StackEngine:
 
     The target is symmetrized, ``(t(k) + t(-k)) / 2``, which is what taking
     the real part of the complex projection does anyway, so every restart
-    follows :func:`er_step`/:func:`hio_step` to roundoff.  E_F weighs each
-    half-spectrum bin by the number of full-spectrum bins it stands for (2
-    for a conjugate pair, 1 on the self-conjugate columns, 0 on free bins)
-    and adds back the constant that symmetrizing removed, so it equals
-    :func:`fourier_error`.
+    follows the single-iterate complex-FFT ER and HIO steps to roundoff.
+    E_F weighs each half-spectrum bin by the number of full-spectrum bins it
+    stands for (2 for a conjugate pair, 1 on the self-conjugate columns, 0
+    on free bins) and adds back the constant that symmetrizing removed, so
+    it equals the full-spectrum normalized RMS magnitude error.  Those
+    single-iterate forms are ``er_step``, ``hio_step`` and ``fourier_error``
+    in ``tests/reference.py``, and the tests hold this engine to them.
 
     The work arrays are allocated once per run and every step writes into
     them: a fresh half-megabyte temporary per operation costs more in page

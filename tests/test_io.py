@@ -1,6 +1,7 @@
 """File-format round trips and validation errors."""
 
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -202,8 +203,12 @@ class TestFlatConfig:
             arrayio.read_flat_config(str(path))
 
     def test_directory_is_format_error(self, tmp_path):
-        with pytest.raises(FormatError, match="cannot read"):
-            arrayio.read_flat_config(str(tmp_path))
+        # every reader names the path it cannot open, a directory or a missing file
+        missing = str(tmp_path / "missing.f64")
+        for read in (arrayio.read_flat_config, arrayio.read_buckets_csv, arrayio.read_array):
+            for path in (str(tmp_path), missing):
+                with pytest.raises(FormatError, match=re.escape(f"{path}: cannot read")):
+                    read(path)
 
     def test_utf8_round_trip(self, tmp_path):
         # the encoding is fixed, not taken from the locale

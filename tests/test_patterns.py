@@ -13,7 +13,7 @@ import numpy.testing as npt
 import pytest
 
 import blindgi
-from blindgi import ConfigError, EnsembleSpec, Grid2D, UsageError, generate_pattern
+from blindgi import ConfigError, EnsembleSpec, Grid2D, UsageError
 from blindgi import objects
 from blindgi.config import RunConfig
 from blindgi.correlation import correlate
@@ -40,15 +40,20 @@ def spec(kind="random-binary", n=64, count=16, fill=0.5, seed=9, nx=None):
     return EnsembleSpec(kind=kind, grid=g, count=count, fill_fraction=fill, seed=seed)
 
 
+def one(s, j):
+    """Pattern ``j`` of the ensemble ``s``, generated on its own."""
+    return pattern_batch(s, j, j + 1)[0]
+
+
 class TestGeneratePattern:
     def test_binary_values(self):
-        pat = generate_pattern(spec(), 3)
-        assert set(np.unique(pat.values)) <= {0.0, 1.0}
+        pat = one(spec(), 3)
+        assert set(np.unique(pat)) <= {0.0, 1.0}
 
     def test_sample_mean_near_fill(self):
         s = spec(count=8)
         for j in range(8):
-            mean = generate_pattern(s, j).values.mean()
+            mean = one(s, j).mean()
             assert abs(mean - 0.5) < 5 / 64  # 10 sigma for 64x64 Bernoulli(1/2)
         # fill 0.3 over 256 patterns: within 5 sigma of the binomial mean
         s = spec(count=256, fill=0.3)
@@ -58,19 +63,19 @@ class TestGeneratePattern:
 
     def test_deterministic_and_order_independent(self):
         s = spec(count=100)
-        a = generate_pattern(s, 57).values
+        a = one(s, 57)
         # generate others in between; regeneration must be bit-identical
-        generate_pattern(s, 3), generate_pattern(s, 99)
-        b = generate_pattern(s, 57).values
+        one(s, 3), one(s, 99)
+        b = one(s, 57)
         npt.assert_array_equal(a, b)
 
     def test_distinct_indices_differ(self):
         s = spec()
-        assert not np.array_equal(generate_pattern(s, 0).values, generate_pattern(s, 1).values)
+        assert not np.array_equal(one(s, 0), one(s, 1))
 
     def test_distinct_seeds_differ(self):
-        a = generate_pattern(spec(seed=1), 0).values
-        b = generate_pattern(spec(seed=2), 0).values
+        a = one(spec(seed=1), 0)
+        b = one(spec(seed=2), 0)
         assert not np.array_equal(a, b)
 
     def test_negative_seeds_have_own_streams(self):
@@ -85,13 +90,14 @@ class TestGeneratePattern:
         npt.assert_array_equal(key, [2**64 - 1, 5])
 
     def test_index_range_checked(self):
-        with pytest.raises(UsageError):
-            generate_pattern(spec(count=4), 4)
+        for start, stop in ((4, 5), (-1, 1), (3, 2)):
+            with pytest.raises(UsageError, match="out of bounds for count 4"):
+                pattern_batch(spec(count=4), start, stop)
 
     def test_fixed_fill_exact_count(self):
         s = spec(kind="random-fixed-fill", count=8)
         for j in range(8):
-            assert generate_pattern(s, j).values.sum() == 64 * 64 // 2
+            assert one(s, j).sum() == 64 * 64 // 2
         # the extreme fills: k = 1 and k = npixels - 1, on both grids
         for n, nx in ((64, 64), (33, 31)):
             npix = n * nx
@@ -134,7 +140,7 @@ class TestGeneratePattern:
 
     def test_hadamard_first_is_all_ones(self):
         s = spec(kind="hadamard", n=8, count=64)
-        npt.assert_array_equal(generate_pattern(s, 0).values, 1.0)
+        npt.assert_array_equal(one(s, 0), 1.0)
 
     def test_hadamard_batch_is_kronecker_rows(self):
         # pattern j is row j of kron(H_ny, H_nx), remapped to {0, 1}
@@ -160,14 +166,14 @@ class TestGeneratePattern:
 
     def test_pixel_scan(self):
         s = spec(kind="pixel-scan", n=8, count=64)
-        pat = generate_pattern(s, 10).values
+        pat = one(s, 10)
         assert pat.sum() == 1 and pat[1, 2] == 1
 
     def test_batch_matches_singles(self):
         s = spec(count=12)
         batch = pattern_batch(s, 2, 7)
         for i, j in enumerate(range(2, 7)):
-            npt.assert_array_equal(batch[i], generate_pattern(s, j).values)
+            npt.assert_array_equal(batch[i], one(s, j))
         # any sub-batch is the same rows of one stream, across chunk
         # boundaries and when npixels % 8 != 0 (33 x 31), at every score width
         cases = [("random-binary", f) for f in (0.5, 0.25, 0.3)] + [("random-fixed-fill", 0.3)]
@@ -177,7 +183,7 @@ class TestGeneratePattern:
                 full = pattern_batch(s, 0, s.count)
                 for a, b in ((0, 1), (5, 133), (127, 129), (129, 300), (299, 300)):
                     npt.assert_array_equal(pattern_batch(s, a, b), full[a:b])
-                npt.assert_array_equal(generate_pattern(s, 131).values, full[131])
+                npt.assert_array_equal(one(s, 131), full[131])
 
 
 def traced_peak(fn):

@@ -1,5 +1,6 @@
-"""Phase-retrieval tests: projections, ER/HIO steps, support estimation,
-and the multi-restart driver."""
+"""Phase-retrieval tests: the reference projections and ER/HIO steps, support
+estimation, the stacked engine against those references, and the
+multi-restart driver."""
 
 import numpy as np
 import numpy.testing as npt
@@ -14,22 +15,19 @@ from blindgi import (
     UsageError,
     ScheduleConfig,
     align_and_score,
-    er_step,
     estimate_support,
-    hio_step,
     point_reflect,
-    project_magnitude,
     run,
 )
 from blindgi.retrieval import (
     SupportMask,
     centered_box_mask,
-    fourier_error,
     _initial_iterate,
     _run_stack,
     _StackEngine,
 )
 from blindgi import objects
+from reference import er_step, fourier_error, hio_step, project_magnitude
 
 
 def grid(n=32):
