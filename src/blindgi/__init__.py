@@ -25,13 +25,11 @@ from .forward import (
     NoiseModel,
     OpticalConfig,
     PSF,
-    lens_psf,
+    psf_for,
     simulate,
-    speckle_psf,
 )
 from .correlation import (
     CorrelationImage,
-    FilterModel,
     compensate,
     correlate,
     filter_model,

@@ -8,14 +8,16 @@ Formats are versioned and byte-reproducible:
   followed by ny*nx row-major little-endian float64 samples.
 * ``.pgm`` previews: binary P5, maxval 65535, big-endian samples,
   min-max scaled; write-only pictures, never read back.
-* buckets: CSV with header ``j,value`` and repr-formatted floats.
+* CSV tables (buckets, E_F traces, scores): one header line, then one line
+  per row; floats are repr-formatted.  Buckets have the header ``j,value``.
 
-Text files (buckets, configs) are UTF-8.
+Text files (CSV tables, configs) are UTF-8.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterable, Sequence
 from contextlib import closing
 
 import numpy as np
@@ -154,11 +156,16 @@ def _iter_lines(path: str):
         raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
 
 
-def write_buckets_csv(path: str, buckets: np.ndarray) -> None:
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """A CSV table: the header line, then one line per row of formatted fields."""
     with open(path, "w", encoding=TEXT_ENCODING, newline="") as fh:
-        fh.write("j,value\n")
-        for j, value in enumerate(buckets):
-            fh.write(f"{j},{float(value)!r}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def write_buckets_csv(path: str, buckets: np.ndarray) -> None:
+    write_csv(path, ("j", "value"), ((str(j), repr(float(v))) for j, v in enumerate(buckets)))
 
 
 def read_buckets_csv(path: str) -> np.ndarray:

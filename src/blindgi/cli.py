@@ -34,7 +34,7 @@ from .evaluation import align_and_score
 from .forward import MeasurementSet
 from .grid import RealImage
 from .patterns import iter_chunks
-from .pipeline import resolution_probe, run_reconstruction, run_simulation
+from .pipeline import read_image, resolution_probe, run_reconstruction, run_simulation
 
 CONFIG_FILE = "run_config.txt"
 BUCKETS_FILE = "buckets.csv"
@@ -126,22 +126,11 @@ def _load_measurements(run_dir: str, cfg: RunConfig) -> MeasurementSet:
     return MeasurementSet(cfg.ensemble(), buckets, cfg.optical())
 
 
-def _read_run_image(path: str, cfg: RunConfig) -> RealImage:
-    """An ``.f64`` image of the run directory; FormatError if its shape is not the grid's."""
-    values, meta = arrayio.read_array(path)
-    grid = cfg.grid()
-    if values.shape != grid.shape:
-        raise FormatError(
-            f"{path}: array is {meta['ny']}x{meta['nx']}, run grid is {grid.ny}x{grid.nx}"
-        )
-    return RealImage(grid, values)
-
-
 def _load_truth(run_dir: str, cfg: RunConfig) -> RealImage | None:
     path = os.path.join(run_dir, ORACLE_OBJECT_FILE)
     if not os.path.exists(path):
         return None
-    return _read_run_image(path, cfg)
+    return read_image(path, cfg.grid())
 
 
 def cmd_reconstruct(args, overrides) -> int:
@@ -165,11 +154,11 @@ def cmd_reconstruct(args, overrides) -> int:
         dump("target", result.target.values, centered=True, kind=arrayio.KIND_SPECTRUM)
     dump("reconstruction", result.reconstruction.image.values)
 
-    trace = result.reconstruction.ef_trace
-    with open(os.path.join(out_dir, "ef_trace.csv"), "w") as fh:
-        fh.write("iteration,fourier_error\n")
-        for i, v in enumerate(trace):
-            fh.write(f"{i},{float(v)!r}\n")
+    arrayio.write_csv(
+        os.path.join(out_dir, "ef_trace.csv"),
+        ("iteration", "fourier_error"),
+        ((str(i), repr(float(v))) for i, v in enumerate(result.reconstruction.ef_trace)),
+    )
 
     metrics = {
         "fourier_error": repr(result.reconstruction.fourier_error),
@@ -199,14 +188,13 @@ def cmd_evaluate(args, overrides) -> int:
     recon_path = os.path.join(args.run, "reconstruction.f64")
     if not os.path.exists(recon_path):
         raise FormatError(f"no reconstruction.f64 in {args.run}; run reconstruct first")
-    result = align_and_score(_read_run_image(recon_path, cfg), truth)
+    result = align_and_score(read_image(recon_path, cfg.grid()), truth)
     out_dir = args.out or args.run
     _make_out_dir(out_dir)
     path = os.path.join(out_dir, "evaluation.csv")
-    with open(path, "w") as fh:
-        fh.write("pearson,shift_dy,shift_dx,flipped\n")
-        fh.write(f"{result.pearson!r},{result.shift[0]},{result.shift[1]},"
-                 f"{str(result.flipped).lower()}\n")
+    row = (repr(result.pearson), str(result.shift[0]), str(result.shift[1]),
+           str(result.flipped).lower())
+    arrayio.write_csv(path, ("pearson", "shift_dy", "shift_dx", "flipped"), [row])
     print(f"aligned pearson {result.pearson:.4f} -> {path}")
     return 0
 
@@ -240,13 +228,12 @@ def cmd_resolution(args, overrides) -> int:
     rows = [resolution_probe(cfg, sep) for sep in seps]
     _make_out_dir(args.out)
     path = os.path.join(args.out, "resolution.csv")
-    with open(path, "w") as fh:
-        fh.write("separation_m,separation_px,resolved,contrast,pearson\n")
-        for r in rows:
-            fh.write(
-                f"{r['separation_m']!r},{r['separation_px']},"
-                f"{str(r['resolved']).lower()},{r['contrast']!r},{r['pearson']!r}\n"
-            )
+    arrayio.write_csv(
+        path,
+        ("separation_m", "separation_px", "resolved", "contrast", "pearson"),
+        ((repr(r["separation_m"]), str(r["separation_px"]), str(r["resolved"]).lower(),
+          repr(r["contrast"]), repr(r["pearson"])) for r in rows),
+    )
     print(f"resolution scan ({len(rows)} separations) -> {path}")
     return 0
 
@@ -285,11 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--separations", help="comma list of separations in meters")
     p_res.add_argument("--separations-rel",
                        help="comma list in units of the resolution limit")
-
-    for p in (p_sim, p_rec, p_eval, p_res):
-        p.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility and ignored: every stage runs "
-                            "on one thread (must be >= 1)")
     return parser
 
 
@@ -305,8 +287,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args, extra = parser.parse_known_args(argv)
-        if args.workers < 1:
-            raise UsageError(f"--workers must be >= 1, got {args.workers}")
         overrides = _extract_overrides(extra)
         return _HANDLERS[args.command](args, overrides)
     except (ConfigError, UsageError) as exc:

@@ -1,5 +1,5 @@
 """Pattern-bucket correlation, its Fourier magnitude, and the transfer-
-function model used to read (or compensate) the object spectrum out of it.
+function model F used to read (or compensate) the object spectrum out of it.
 
 The correlation is the mean-removed estimator
 
@@ -59,20 +59,6 @@ def magnitude_spectrum(c: CorrelationImage) -> MagnitudeSpectrum:
     return MagnitudeSpectrum(c.grid, mag)
 
 
-@dataclass(frozen=True)
-class FilterModel:
-    """The predictable spectral filter: lens MTF x speckle-MTF model x source-pixel MTF.
-
-    All components are centered, normalized to 1 at zero frequency; ``mtf``
-    is their pointwise product.
-    """
-
-    mtf: MagnitudeSpectrum
-    lens_mtf: MagnitudeSpectrum
-    speckle_mtf: MagnitudeSpectrum
-    source_pixel_mtf: MagnitudeSpectrum
-
-
 def _source_pixel_mtf(config: OpticalConfig) -> np.ndarray:
     """Magnitude spectrum of one source-pixel footprint on the object grid.
 
@@ -88,8 +74,10 @@ def _source_pixel_mtf(config: OpticalConfig) -> np.ndarray:
     return mag / mag[grid.ny // 2, grid.nx // 2]
 
 
-def filter_model(config: OpticalConfig) -> FilterModel:
-    """Model of the overall spatial filter for the configured optical path.
+def filter_model(config: OpticalConfig) -> MagnitudeSpectrum:
+    """MTF of the overall spatial filter for the configured optical path:
+    lens MTF x speckle-MTF model x source-pixel MTF, each centered and 1 at
+    zero frequency, so the product is 1 there and at most 1 elsewhere.
 
     lens-only: lens MTF = normalized pupil autocorrelation, speckle term unity.
     scattering: speckle MTF = sqrt of the pupil autocorrelation; the model
@@ -98,39 +86,27 @@ def filter_model(config: OpticalConfig) -> FilterModel:
     delta: both unity; only the source-pixel footprint remains.
     """
     grid = config.object_grid
-    ones = np.ones(grid.shape)
-    lens = speckle = ones
+    lens = speckle = 1.0
     if config.case == "lens-only":
         lens = indicator_autocorrelation(grid, pupil_mask(config))
     elif config.case == "scattering":
         speckle = np.sqrt(indicator_autocorrelation(grid, pupil_mask(config)))
-    pixel = _source_pixel_mtf(config)
-    product = lens * speckle * pixel
-    return FilterModel(
-        mtf=MagnitudeSpectrum(grid, product),
-        lens_mtf=MagnitudeSpectrum(grid, lens),
-        speckle_mtf=MagnitudeSpectrum(grid, speckle),
-        source_pixel_mtf=MagnitudeSpectrum(grid, pixel),
-    )
+    return MagnitudeSpectrum(grid, lens * speckle * _source_pixel_mtf(config))
 
 
 def compensate(
-    spectrum: MagnitudeSpectrum, filt: FilterModel, epsilon: float
+    spectrum: MagnitudeSpectrum, mtf: MagnitudeSpectrum, epsilon: float
 ) -> MagnitudeSpectrum:
-    """Regularized inverse filtering of a magnitude spectrum.
+    """Regularized inverse filtering of a magnitude spectrum by the MTF F.
 
     |O|_est = |C| * F / (F^2 + epsilon^2); bins where F = 0 stay 0, and the
     zero-frequency bin is zeroed (it carries the illumination background, not
-    object information).
+    object information).  F peaks at 1, so epsilon is a fraction of its peak.
     """
     if not epsilon > 0:
         raise UsageError(f"epsilon must be positive, got {epsilon}")
     grid = spectrum.grid
-    f = filt.mtf.values
+    f = mtf.values
     est = spectrum.values * f / (f**2 + epsilon**2)
     est[grid.ny // 2, grid.nx // 2] = 0.0
     return MagnitudeSpectrum(grid, np.maximum(est, 0.0))
-
-
-def default_epsilon(filt: FilterModel, fraction: float = 1e-2) -> float:
-    return fraction * float(filt.mtf.values.max())

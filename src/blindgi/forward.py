@@ -121,50 +121,28 @@ class PSF:
         object.__setattr__(self, "values", vals)
 
 
-def _psf_from_pupil_field(grid: Grid2D, pupil_field: np.ndarray) -> PSF:
-    field = np.fft.ifft2(np.fft.ifftshift(pupil_field))
-    intensity = np.abs(field) ** 2
-    return PSF(grid, intensity / intensity.sum())
-
-
-def delta_psf(grid: Grid2D) -> PSF:
-    """Ideal kernel: all energy in the zero-displacement pixel."""
-    vals = np.zeros(grid.shape)
-    vals[0, 0] = 1.0
-    return PSF(grid, vals)
-
-
-def lens_psf(config: OpticalConfig) -> PSF:
-    """Diffraction-limited incoherent PSF of the aperture-limited lens path.
-
-    Its OTF magnitude equals the normalized autocorrelation of the circular
-    pupil indicator.
-    """
-    if config.case != "lens-only":
-        raise ConfigError(f"lens_psf requires case 'lens-only', got {config.case!r}")
-    return _psf_from_pupil_field(config.object_grid, pupil_mask(config).astype(complex))
-
-
-def speckle_psf(config: OpticalConfig, psf_seed: int) -> PSF:
-    """One speckle realization: uniform random phases across the aperture.
-
-    Deterministic in psf_seed; the diffuser is held fixed for a whole
-    measurement run.
-    """
-    if config.case != "scattering":
-        raise ConfigError(f"speckle_psf requires case 'scattering', got {config.case!r}")
-    grid = config.object_grid
-    rng = _philox(psf_seed, _STREAM_SPECKLE)
-    phases = rng.random(grid.shape) * (2.0 * np.pi)
-    return _psf_from_pupil_field(grid, pupil_mask(config) * np.exp(1j * phases))
-
-
 def psf_for(config: OpticalConfig, psf_seed: int) -> PSF:
+    """The PSF of the configured case, the only PSF builder.
+
+    lens-only: the diffraction-limited incoherent PSF of the aperture, whose
+    OTF magnitude is the normalized autocorrelation of the pupil indicator.
+    scattering: one speckle realization, uniform random phases across the
+    aperture, deterministic in psf_seed (the diffuser is held fixed for a
+    whole measurement run).  delta: all energy in the zero-displacement
+    pixel.
+    """
+    grid = config.object_grid
+    if config.case == "delta":
+        vals = np.zeros(grid.shape)
+        vals[0, 0] = 1.0
+        return PSF(grid, vals)
     if config.case == "lens-only":
-        return lens_psf(config)
-    if config.case == "scattering":
-        return speckle_psf(config, psf_seed)
-    return delta_psf(config.object_grid)
+        pupil_field = pupil_mask(config).astype(complex)
+    else:
+        phases = _philox(psf_seed, _STREAM_SPECKLE).random(grid.shape) * (2.0 * np.pi)
+        pupil_field = pupil_mask(config) * np.exp(1j * phases)
+    intensity = np.abs(np.fft.ifft2(np.fft.ifftshift(pupil_field))) ** 2
+    return PSF(grid, intensity / intensity.sum())
 
 
 def otf_magnitude(psf: PSF) -> np.ndarray:

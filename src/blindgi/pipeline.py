@@ -16,11 +16,10 @@ from .correlation import (
     CorrelationImage,
     compensate,
     correlate,
-    default_epsilon,
     filter_model,
     magnitude_spectrum,
 )
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .evaluation import (
     AlignmentResult,
     align_and_score,
@@ -29,7 +28,7 @@ from .evaluation import (
     two_point_contrast,
 )
 from .forward import MeasurementSet, psf_for, simulate
-from .grid import MagnitudeSpectrum, RealImage
+from .grid import Grid2D, MagnitudeSpectrum, RealImage
 from .retrieval import (
     Reconstruction,
     SupportMask,
@@ -39,18 +38,21 @@ from .retrieval import (
 )
 
 
+def read_image(path: str, grid: Grid2D) -> RealImage:
+    """An ``.f64`` image on the run grid; FormatError naming the file if its shape differs."""
+    values, meta = arrayio.read_array(path)
+    if values.shape != grid.shape:
+        raise FormatError(
+            f"{path}: array is {meta['ny']}x{meta['nx']}, run grid is {grid.ny}x{grid.nx}"
+        )
+    return RealImage(grid, values)
+
+
 def build_object(cfg: RunConfig) -> RealImage:
     """Resolve the configured object source (built-in name or .f64 path)."""
-    source = cfg.object_source
-    if source.endswith(".f64"):
-        values, meta = arrayio.read_array(source)
-        grid = cfg.grid()
-        if (meta["ny"], meta["nx"]) != grid.shape:
-            raise ConfigError(
-                f"object file is {meta['ny']}x{meta['nx']}, run grid is {grid.ny}x{grid.nx}"
-            )
-        return RealImage(grid, values)
-    return objects.from_spec(cfg.grid(), source)
+    if cfg.object_source.endswith(".f64"):
+        return read_image(cfg.object_source, cfg.grid())
+    return objects.from_spec(cfg.grid(), cfg.object_source)
 
 
 def run_simulation(cfg: RunConfig, obj: RealImage | None = None):
@@ -93,8 +95,7 @@ def run_reconstruction(
     corr = correlate(measurements)
     spec = magnitude_spectrum(corr)
     if cfg.compensation_mode == "compensated":
-        filt = filter_model(measurements.config)
-        target = compensate(spec, filt, default_epsilon(filt, cfg.epsilon_fraction))
+        target = compensate(spec, filter_model(measurements.config), cfg.epsilon_fraction)
     else:
         target = spec
     support = choose_support(cfg, target)

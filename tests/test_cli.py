@@ -125,7 +125,7 @@ class TestReconstruct:
         outs = [str(tmp_path / f"o{k}") for k in range(3)]
         run_cli("reconstruct", "--run", run_dir, "--out", outs[0])
         run_cli("reconstruct", "--run", run_dir, "--out", outs[1])
-        run_cli("reconstruct", "--run", run_dir, "--out", outs[2], "--workers", "4")
+        run_cli("reconstruct", "--run", run_dir, "--out", outs[2])
         digests = {dir_digest(o) for o in outs}
         assert len(digests) == 1
 
@@ -262,17 +262,16 @@ class TestBadInputs:
         assert "1e+30" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_must_be_positive(self, run_dir, tmp_path, capsys, workers):
-        # --workers has no effect, but every subcommand still validates it
+    def test_workers_flag_is_unknown(self, run_dir, tmp_path, capsys):
+        # every stage runs on one thread; no subcommand takes --workers
         for argv in (
             ["simulate", "--out", str(tmp_path / "s")],
             ["reconstruct", "--run", run_dir],
             ["evaluate", "--run", run_dir],
             ["resolution", "--out", str(tmp_path / "r"), "--separations", "1e-4"],
         ):
-            assert run_cli(*argv, "--workers", workers) == 2
-            assert workers in capsys.readouterr().err
+            assert run_cli(*argv, "--workers", "2") == 2
+            assert "unknown config key 'workers'" in capsys.readouterr().err
 
     def test_repeated_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -382,6 +381,7 @@ class TestBadInputs:
         assert not out.exists()
 
     @pytest.mark.parametrize("command,name", [
+        ("simulate", "object.f64"),
         ("reconstruct", "oracle_object.f64"),
         ("evaluate", "reconstruction.f64"),
     ])
@@ -392,8 +392,9 @@ class TestBadInputs:
             assert run_cli("reconstruct", "--run", run) == 0
         path = os.path.join(run, name)
         arrayio.write_array(path, np.ones((16, 16)), 1e-5)
+        where = {"simulate": [*SMALL, "--object", path]}.get(command, ["--run", run])
         out = tmp_path / "o"
-        assert run_cli(command, "--run", run, "--out", str(out)) == 3
+        assert run_cli(command, *where, "--out", str(out)) == 3
         assert f"{path}: array is 16x16, run grid is 32x32" in capsys.readouterr().err
         assert not out.exists()
 
@@ -464,14 +465,16 @@ class TestMangledFlags:
     def argv(command, run_dir, out):
         return {
             "simulate": ["simulate", "--out", out, *TINY, "--object", "rectangle(4,4)",
-                         "--dump-patterns", "1", "--workers", "1"],
+                         "--dump-patterns", "1"],
             "reconstruct": [
                 "reconstruct", "--run", run_dir, "--out", out, "--support.box", "8x8",
                 "--support.threshold-fraction", "0.04", "--support.margin-px", "2",
                 "--compensation.mode", "compensated", "--compensation.epsilon-fraction", "0.01",
-                "--schedule.restarts", "2", "--workers", "1",
+                "--schedule.restarts", "2",
             ],
-            "evaluate": ["evaluate", "--run", run_dir, "--out", out, "--workers", "1"],
+            # evaluate reads no flag of its own; the run's grid pitch, restated,
+            # is a value it parses
+            "evaluate": ["evaluate", "--run", run_dir, "--out", out, "--grid.pitch", "1.25e-5"],
             # resolution sets the object itself (two points)
             "resolution": ["resolution", "--out", out, *TINY, "--separations", "5e-5"],
         }[command]

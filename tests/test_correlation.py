@@ -1,6 +1,8 @@
 """Correlation estimator, magnitude spectrum, filter model, and
 compensation tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -21,7 +23,6 @@ from blindgi import (
     point_reflect,
     simulate,
 )
-from blindgi.correlation import default_epsilon
 from blindgi.forward import MeasurementSet, otf_magnitude, psf_for
 from blindgi.patterns import pattern_batch
 from blindgi import objects
@@ -206,83 +207,83 @@ class TestMagnitudeSpectrum:
 class TestFilterModel:
     def test_reference_geometry_cutoff(self):
         # D = 6 mm, z_o = 300 mm, wavelength 532 nm -> cutoff ~ 3.76e4 cycles/m,
-        # resolution ~ 26.6 um
+        # resolution ~ 26.6 um; the 1-px source footprint leaves the speckle term
         cfg = optical(n=64, case="scattering", aperture=6e-3)
         assert cfg.cutoff_frequency == pytest.approx(3.759398e4, rel=1e-4)
         assert cfg.resolution_limit == pytest.approx(2.66e-5, rel=1e-2)
-        fm = filter_model(cfg)
+        mtf = filter_model(cfg)
         freq_r = cfg.object_grid.freq_radius()
-        support = fm.speckle_mtf.values > 0
+        support = mtf.values > 0
         measured_cutoff = freq_r[support].max()
         assert measured_cutoff == pytest.approx(cfg.cutoff_frequency, rel=0.05)
 
     def test_source_pixel_mtf_dc_is_one(self):
-        fm = filter_model(optical(case="scattering"))
-        assert fm.source_pixel_mtf.values[8, 8] == 1.0
-
-    def test_product_bounded_by_components(self):
-        fm = filter_model(optical(n=32, case="scattering", aperture=3e-3))
-        comps = np.minimum(
-            np.minimum(fm.lens_mtf.values, fm.speckle_mtf.values),
-            fm.source_pixel_mtf.values,
-        )
-        assert np.all(fm.mtf.values <= comps + 1e-12)
-
-    def test_product_is_exact(self):
-        fm = filter_model(optical(n=32, case="lens-only", aperture=3e-3))
-        want = fm.lens_mtf.values * fm.speckle_mtf.values * fm.source_pixel_mtf.values
-        npt.assert_allclose(fm.mtf.values, want, atol=1e-12)
+        # delta case: the source-pixel footprint is the only factor
+        cfg = replace(optical(case="delta"), dmd_pitch=3 * 12.5e-6)
+        assert filter_model(cfg).values[8, 8] == 1.0
 
     def test_wide_source_pixel_is_sinc_like(self):
         cfg = optical(n=32, case="delta")
-        from dataclasses import replace
-
         wide = replace(cfg, dmd_pitch=4 * cfg.object_grid.pitch)
-        fm = filter_model(wide)
-        vals = fm.source_pixel_mtf.values
+        vals = filter_model(wide).values
         assert vals[16, 16] == 1.0
         assert vals.min() < 0.2  # Dirichlet falloff well below flat
+
+    @pytest.mark.parametrize("case", ["lens-only", "scattering", "delta"])
+    @pytest.mark.parametrize("ny,nx", [(16, 16), (33, 33), (31, 20), (24, 67)])
+    @pytest.mark.parametrize("aperture,span", [(1e-3, 1), (2e-3, 3), (6e-3, 5)])
+    def test_peak_is_one_at_dc(self, case, ny, nx, aperture, span):
+        # each factor is 1 at DC and at most 1 elsewhere, so an epsilon given as
+        # a fraction of the peak is that fraction itself
+        pitch = 12.5e-6
+        cfg = OpticalConfig(
+            wavelength=532e-9, z_o=0.3, aperture_diameter=aperture, dmd_pitch=span * pitch,
+            object_grid=Grid2D(nx=nx, ny=ny, pitch=pitch), case=case,
+        )
+        vals = filter_model(cfg).values
+        assert vals[ny // 2, nx // 2] == 1.0
+        assert vals.max() == 1.0
 
 
 class TestCompensate:
     def test_identity_filter(self):
         cfg = optical(case="delta")
-        fm = filter_model(cfg)  # all components unity for 1-px footprint
+        mtf = filter_model(cfg)  # unity for a 1-px footprint
         g = cfg.object_grid
         rng = np.random.default_rng(2)
         spec = MagnitudeSpectrum(g, rng.random(g.shape))
-        out = compensate(spec, fm, epsilon=1e-9)
+        out = compensate(spec, mtf, epsilon=1e-9)
         expected = spec.values.copy()
         expected[8, 8] = 0.0
         npt.assert_allclose(out.values, expected, rtol=1e-9)
 
     def test_synthetic_round_trip(self):
         cfg = optical(n=64, case="scattering", aperture=4e-3)
-        fm = filter_model(cfg)
+        mtf = filter_model(cfg)
         g = cfg.object_grid
         rng = np.random.default_rng(3)
         o_mag = rng.random(g.shape) + 0.5
-        synthetic = MagnitudeSpectrum(g, o_mag * fm.mtf.values)
-        eps = 1e-3 * fm.mtf.values.max()
-        out = compensate(synthetic, fm, epsilon=eps)
-        region = fm.mtf.values > 10 * eps
+        synthetic = MagnitudeSpectrum(g, o_mag * mtf.values)
+        eps = 1e-3
+        out = compensate(synthetic, mtf, epsilon=eps)
+        region = mtf.values > 10 * eps
         region[32, 32] = False
         rel = np.abs(out.values[region] - o_mag[region]) / o_mag[region]
         assert rel.max() < 0.01
 
     def test_filter_nulls_stay_zero(self):
         cfg = optical(n=64, case="scattering", aperture=2e-3)
-        fm = filter_model(cfg)
+        mtf = filter_model(cfg)
         g = cfg.object_grid
         spec = MagnitudeSpectrum(g, np.ones(g.shape))
-        out = compensate(spec, fm, epsilon=default_epsilon(fm))
-        nulls = fm.mtf.values == 0
+        out = compensate(spec, mtf, epsilon=1e-2)
+        nulls = mtf.values == 0
         assert nulls.any()
         npt.assert_array_equal(out.values[nulls], 0.0)
 
     def test_epsilon_validated(self):
         cfg = optical(case="delta")
-        fm = filter_model(cfg)
+        mtf = filter_model(cfg)
         spec = MagnitudeSpectrum(cfg.object_grid, np.ones((16, 16)))
         with pytest.raises(UsageError):
-            compensate(spec, fm, epsilon=0.0)
+            compensate(spec, mtf, epsilon=0.0)

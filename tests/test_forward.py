@@ -20,12 +20,11 @@ from blindgi import (
     RealImage,
     circ_convolve,
     disk_autocorrelation,
-    lens_psf,
     point_reflect,
+    psf_for,
     simulate,
-    speckle_psf,
 )
-from blindgi.forward import delta_psf, otf_magnitude
+from blindgi.forward import otf_magnitude
 from blindgi.patterns import pattern_batch
 from blindgi import objects
 from reference import bucket, illuminate
@@ -90,14 +89,14 @@ class TestBucketIdentity:
 class TestLensPSF:
     def test_otf_matches_disk_autocorrelation(self):
         cfg = optical(case="lens-only")
-        psf = lens_psf(cfg)
+        psf = psf_for(cfg, 0)
         got = otf_magnitude(psf)
         want = disk_autocorrelation(cfg.pupil_diameter_px, cfg.object_grid).values
         npt.assert_allclose(got, want, atol=1e-10)
 
     def test_otf_dc_and_beyond_cutoff(self):
         cfg = optical(case="lens-only")
-        mtf = otf_magnitude(lens_psf(cfg))
+        mtf = otf_magnitude(psf_for(cfg, 0))
         assert abs(mtf[32, 32] - 1.0) < 1e-12
         freq_r = cfg.object_grid.freq_radius()
         assert np.all(mtf[freq_r >= cfg.cutoff_frequency] < 1e-10)
@@ -109,7 +108,7 @@ class TestLensPSF:
         d_one_px = 1.0 * 532e-9 * 0.3 / (64 * 12.5e-6)
         cfg = optical(aperture=d_one_px, case="lens-only")
         assert cfg.pupil_diameter_px == pytest.approx(1.0)
-        psf = lens_psf(cfg)
+        psf = psf_for(cfg, 0)
         npt.assert_allclose(psf.values, 1.0 / g.npixels, atol=1e-15)
         mtf = otf_magnitude(psf)
         assert mtf[32, 32] == pytest.approx(1.0)
@@ -120,28 +119,24 @@ class TestLensPSF:
         with pytest.raises(ConfigError, match="aperture_diameter"):
             optical(aperture=12e-3)  # cutoff 7.5e4 > nyquist 4e4
 
-    def test_wrong_case_rejected(self):
-        with pytest.raises(ConfigError):
-            lens_psf(optical(case="scattering"))
-
 
 class TestSpecklePSF:
     def test_unit_sum_and_nonneg(self):
-        psf = speckle_psf(optical(), 5)
+        psf = psf_for(optical(), 5)
         assert psf.values.min() >= 0
         assert abs(psf.values.sum() - 1.0) < 1e-12
 
     def test_deterministic_in_seed(self):
         cfg = optical()
-        npt.assert_array_equal(speckle_psf(cfg, 5).values, speckle_psf(cfg, 5).values)
-        assert not np.array_equal(speckle_psf(cfg, 5).values, speckle_psf(cfg, 6).values)
+        npt.assert_array_equal(psf_for(cfg, 5).values, psf_for(cfg, 5).values)
+        assert not np.array_equal(psf_for(cfg, 5).values, psf_for(cfg, 6).values)
 
     def test_grain_size_matches_resolution_limit(self):
         cfg = optical(aperture=2e-3)  # grain ~ 6.4 px
         g = cfg.object_grid
         fwhm_px = []
         for seed in range(32):
-            s = speckle_psf(cfg, seed).values
+            s = psf_for(cfg, seed).values
             ac = np.fft.fftshift(np.fft.ifft2(np.abs(np.fft.fft2(s - s.mean())) ** 2).real)
             ac /= ac[g.ny // 2, g.nx // 2]
             r = g.pixel_radius()
@@ -158,7 +153,7 @@ class TestSpecklePSF:
         g = cfg.object_grid
         acc = np.zeros(g.shape)
         for seed in range(64):
-            acc += otf_magnitude(speckle_psf(cfg, seed))
+            acc += otf_magnitude(psf_for(cfg, seed))
         mtf_mean = acc / 64
         model = np.sqrt(disk_autocorrelation(cfg.pupil_diameter_px, g).values)
         r = g.pixel_radius()
@@ -186,23 +181,21 @@ class TestSpecklePSF:
 
 class TestIlluminateAndBucket:
     def test_zero_pattern(self):
-        g = grid(16)
-        psf = delta_psf(g)
+        psf = psf_for(optical(16, case="delta"), 0)
         lit = illuminate(np.zeros((16, 16)), psf)
         npt.assert_array_equal(lit.values, 0)
 
     def test_impulse_pattern_reproduces_psf(self):
         cfg = optical(16, aperture=1e-3)
-        psf = speckle_psf(cfg, 3)
+        psf = psf_for(cfg, 3)
         pat = np.zeros((16, 16)); pat[0, 0] = 1
         lit = illuminate(pat, psf)
         npt.assert_allclose(lit.values, psf.values, atol=1e-12)
 
     def test_delta_psf_identity(self):
-        g = grid(16)
         rng = np.random.default_rng(0)
         pat = (rng.random((16, 16)) < 0.5).astype(float)
-        lit = illuminate(pat, delta_psf(g))
+        lit = illuminate(pat, psf_for(optical(16, case="delta"), 0))
         npt.assert_allclose(lit.values, pat, atol=1e-12)
 
     def test_bucket_constant_object(self):
@@ -219,13 +212,13 @@ class TestIlluminateAndBucket:
         rng = np.random.default_rng(2)
         pat = (rng.random((16, 16)) < 0.5).astype(float)
         obj = np.zeros((16, 16)); obj[5, 7] = 1.0
-        lit = illuminate(pat, delta_psf(g))
+        lit = illuminate(pat, psf_for(optical(16, case="delta"), 0))
         b = bucket(RealImage(g, obj), lit)
         assert abs(b - pat[5, 7] * g.pitch**2) < 1e-15
 
     def test_negative_object_rejected(self):
         g = grid(16)
-        lit = illuminate(np.ones((16, 16)), delta_psf(g))
+        lit = illuminate(np.ones((16, 16)), psf_for(optical(16, case="delta"), 0))
         with pytest.raises(DataError):
             bucket(RealImage(g, np.full((16, 16), -1.0)), lit)
 
@@ -239,7 +232,7 @@ class TestSimulate:
         obj = objects.letter(cfg.object_grid)
         spec = EnsembleSpec(kind="pixel-scan", grid=cfg.object_grid, count=1, seed=0)
         ms = simulate(obj, cfg, spec, NoiseModel(), psf_seed=9)
-        psf = speckle_psf(cfg, 9)
+        psf = psf_for(cfg, 9)
         pat = pattern_batch(spec, 0, 1)[0]
         want = bucket(obj, illuminate(pat, psf))
         assert abs(ms.buckets[0] - want) <= 1e-10 * abs(want)

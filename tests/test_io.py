@@ -101,6 +101,16 @@ class TestPGM:
 
 
 class TestBucketsCSV:
+    def test_table_bytes(self, tmp_path):
+        # one writer for every CSV: UTF-8, "\n" line ends whatever the platform
+        path = str(tmp_path / "t.csv")
+        arrayio.write_csv(path, ("a", "b"), [("1", "0.5"), ("2", "true")])
+        with open(path, "rb") as f:
+            assert f.read() == b"a,b\n1,0.5\n2,true\n"
+        arrayio.write_buckets_csv(path, np.array([0.1, -2.0]))
+        with open(path, "rb") as f:
+            assert f.read() == b"j,value\n0,0.1\n1,-2.0\n"
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(2)
         buckets = rng.normal(size=100) * 1e-9
