@@ -273,6 +273,20 @@ class TestBadInputs:
             assert run_cli(*argv, "--workers", "2") == 2
             assert "unknown config key 'workers'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_must_be_positive(self, run_dir, tmp_path, capsys, workers):
+        # a non-positive worker count is still refused, before any output
+        for argv in (
+            ["simulate", "--out", str(tmp_path / "s")],
+            ["reconstruct", "--run", run_dir, "--out", str(tmp_path / "o")],
+            ["evaluate", "--run", run_dir],
+            ["resolution", "--out", str(tmp_path / "r"), "--separations", "1e-4"],
+        ):
+            assert run_cli(*argv, "--workers", workers) == 2
+            assert "'workers'" in capsys.readouterr().err
+        for name in ("s", "o", "r"):
+            assert not (tmp_path / name).exists()
+
     def test_repeated_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("ensemble.count = 1024\nobject = letter\nensemble.count = 2048\n")
