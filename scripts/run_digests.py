@@ -11,7 +11,9 @@ this runs, through ``blindgi.cli.main`` in this process:
 
 Each case adds a ``simulate --object FILE.f64`` run that reads back the
 random-binary run's ``oracle_object.f64``, and a two-point ``resolution``
-scan at 0.7, 1.4 and 2 resolution limits.  Then it prints one line
+scan at 0.7, 1.4 and 2 resolution limits.  Two noisy runs of the letter
+through the scattering case, one with Gaussian and one with Poisson bucket
+noise, are simulated and reconstructed.  Then it prints one line
 ``<sha256>  <path relative to DIR>`` per file, sorted by path, so that
 
     python3 scripts/run_digests.py --root /path/to/parent /tmp/a > parent.txt
@@ -86,6 +88,10 @@ def main() -> int:
         run("simulate", "--out", os.path.join(case, "object-file"), *flags, "--object", obj)
         run("resolution", "--out", os.path.join(case, "resolution"), *flags,
             "--ensemble.kind", "random-fixed-fill", "--separations-rel", "0.7,1.4,2")
+    for noise in ("gaussian", "poisson"):
+        out = os.path.join("scattering", f"noise-{noise}")
+        run("simulate", "--out", out, *COMMON, "--optical.case", "scattering", "--noise.kind", noise)
+        run("reconstruct", "--run", out)
     print("\n".join(digests(".")))
     return 0
 

@@ -21,15 +21,8 @@ import sys
 from dataclasses import replace
 
 from . import arrayio
-from .config import KEYMAP, RunConfig, config_from_entries, config_to_entries
-from .errors import (
-    BlindGIError,
-    ConfigError,
-    DataError,
-    FormatError,
-    NumericalError,
-    UsageError,
-)
+from .config import RunConfig, config_from_entries, config_to_entries
+from .errors import BlindGIError, DataError, FormatError, UsageError
 from .evaluation import align_and_score
 from .forward import MeasurementSet
 from .grid import RealImage
@@ -40,10 +33,6 @@ CONFIG_FILE = "run_config.txt"
 BUCKETS_FILE = "buckets.csv"
 ORACLE_OBJECT_FILE = "oracle_object.f64"  # ground truth, for scoring only
 ORACLE_PSF_FILE = "oracle_psf.f64"
-
-
-def _flag_to_key(flag: str) -> str:
-    return flag.replace("-", "_")
 
 
 def _extract_overrides(extra: list[str]) -> dict[str, str]:
@@ -62,11 +51,7 @@ def _extract_overrides(extra: list[str]) -> dict[str, str]:
                 raise UsageError(f"missing value for {token}")
             flag, value = body, extra[i + 1]
             i += 1
-        parts = flag.split(".")
-        key = ".".join(_flag_to_key(p) for p in parts)
-        if key not in KEYMAP:
-            raise UsageError(f"unknown config key {key!r} (from {token})")
-        overrides[key] = value
+        overrides[flag.replace("-", "_")] = value
         i += 1
     return overrides
 
@@ -123,7 +108,7 @@ def _load_measurements(run_dir: str, cfg: RunConfig) -> MeasurementSet:
         raise FormatError(
             f"{path}: {len(buckets)} bucket rows, but ensemble.count is {cfg.ensemble_count}"
         )
-    return MeasurementSet(cfg.ensemble(), buckets, cfg.optical())
+    return MeasurementSet(cfg.ensemble(), buckets)
 
 
 def _load_truth(run_dir: str, cfg: RunConfig) -> RealImage | None:
@@ -289,18 +274,9 @@ def main(argv: list[str] | None = None) -> int:
         args, extra = parser.parse_known_args(argv)
         overrides = _extract_overrides(extra)
         return _HANDLERS[args.command](args, overrides)
-    except (ConfigError, UsageError) as exc:
+    except BlindGIError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except BlindGIError as exc:  # pragma: no cover
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -8,40 +8,15 @@ file values which override defaults.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .forward import NoiseModel, OpticalConfig
 from .grid import Grid2D
 from .patterns import EnsembleSpec
-from .retrieval import ScheduleConfig
+from .retrieval import ScheduleConfig, SupportPolicy
 
 COMPENSATION_MODES = ("direct", "compensated")
-
-
-@dataclass(frozen=True)
-class SupportPolicy:
-    """How the reconstruction support box is chosen."""
-
-    threshold_fraction: float = 0.04
-    margin_px: int = 2
-    box: str = "estimate"  # "estimate", "half", or "HxW" fixed box
-
-    def __post_init__(self):
-        if not 0 < self.threshold_fraction < 1:
-            raise ConfigError("support.threshold_fraction must be in (0,1)")
-        if self.margin_px < 0:
-            raise ConfigError("support.margin_px must be >= 0")
-        if self.box not in ("estimate", "half"):
-            self.fixed_box()
-
-    def fixed_box(self) -> tuple[int, int]:
-        """Height and width of an ``HxW`` box setting."""
-        m = re.fullmatch(r"(\d+)x(\d+)", self.box)
-        if not m:
-            raise ConfigError(f"support.box must be 'estimate', 'half' or 'HxW', got {self.box!r}")
-        return int(m.group(1)), int(m.group(2))
 
 
 @dataclass(frozen=True)
@@ -82,19 +57,12 @@ class RunConfig:
             raise ConfigError(
                 f"compensation.mode must be one of {COMPENSATION_MODES}, got {self.compensation_mode!r}"
             )
-        if not self.epsilon_fraction > 0:
+        if not 0 < self.epsilon_fraction <= 1e154:  # compensate squares it
             raise ConfigError(
-                f"compensation.epsilon_fraction must be > 0, got {self.epsilon_fraction}"
+                f"compensation.epsilon_fraction must be > 0 and <= 1e154, got {self.epsilon_fraction}"
             )
-        ny, nx = self.grid().shape
-        if self.support.box not in ("estimate", "half"):
-            h, w = self.support.fixed_box()
-            if not (1 <= h <= ny // 2 and 1 <= w <= nx // 2):
-                raise ConfigError(
-                    f"support.box {self.support.box!r} must be between 1x1 and "
-                    f"{ny // 2}x{nx // 2}, the central half of the {ny}x{nx} grid"
-                )
-        # the optics, ensemble and noise check their own keys, naming them
+        # the support, optics, ensemble and noise check their own keys, naming them
+        self.support.box_shape(self.grid())
         self.optical()
         self.ensemble()
         self.noise()

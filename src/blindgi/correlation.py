@@ -67,7 +67,8 @@ def _source_pixel_mtf(config: OpticalConfig) -> np.ndarray:
     sinc-like Dirichlet falloff.
     """
     grid = config.object_grid
-    span = max(1, round(config.dmd_pitch / grid.pitch))
+    # a footprint as wide as the grid already covers all of it
+    span = max(1, round(min(config.dmd_pitch / grid.pitch, max(grid.shape))))
     block = np.zeros(grid.shape)
     block[:span, :span] = 1.0
     mag = np.abs(np.fft.fftshift(np.fft.fft2(block)))
@@ -107,6 +108,7 @@ def compensate(
         raise UsageError(f"epsilon must be positive, got {epsilon}")
     grid = spectrum.grid
     f = mtf.values
-    est = spectrum.values * f / (f**2 + epsilon**2)
+    est = np.zeros(grid.shape)
+    np.divide(spectrum.values * f, f**2 + epsilon**2, out=est, where=f > 0)
     est[grid.ny // 2, grid.nx // 2] = 0.0
     return MagnitudeSpectrum(grid, np.maximum(est, 0.0))

@@ -76,8 +76,10 @@ class OpticalConfig:
 
     @property
     def cutoff_frequency(self) -> float:
-        """Support radius of the intensity MTF, cycles/m."""
-        return self.aperture_diameter / (self.wavelength * self.z_o)
+        """Support radius of the intensity MTF, cycles/m; infinite where
+        wavelength * z_o underflows to 0."""
+        wz = self.wavelength * self.z_o
+        return self.aperture_diameter / wz if wz > 0 else np.inf
 
     @property
     def resolution_limit(self) -> float:
@@ -177,19 +179,21 @@ class NoiseModel:
             raise ConfigError(f"unknown noise.kind {self.kind!r}; expected one of {NOISE_KINDS}")
         if self.kind == "gaussian" and not np.isfinite(self.snr_db):
             raise ConfigError(f"gaussian noise needs a finite noise.snr_db, got {self.snr_db}")
-        if self.kind == "poisson" and not self.photons > 0:
-            raise ConfigError(f"poisson noise needs noise.photons > 0, got {self.photons}")
+        if self.kind == "poisson" and not 0 < self.photons <= _POISSON_LAM_MAX:
+            raise ConfigError(
+                f"poisson noise needs 0 < noise.photons <= {_POISSON_LAM_MAX:.3g}, the sampler's "
+                f"largest mean, got {self.photons}"
+            )
 
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Everything the reconstruction side is allowed to see: the pattern
-    recipe, the buckets, and the optics that set the band.  The diffuser
-    realization is not part of it."""
+    """What the reconstruction side is allowed to see of a measurement: the
+    pattern recipe and the buckets.  The diffuser realization is not part of
+    it."""
 
     ensemble: EnsembleSpec
     buckets: np.ndarray
-    config: OpticalConfig
 
     def __post_init__(self):
         b = np.asarray(self.buckets, dtype=np.float64)
@@ -210,8 +214,14 @@ def _apply_noise(buckets: np.ndarray, noise: NoiseModel, psf_seed: int) -> np.nd
     if noise.kind == "gaussian":
         # SNR is measured against the mean-removed bucket fluctuation, the
         # part of the signal the correlation estimator uses.
-        sigma = np.std(buckets - buckets.mean()) / 10.0 ** (noise.snr_db / 20.0)
-        return buckets + rng.normal(0.0, sigma, buckets.shape)
+        try:
+            ratio = 10.0 ** (noise.snr_db / 20.0)
+        except OverflowError:  # above about 6165 dB no float noise is left to add
+            ratio = np.inf
+        std = float(np.std(buckets - buckets.mean()))
+        if not (ratio > 0 and std / ratio < np.inf):
+            raise ConfigError(f"noise.snr_db = {noise.snr_db!r} makes the noise level overflow")
+        return buckets + rng.normal(0.0, std / ratio, buckets.shape)
     scale = noise.photons / buckets.mean() if buckets.mean() > 0 else 1.0
     lam = buckets * scale
     if lam.max() > _POISSON_LAM_MAX:
@@ -219,34 +229,35 @@ def _apply_noise(buckets: np.ndarray, noise: NoiseModel, psf_seed: int) -> np.nd
             f"noise.photons = {noise.photons!r} gives a Poisson mean of {lam.max():.3g} photons "
             f"in the brightest bucket, above the sampler's limit of {_POISSON_LAM_MAX:.3g}"
         )
-    return rng.poisson(lam).astype(np.float64) / scale
+    # FFT roundoff in bucket_weights leaves about -1e-26 on pixels off the
+    # object, so a pattern that misses the object can have a bucket just below 0
+    return rng.poisson(np.maximum(lam, 0.0)).astype(np.float64) / scale
 
 
 def simulate(
     obj: RealImage,
-    config: OpticalConfig,
+    psf: PSF,
     ensemble: EnsembleSpec,
     noise: NoiseModel,
     psf_seed: int,
 ) -> MeasurementSet:
     """Record bucket signals for a whole pattern ensemble.
 
-    One PSF realization is drawn once and held fixed for all J patterns (the
-    diffuser is static during acquisition).  Deterministic given
-    (psf_seed, ensemble.seed); bucket order is fixed by pattern index.
+    The one PSF given is held fixed for all J patterns (the diffuser is
+    static during acquisition); ``psf_seed``, which drew it, also keys the
+    noise stream.  Deterministic given (psf, psf_seed, ensemble.seed);
+    bucket order is fixed by pattern index.
     """
-    if ensemble.grid != config.object_grid:
-        raise ConfigError("ensemble grid does not match the object grid")
-    if obj.grid != config.object_grid:
-        raise ConfigError("object grid does not match the configured grid")
+    if ensemble.grid != psf.grid:
+        raise ConfigError("ensemble grid does not match the PSF grid")
+    if obj.grid != psf.grid:
+        raise ConfigError("object grid does not match the PSF grid")
     if np.any(obj.values < 0):
         raise DataError("object transmittance must be nonnegative")
     require_mask_in_central_half(obj.grid, obj.values, "object support")
 
-    psf = psf_for(config, psf_seed)
     w = bucket_weights(obj, psf).ravel()
     buckets = np.empty(ensemble.count)
     for lo, hi, batch in iter_chunks(ensemble):
         buckets[lo:hi] = batch.reshape(hi - lo, -1) @ w
-    buckets = _apply_noise(buckets, noise, psf_seed)
-    return MeasurementSet(ensemble, buckets, config)
+    return MeasurementSet(ensemble, _apply_noise(buckets, noise, psf_seed))

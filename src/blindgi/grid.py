@@ -29,8 +29,8 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ConfigError(f"grid must be at least 2x2, got {self.nx}x{self.ny}")
-        if not (self.pitch > 0 and np.isfinite(self.pitch)):
-            raise ConfigError(f"grid pitch must be positive and finite, got {self.pitch}")
+        if not 1e-150 <= self.pitch <= 1e150:  # so the pixel area pitch**2 is a normal float
+            raise ConfigError(f"grid.pitch must be in [1e-150, 1e150] m, got {self.pitch}")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -29,13 +29,7 @@ from .evaluation import (
 )
 from .forward import MeasurementSet, psf_for, simulate
 from .grid import Grid2D, MagnitudeSpectrum, RealImage
-from .retrieval import (
-    Reconstruction,
-    SupportMask,
-    centered_box_mask,
-    estimate_support,
-    run as run_retrieval,
-)
+from .retrieval import Reconstruction, SupportMask, run as run_retrieval
 
 
 def read_image(path: str, grid: Grid2D) -> RealImage:
@@ -58,21 +52,8 @@ def build_object(cfg: RunConfig) -> RealImage:
 def run_simulation(cfg: RunConfig, obj: RealImage | None = None):
     """Simulate a measurement run; returns (measurements, truth object, truth PSF)."""
     obj = obj if obj is not None else build_object(cfg)
-    optical = cfg.optical()
-    ms = simulate(obj, optical, cfg.ensemble(), cfg.noise(), cfg.psf_seed)
-    psf = psf_for(optical, cfg.psf_seed)
-    return ms, obj, psf
-
-
-def choose_support(cfg: RunConfig, spectrum: MagnitudeSpectrum) -> SupportMask:
-    """Support box per the configured policy."""
-    grid = spectrum.grid
-    policy = cfg.support
-    if policy.box == "half":
-        return centered_box_mask(grid, grid.ny // 2, grid.nx // 2)
-    if policy.box == "estimate":
-        return estimate_support(spectrum, policy.threshold_fraction, policy.margin_px)
-    return centered_box_mask(grid, *policy.fixed_box())
+    psf = psf_for(cfg.optical(), cfg.psf_seed)
+    return simulate(obj, psf, cfg.ensemble(), cfg.noise(), cfg.psf_seed), obj, psf
 
 
 @dataclass(frozen=True)
@@ -83,7 +64,6 @@ class ReconstructionResult:
     support: SupportMask
     reconstruction: Reconstruction
     alignment: AlignmentResult | None = None
-    aligned_image: RealImage | None = None
 
 
 def run_reconstruction(
@@ -95,24 +75,15 @@ def run_reconstruction(
     corr = correlate(measurements)
     spec = magnitude_spectrum(corr)
     if cfg.compensation_mode == "compensated":
-        target = compensate(spec, filter_model(measurements.config), cfg.epsilon_fraction)
+        target = compensate(spec, filter_model(cfg.optical()), cfg.epsilon_fraction)
     else:
         target = spec
-    support = choose_support(cfg, target)
+    support = cfg.support.select(target)
     recon = run_retrieval(target, cfg.schedule, support)
-    alignment = aligned = None
+    alignment = None
     if truth is not None and truth.values.std() > 0 and recon.image.values.std() > 0:
         alignment = align_and_score(recon.image, truth)
-        aligned = apply_alignment(recon.image, alignment)
-    return ReconstructionResult(
-        correlation=corr,
-        spectrum=spec,
-        target=target,
-        support=support,
-        reconstruction=recon,
-        alignment=alignment,
-        aligned_image=aligned,
-    )
+    return ReconstructionResult(corr, spec, target, support, recon, alignment)
 
 
 def run_pipeline(cfg: RunConfig):
@@ -137,7 +108,8 @@ def resolution_probe(cfg: RunConfig, separation: float) -> dict:
     cfg = replace(cfg, object_source=f"two-points({sep_px})")
     ms, obj, result = run_pipeline(cfg)
     y, x_left, x_right = objects.two_point_columns(grid, sep_px)
-    contrast = two_point_contrast(result.aligned_image, y, x_left, x_right)
+    aligned = apply_alignment(result.reconstruction.image, result.alignment)
+    contrast = two_point_contrast(aligned, y, x_left, x_right)
     return {
         "separation_m": separation,
         "separation_px": sep_px,

@@ -11,11 +11,12 @@ background rather than object information.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, UsageError
+from .errors import ConfigError, NumericalError, UsageError
 from .grid import Grid2D, MagnitudeSpectrum, RealImage, point_reflect, require_mask_in_central_half
 from .patterns import _philox
 
@@ -41,15 +42,55 @@ class SupportMask:
 
 
 def centered_box_mask(grid: Grid2D, height: int, width: int) -> SupportMask:
-    """Centered rectangular support of the given size (clipped to the central half)."""
+    """Centered rectangular support of the given size; SupportMask refuses a
+    box that is empty or leaves the central half."""
     ny, nx = grid.shape
-    h = int(min(max(height, 1), ny // 2))
-    w = int(min(max(width, 1), nx // 2))
     mask = np.zeros(grid.shape, dtype=bool)
-    y0 = ny // 2 - h // 2
-    x0 = nx // 2 - w // 2
-    mask[y0 : y0 + h, x0 : x0 + w] = True
+    y0 = ny // 2 - height // 2
+    x0 = nx // 2 - width // 2
+    mask[y0 : y0 + height, x0 : x0 + width] = True
     return SupportMask(grid, mask)
+
+
+@dataclass(frozen=True)
+class SupportPolicy:
+    """How the reconstruction support box is chosen: estimated from the
+    target's autocorrelation, the central half of the grid, or a fixed
+    ``HxW`` box."""
+
+    threshold_fraction: float = 0.04
+    margin_px: int = 2
+    box: str = "estimate"  # "estimate", "half", or "HxW" fixed box
+
+    def __post_init__(self):
+        if not 0 < self.threshold_fraction < 1:
+            raise ConfigError("support.threshold_fraction must be in (0,1)")
+        if self.margin_px < 0:
+            raise ConfigError("support.margin_px must be >= 0")
+
+    def box_shape(self, grid: Grid2D) -> tuple[int, int] | None:
+        """Height and width of the fixed box on ``grid``, None for "estimate"."""
+        if self.box == "estimate":
+            return None
+        if self.box == "half":
+            return grid.ny // 2, grid.nx // 2
+        m = re.fullmatch(r"(\d+)x(\d+)", self.box)
+        if not m:
+            raise ConfigError(f"support.box must be 'estimate', 'half' or 'HxW', got {self.box!r}")
+        h, w = int(m.group(1)), int(m.group(2))
+        if not (1 <= h <= grid.ny // 2 and 1 <= w <= grid.nx // 2):
+            raise ConfigError(
+                f"support.box {self.box!r} must be between 1x1 and {grid.ny // 2}x{grid.nx // 2}, "
+                f"the central half of the {grid.ny}x{grid.nx} grid"
+            )
+        return h, w
+
+    def select(self, target: MagnitudeSpectrum) -> SupportMask:
+        """The support box this policy gives for ``target``."""
+        shape = self.box_shape(target.grid)
+        if shape is None:
+            return estimate_support(target, self.threshold_fraction, self.margin_px)
+        return centered_box_mask(target.grid, *shape)
 
 
 @dataclass(frozen=True)
@@ -95,21 +136,25 @@ class ScheduleConfig:
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Best-restart retrieval result."""
+    """Best-restart retrieval result: the image and its per-iteration E_F."""
 
     image: RealImage
-    fourier_error: float
     restart_id: int
-    iterations_run: int
-    ef_trace: np.ndarray = field(default=None, repr=False)
+    ef_trace: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.fourier_error < 0:
-            raise DataError("fourier_error must be nonnegative")
-        if self.ef_trace is not None:
-            t = np.asarray(self.ef_trace, dtype=np.float64)
-            t.setflags(write=False)
-            object.__setattr__(self, "ef_trace", t)
+        t = np.asarray(self.ef_trace, dtype=np.float64)
+        t.setflags(write=False)
+        object.__setattr__(self, "ef_trace", t)
+
+    @property
+    def fourier_error(self) -> float:
+        """E_F of the returned image."""
+        return float(self.ef_trace[-1])
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.ef_trace)
 
 
 def _free_bin_mask(grid: Grid2D, free_dc_radius: float) -> np.ndarray:
@@ -125,8 +170,8 @@ def estimate_support(
     The inverse transform of the squared magnitude is the image
     autocorrelation, whose support is twice the object support per axis:
     threshold it, take the bounding box, halve each dimension, dilate by
-    ``margin_px`` per side, and return a centered box (clipped to the
-    central half of the grid).
+    ``margin_px`` per side, and return a centered box.  A box that outgrows
+    the central half of the grid is clipped to it.
     """
     if not 0 < threshold_fraction < 1:
         raise UsageError(f"threshold_fraction must be in (0,1), got {threshold_fraction}")
@@ -140,9 +185,9 @@ def estimate_support(
     ys, xs = np.nonzero(above)
     if ys.size == 0:
         raise NumericalError("no autocorrelation pixels above threshold")
-    box_h = (ys.max() - ys.min() + 1 + 1) // 2 + 2 * margin_px
-    box_w = (xs.max() - xs.min() + 1 + 1) // 2 + 2 * margin_px
-    return centered_box_mask(grid, box_h, box_w)
+    box_h = int(ys.max() - ys.min() + 2) // 2 + 2 * margin_px
+    box_w = int(xs.max() - xs.min() + 2) // 2 + 2 * margin_px
+    return centered_box_mask(grid, min(box_h, ny // 2), min(box_w, nx // 2))
 
 
 def _initial_iterate(target: MagnitudeSpectrum, seed: int, restart_id: int) -> np.ndarray:
@@ -242,11 +287,9 @@ class _StackEngine:
         np.copyto(x, gp, where=feasible)
 
 
-def _run_stack(
-    engine: _StackEngine, schedule: ScheduleConfig, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Iterate the schedule on the stack ``x`` (in place); returns (final E_F,
-    images, traces).
+def _run_stack(engine: _StackEngine, schedule: ScheduleConfig, x: np.ndarray) -> np.ndarray:
+    """Iterate the schedule on the stack ``x`` (in place); returns the
+    ``(restarts, iterations)`` E_F traces.
 
     The E_F of iteration k is taken from the spectrum that iteration k + 1
     projects, so the loop costs one forward and one inverse real transform
@@ -264,7 +307,7 @@ def _run_stack(
             engine.transform(x)
             k += 1
     trace[:, -1] = engine.errors()
-    return trace[:, -1], x, trace
+    return trace
 
 
 def run(
@@ -281,13 +324,7 @@ def run(
     if target.grid != support.grid:
         raise ConfigError("target and support grids differ")
     engine = _StackEngine(target, support, schedule.free_dc_radius, schedule.restarts)
-    x0 = np.stack([_initial_iterate(target, schedule.seed, rid) for rid in range(schedule.restarts)])
-    errors, images, traces = _run_stack(engine, schedule, x0)
-    rid = int(np.argmin(errors))  # first minimum: ties go to the lowest id
-    return Reconstruction(
-        image=RealImage(target.grid, images[rid]),
-        fourier_error=float(errors[rid]),
-        restart_id=rid,
-        iterations_run=schedule.total_iterations,
-        ef_trace=traces[rid],
-    )
+    x = np.stack([_initial_iterate(target, schedule.seed, rid) for rid in range(schedule.restarts)])
+    traces = _run_stack(engine, schedule, x)
+    rid = int(np.argmin(traces[:, -1]))  # first minimum: ties go to the lowest id
+    return Reconstruction(RealImage(target.grid, x[rid]), rid, traces[rid])

@@ -284,7 +284,7 @@ def test_criterion_9_er_monotonicity():
     # the stacked engine every run steps, one restart per start
     x0 = np.stack([_initial_iterate(target, seed=i, restart_id=i) for i in range(50)])
     schedule = ScheduleConfig(cycles=0, final_er=100, restarts=50)
-    _, _, traces = _run_stack(_StackEngine(target, support, 0.0, 50), schedule, x0)
+    traces = _run_stack(_StackEngine(target, support, 0.0, 50), schedule, x0)
     worst_rise = float(np.max(np.diff(traces, axis=1)))
     report(
         9,

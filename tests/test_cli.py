@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from blindgi import arrayio
+from blindgi import arrayio, cli, errors
 from blindgi.cli import main
-from blindgi.config import config_from_entries
+from blindgi.config import KEYMAP, config_from_entries
 from blindgi.patterns import pattern_batch
 
 
@@ -254,13 +254,57 @@ class TestBadInputs:
                        "--support.box", "16x16") == 0
 
     def test_poisson_photons_too_large(self, tmp_path, capsys):
-        # found only after the buckets are simulated, still before any output
+        # above the sampler's largest mean: refused when the config is read
         out = tmp_path / "p"
         code = run_cli("simulate", "--out", str(out), *SMALL,
                        "--noise.kind", "poisson", "--noise.photons", "1e30")
         assert code == 2
         assert "1e+30" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_poisson_brightest_bucket_too_large(self, tmp_path, capsys):
+        # found only after the buckets are simulated, still before any output
+        out = tmp_path / "p"
+        code = run_cli("simulate", "--out", str(out), *SMALL,
+                       "--noise.kind", "poisson", "--noise.photons", "9e18")
+        assert code == 2
+        assert "noise.photons = 9e+18 gives a Poisson mean" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_poisson_noise_on_buckets_that_miss_the_object(self, tmp_path):
+        # FFT roundoff leaves buckets of about -1e-26 where a pattern misses
+        # the object; the Poisson draw takes them as 0
+        out = str(tmp_path / "r")
+        assert run_cli("simulate", "--out", out, "--grid.nx", "16", "--grid.ny", "16",
+                       "--optical.case", "delta", "--ensemble.count", "64",
+                       "--object", "rectangle(2,2)", "--noise.kind", "poisson") == 0
+        assert np.all(arrayio.read_buckets_csv(os.path.join(out, "buckets.csv")) >= 0)
+
+    @pytest.mark.parametrize("case", ["lens-only", "scattering", "delta"])
+    def test_extreme_finite_values(self, tmp_path, capsys, case):
+        # every float key at the ends of the float range: each run either
+        # works or exits with its documented code, and no traceback escapes;
+        # an exit 2 from simulate names the key and writes nothing
+        base = ["--grid.nx", "16", "--grid.ny", "16", "--optical.case", case,
+                "--ensemble.count", "64", "--object", "rectangle(2,2)",
+                "--schedule.cycles", "1", "--schedule.restarts", "1", "--schedule.final-er", "5"]
+        noise = {"noise.snr_db": "gaussian", "noise.photons": "poisson"}
+        sweep = [(key, value) for key, (_, parser) in KEYMAP.items() if parser is float
+                 for value in ("1e308", "-1e308", "1e300", "1e-300", "5e-324")]
+        for n, (key, value) in enumerate([*sweep, ("support.margin_px", str(10**30))]):
+            out = str(tmp_path / str(n))
+            argv = [*base, "--" + key.replace("_", "-"), value,
+                    "--noise.kind", noise.get(key, "none")]
+            code = run_cli("simulate", "--out", out, *argv)
+            err = capsys.readouterr().err
+            if code == 2:
+                assert not os.path.exists(out), (key, value)
+                assert key in err, (key, value, err)
+            if code == 0:
+                code = run_cli("reconstruct", "--run", out, "--compensation.mode", "compensated")
+                err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4), (key, value, code)
+            assert "Traceback" not in err
 
     def test_workers_flag_is_unknown(self, run_dir, tmp_path, capsys):
         # every stage runs on one thread; no subcommand takes --workers
@@ -545,3 +589,25 @@ class TestGridShapes:
         assert run_cli("reconstruct", "--run", out) == 0
         recon, meta = arrayio.read_array(os.path.join(out, "reconstruction.f64"))
         assert recon.shape == (ny, nx)
+
+
+@pytest.mark.parametrize("error,code", [
+    (errors.BlindGIError, 1),
+    (errors.ConfigError, 2),
+    (errors.UsageError, 2),
+    (errors.DataError, 3),
+    (errors.FormatError, 3),
+    (errors.NumericalError, 4),
+])
+def test_error_class_sets_exit_code(monkeypatch, capsys, error, code):
+    def fail(args, overrides):
+        raise error("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "evaluate", fail)
+    assert run_cli("evaluate", "--run", "unused") == code
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_every_error_class_has_an_exit_code():
+    assert {cls.__name__: cls.exit_code for cls in errors.BlindGIError.__subclasses__()} == {
+        "ConfigError": 2, "UsageError": 2, "DataError": 3, "FormatError": 3, "NumericalError": 4}

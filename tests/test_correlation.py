@@ -60,7 +60,7 @@ def classic_gi_pearson(n=64, count=2**14, seed=31):
     obj = objects.letter(cfg.object_grid)
     ens = EnsembleSpec(kind="random-binary", grid=cfg.object_grid, count=count,
                        fill_fraction=0.5, seed=seed)
-    ms = simulate(obj, cfg, ens, NoiseModel(), psf_seed=1)
+    ms = simulate(obj, psf_for(cfg, 1), ens, NoiseModel(), psf_seed=1)
     c = correlate(ms)
     return (
         pearson(central_half(c.values), central_half(obj.values)),
@@ -72,14 +72,14 @@ class TestCorrelate:
     def test_needs_two_measurements(self):
         cfg = optical()
         ens = EnsembleSpec(kind="pixel-scan", grid=cfg.object_grid, count=1, seed=0)
-        ms = MeasurementSet(ens, np.array([1.0]), cfg)
+        ms = MeasurementSet(ens, np.array([1.0]))
         with pytest.raises(UsageError):
             correlate(ms)
 
     def test_constant_buckets_give_zero(self):
         cfg = optical()
         ens = EnsembleSpec(kind="random-binary", grid=cfg.object_grid, count=32, seed=3)
-        ms = MeasurementSet(ens, np.full(32, 7.5), cfg)
+        ms = MeasurementSet(ens, np.full(32, 7.5))
         npt.assert_allclose(correlate(ms).values, 0.0, atol=1e-12)
 
     def test_pixel_scan_closed_form(self):
@@ -89,9 +89,9 @@ class TestCorrelate:
         obj = objects.rectangle(cfg.object_grid, 6, 4)
         ens = EnsembleSpec(kind="pixel-scan", grid=cfg.object_grid,
                            count=cfg.object_grid.npixels, seed=0)
-        ms = simulate(obj, cfg, ens, NoiseModel(), psf_seed=8)
-        c = correlate(ms)
         psf = psf_for(cfg, 8)
+        ms = simulate(obj, psf, ens, NoiseModel(), psf_seed=8)
+        c = correlate(ms)
         w = circ_convolve(obj, RealImage(cfg.object_grid, point_reflect(psf.values)))
         want = w.values * cfg.object_grid.pitch**2
         got = c.values * ens.count + ms.buckets.mean()
@@ -108,7 +108,7 @@ class TestCorrelate:
         cfg = optical(n=32)
         obj = objects.letter(cfg.object_grid, height=12, stroke=2)
         ens = EnsembleSpec(kind="random-binary", grid=cfg.object_grid, count=2**10, seed=5)
-        ms = simulate(obj, cfg, ens, NoiseModel(), psf_seed=2)
+        ms = simulate(obj, psf_for(cfg, 2), ens, NoiseModel(), psf_seed=2)
         streamed = correlate(ms).values
         # two-pass reference: materialize all patterns
         stack = pattern_batch(ens, 0, ens.count)
@@ -120,7 +120,7 @@ class TestCorrelate:
         cfg = optical(n=32)
         obj = objects.rectangle(cfg.object_grid, 8, 6)
         ens = EnsembleSpec(kind="random-fixed-fill", grid=cfg.object_grid, count=1000, seed=5)
-        ms = simulate(obj, cfg, ens, NoiseModel(), psf_seed=2)
+        ms = simulate(obj, psf_for(cfg, 2), ens, NoiseModel(), psf_seed=2)
         first = correlate(ms).values
         npt.assert_array_equal(first, correlate(ms).values)
         # dense reference on the materialized ensemble, both sides centred
@@ -139,7 +139,7 @@ class TestCorrelate:
         def corr_for(kind, count, seed):
             ens = EnsembleSpec(kind=kind, grid=cfg.object_grid, count=count,
                                fill_fraction=0.5, seed=seed)
-            ms = simulate(obj, cfg, ens, NoiseModel(), psf_seed=0)
+            ms = simulate(obj, psf_for(cfg, 0), ens, NoiseModel(), psf_seed=0)
             return correlate(ms).values
 
         c_limit = corr_for("hadamard", cfg.object_grid.npixels, 0)
@@ -191,9 +191,9 @@ class TestMagnitudeSpectrum:
         obj = objects.rectangle(cfg.object_grid, 7, 5)
         ens = EnsembleSpec(kind="pixel-scan", grid=cfg.object_grid,
                            count=cfg.object_grid.npixels, seed=0)
-        ms = simulate(obj, cfg, ens, NoiseModel(), psf_seed=0)
-        spec = magnitude_spectrum(correlate(ms)).values
         psf = psf_for(cfg, 0)
+        ms = simulate(obj, psf, ens, NoiseModel(), psf_seed=0)
+        spec = magnitude_spectrum(correlate(ms)).values
         o_mag = np.abs(np.fft.fftshift(np.fft.fft2(obj.values, norm="ortho")))
         mtf = otf_magnitude(psf)
         want = o_mag * mtf

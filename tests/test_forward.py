@@ -24,7 +24,11 @@ from blindgi import (
     psf_for,
     simulate,
 )
+import blindgi.forward
+import blindgi.pipeline
+from blindgi.config import RunConfig
 from blindgi.forward import otf_magnitude
+from blindgi.pipeline import run_simulation
 from blindgi.patterns import pattern_batch
 from blindgi import objects
 from reference import bucket, illuminate
@@ -231,8 +235,8 @@ class TestSimulate:
         cfg = optical(case="scattering")
         obj = objects.letter(cfg.object_grid)
         spec = EnsembleSpec(kind="pixel-scan", grid=cfg.object_grid, count=1, seed=0)
-        ms = simulate(obj, cfg, spec, NoiseModel(), psf_seed=9)
         psf = psf_for(cfg, 9)
+        ms = simulate(obj, psf, spec, NoiseModel(), psf_seed=9)
         pat = pattern_batch(spec, 0, 1)[0]
         want = bucket(obj, illuminate(pat, psf))
         assert abs(ms.buckets[0] - want) <= 1e-10 * abs(want)
@@ -240,8 +244,9 @@ class TestSimulate:
     def test_deterministic_reruns(self):
         cfg = optical()
         obj = objects.letter(cfg.object_grid)
-        a = simulate(obj, cfg, self.ensemble(), NoiseModel(), psf_seed=4).buckets
-        b = simulate(obj, cfg, self.ensemble(), NoiseModel(), psf_seed=4).buckets
+        psf = psf_for(cfg, 4)
+        a = simulate(obj, psf, self.ensemble(), NoiseModel(), psf_seed=4).buckets
+        b = simulate(obj, psf, self.ensemble(), NoiseModel(), psf_seed=4).buckets
         npt.assert_array_equal(a, b)
 
     def test_support_validation(self):
@@ -249,14 +254,16 @@ class TestSimulate:
         too_big = objects.rectangle(cfg.object_grid, 32, 32)
         vals = np.roll(too_big.values, 20, axis=1)  # slide off-center
         with pytest.raises(ConfigError):
-            simulate(RealImage(cfg.object_grid, vals), cfg, self.ensemble(), NoiseModel(), 4)
+            simulate(RealImage(cfg.object_grid, vals), psf_for(cfg, 4), self.ensemble(),
+                     NoiseModel(), 4)
 
     def test_gaussian_noise_snr(self):
         cfg = optical()
         obj = objects.letter(cfg.object_grid)
         ens = self.ensemble(count=10_000)
-        clean = simulate(obj, cfg, ens, NoiseModel(kind="none"), psf_seed=4).buckets
-        noisy = simulate(obj, cfg, ens, NoiseModel(kind="gaussian", snr_db=20), psf_seed=4).buckets
+        psf = psf_for(cfg, 4)
+        clean = simulate(obj, psf, ens, NoiseModel(kind="none"), psf_seed=4).buckets
+        noisy = simulate(obj, psf, ens, NoiseModel(kind="gaussian", snr_db=20), psf_seed=4).buckets
         noise = noisy - clean
         snr_db = 20 * np.log10(np.std(clean - clean.mean()) / np.std(noise))
         assert abs(snr_db - 20.0) < 1.0
@@ -265,11 +272,29 @@ class TestSimulate:
         cfg = optical()
         obj = objects.letter(cfg.object_grid)
         ens = self.ensemble(count=2048)
-        noisy = simulate(obj, cfg, ens, NoiseModel(kind="poisson", photons=1e4), psf_seed=4).buckets
-        clean = simulate(obj, cfg, ens, NoiseModel(kind="none"), psf_seed=4).buckets
+        psf = psf_for(cfg, 4)
+        noisy = simulate(obj, psf, ens, NoiseModel(kind="poisson", photons=1e4), psf_seed=4).buckets
+        clean = simulate(obj, psf, ens, NoiseModel(kind="none"), psf_seed=4).buckets
         assert np.all(noisy >= 0)
         rel = np.std(noisy - clean) / clean.mean()
         assert rel == pytest.approx(1 / np.sqrt(1e4), rel=0.2)
+
+    def test_run_simulation_draws_the_psf_once(self, monkeypatch):
+        # the PSF that recorded the buckets is the one run_simulation returns
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return psf_for(*args)
+
+        for module in (blindgi.forward, blindgi.pipeline):
+            monkeypatch.setattr(module, "psf_for", counted)
+        cfg = RunConfig(grid_nx=16, grid_ny=16, ensemble_count=64, object_source="rectangle(2,2)")
+        ms, obj, psf = run_simulation(cfg)
+        assert len(calls) == 1
+        npt.assert_array_equal(psf.values, psf_for(cfg.optical(), cfg.psf_seed).values)
+        again = simulate(obj, psf, cfg.ensemble(), cfg.noise(), cfg.psf_seed)
+        npt.assert_array_equal(ms.buckets, again.buckets)
 
     @pytest.mark.slow
     def test_throughput_4096_patterns(self):
@@ -277,5 +302,5 @@ class TestSimulate:
         obj = objects.letter(cfg.object_grid)
         ens = self.ensemble(count=4096)
         start = time.time()
-        simulate(obj, cfg, ens, NoiseModel(), psf_seed=4)
+        simulate(obj, psf_for(cfg, 4), ens, NoiseModel(), psf_seed=4)
         assert time.time() - start < 10.0

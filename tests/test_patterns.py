@@ -17,7 +17,7 @@ from blindgi import ConfigError, EnsembleSpec, Grid2D, UsageError
 from blindgi import objects
 from blindgi.config import RunConfig
 from blindgi.correlation import correlate
-from blindgi.forward import NoiseModel, simulate
+from blindgi.forward import NoiseModel, psf_for, simulate
 from blindgi.patterns import (
     STREAM_CHUNK,
     _STREAM_PATTERNS,
@@ -226,12 +226,12 @@ class TestChunkWorkspace:
 
     def test_passes_hold_one_chunk(self):
         cfg = RunConfig(ensemble_kind="random-fixed-fill", ensemble_count=3 * STREAM_CHUNK + 44)
-        ens, optics = cfg.ensemble(), cfg.optical()
+        ens, psf = cfg.ensemble(), psf_for(cfg.optical(), cfg.psf_seed)
         obj = objects.from_spec(cfg.grid(), cfg.object_source)
-        ms = simulate(obj, optics, ens, NoiseModel(), cfg.psf_seed)
+        ms = simulate(obj, psf, ens, NoiseModel(), cfg.psf_seed)
         chunk_bytes = STREAM_CHUNK * cfg.grid().npixels * 8
         for name, fn in (
-            ("simulate", lambda: simulate(obj, optics, ens, NoiseModel(), cfg.psf_seed)),
+            ("simulate", lambda: simulate(obj, psf, ens, NoiseModel(), cfg.psf_seed)),
             ("correlate", lambda: correlate(ms)),
             ("ensemble_autocorrelations",
              lambda: ensemble_autocorrelations(ens, [(0, 0), (1, 2), (-3, 5)], [100, ens.count])),

@@ -14,6 +14,7 @@ from blindgi import (
     RealImage,
     UsageError,
     ScheduleConfig,
+    SupportPolicy,
     align_and_score,
     estimate_support,
     point_reflect,
@@ -36,6 +37,49 @@ def grid(n=32):
 
 def magnitude_of(values, g):
     return MagnitudeSpectrum(g, np.fft.fftshift(np.abs(np.fft.fft2(values, norm="ortho"))))
+
+
+class TestSupportPolicy:
+    """box_shape parses and bounds the box; select makes the support of a run."""
+
+    G = Grid2D(nx=23, ny=40, pitch=1e-5)  # central half: 20x11
+
+    def target(self):
+        return magnitude_of(objects.rectangle(self.G, 6, 4).values, self.G)
+
+    def test_half_is_the_central_half_box(self):
+        policy = SupportPolicy(box="half")
+        assert policy.box_shape(self.G) == (20, 11)
+        npt.assert_array_equal(policy.select(self.target()).mask,
+                               centered_box_mask(self.G, 20, 11).mask)
+
+    @pytest.mark.parametrize("box,shape", [("7x5", (7, 5)), ("1x1", (1, 1)), ("20x11", (20, 11))])
+    def test_fixed_box(self, box, shape):
+        policy = SupportPolicy(box=box)
+        assert policy.box_shape(self.G) == shape
+        npt.assert_array_equal(policy.select(self.target()).mask,
+                               centered_box_mask(self.G, *shape).mask)
+
+    @pytest.mark.parametrize("box", ["0x5", "7x0", "21x5", "7x12", "7x", "axb", "halfx"])
+    def test_bad_box_names_the_key(self, box):
+        with pytest.raises(ConfigError, match=f"support.box.*{box!r}"):
+            SupportPolicy(box=box).box_shape(self.G)
+
+    @pytest.mark.parametrize("shape", [(21, 5), (7, 12), (0, 5)])
+    def test_box_mask_is_not_clipped(self, shape):
+        # only estimate_support clips; a fixed box outside the half is refused
+        with pytest.raises(ConfigError, match="support mask"):
+            centered_box_mask(self.G, *shape)
+
+    def test_estimate_wider_than_half_is_the_half_box(self):
+        policy = SupportPolicy(box="estimate", margin_px=10**30)
+        assert policy.box_shape(self.G) is None
+        npt.assert_array_equal(policy.select(self.target()).mask,
+                               centered_box_mask(self.G, 20, 11).mask)
+        # a margin that fits: the estimate, unclipped
+        fits = SupportPolicy(margin_px=1).select(self.target()).mask
+        assert fits.sum() < 20 * 11
+        npt.assert_array_equal(fits, estimate_support(self.target(), 0.04, 1).mask)
 
 
 class TestProjectMagnitude:
@@ -324,7 +368,9 @@ class TestStackEngine:
         target, support, x0 = self.problem(*shape, symmetric)
         sched = ScheduleConfig(cycles=0, final_er=50, restarts=len(x0), free_dc_radius=1.0)
         engine = _StackEngine(target, support, 1.0, len(x0))
-        errors, images, traces = _run_stack(engine, sched, x0.copy())
+        images = x0.copy()
+        traces = _run_stack(engine, sched, images)
+        errors = traces[:, -1]
         for r, x in enumerate(x0):
             scale = np.max(np.abs(x))
             trace = []
