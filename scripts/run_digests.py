@@ -13,7 +13,8 @@ Each case adds a ``simulate --object FILE.f64`` run that reads back the
 random-binary run's ``oracle_object.f64``, and a two-point ``resolution``
 scan at 0.7, 1.4 and 2 resolution limits.  Two noisy runs of the letter
 through the scattering case, one with Gaussian and one with Poisson bucket
-noise, are simulated and reconstructed.  Then it prints one line
+noise, are simulated and reconstructed, and one more scattering ``resolution``
+scan gives its separations in meters (50 and 100 um).  Then it prints one line
 ``<sha256>  <path relative to DIR>`` per file, sorted by path, so that
 
     python3 scripts/run_digests.py --root /path/to/parent /tmp/a > parent.txt
@@ -92,6 +93,9 @@ def main() -> int:
         out = os.path.join("scattering", f"noise-{noise}")
         run("simulate", "--out", out, *COMMON, "--optical.case", "scattering", "--noise.kind", noise)
         run("reconstruct", "--run", out)
+    run("resolution", "--out", os.path.join("scattering", "resolution-m"), *COMMON,
+        "--optical.case", "scattering", "--ensemble.kind", "random-fixed-fill",
+        "--separations", "5e-5,1e-4")
     print("\n".join(digests(".")))
     return 0
 

@@ -15,19 +15,19 @@ Exit codes: 0 success, 2 usage/config, 3 data format, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
 
 from . import arrayio
 from .config import RunConfig, config_from_entries, config_to_entries
-from .errors import BlindGIError, DataError, FormatError, UsageError
+from .errors import BlindGIError, ConfigError, DataError, FormatError, UsageError
 from .evaluation import align_and_score
 from .forward import MeasurementSet
 from .grid import RealImage
 from .patterns import iter_chunks
-from .pipeline import read_image, resolution_probe, run_reconstruction, run_simulation
+from .pipeline import (read_image, resolution_probe, run_reconstruction, run_simulation,
+                       separation_px)
 
 CONFIG_FILE = "run_config.txt"
 BUCKETS_FILE = "buckets.csv"
@@ -184,27 +184,23 @@ def cmd_evaluate(args, overrides) -> int:
     return 0
 
 
-def _float_list(flag: str, text: str) -> list[float]:
+def _parse_separations(args, cfg: RunConfig) -> list[float]:
+    """The scan's separations in meters, each checked before the first probe runs."""
+    flag = "--separations" if args.separations else "--separations-rel"
+    text = args.separations or args.separations_rel or ""
     try:
         values = [float(s) for s in text.split(",") if s.strip()]
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from None
-    if not all(map(math.isfinite, values)):
-        raise UsageError(f"{flag} values must be finite, got {text!r}")
-    return values
-
-
-def _parse_separations(args, cfg: RunConfig) -> list[float]:
-    if args.separations:
-        seps = _float_list("--separations", args.separations)
-    elif args.separations_rel:
-        unit = cfg.optical().resolution_limit
-        seps = [s * unit for s in _float_list("--separations-rel", args.separations_rel)]
-    else:
-        seps = []
-    if not seps:
+    if not values:
         raise UsageError("no separations given; use --separations or --separations-rel")
-    return seps
+    unit = 1.0 if args.separations else cfg.optical().resolution_limit
+    for value in values:
+        try:
+            separation_px(cfg.grid(), value * unit)
+        except ConfigError as exc:
+            raise UsageError(f"{flag} {value!r}: {exc}") from None
+    return [value * unit for value in values]
 
 
 def cmd_resolution(args, overrides) -> int:

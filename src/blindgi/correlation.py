@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import UsageError
 from .forward import MeasurementSet, OpticalConfig, pupil_mask
-from .grid import Grid2D, MagnitudeSpectrum, _check_field, _frozen_values, indicator_autocorrelation
+from .grid import Grid2D, MagnitudeSpectrum, freeze_field, indicator_autocorrelation
 from .patterns import iter_chunks
 
 
@@ -32,8 +32,7 @@ class CorrelationImage:
     count_used: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_values(self.values, np.float64))
-        _check_field(self.grid, self.values, "correlation")
+        freeze_field(self, "values", "correlation", self.grid.shape)
 
 
 def correlate(measurements: MeasurementSet) -> CorrelationImage:

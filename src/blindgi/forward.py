@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import Grid2D, RealImage, circ_convolve, point_reflect, require_mask_in_central_half
+from .grid import (Grid2D, RealImage, circ_convolve, freeze_field, point_reflect,
+                   require_mask_in_central_half)
 from .patterns import EnsembleSpec, _philox, iter_chunks
 # Not called here; kept importable as forward.pattern_batch, the name the
 # benchmark's tracer test (perfbench/tests) patches and restores.
@@ -111,16 +112,12 @@ class PSF:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != self.grid.shape:
-            raise ConfigError(f"PSF shape {vals.shape} does not match grid")
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise DataError("PSF values must be finite and nonnegative")
-        total = vals.sum()
+        freeze_field(self, "values", "PSF", self.grid.shape)
+        if np.any(self.values < 0):
+            raise DataError("PSF values must be nonnegative")
+        total = self.values.sum()
         if abs(total - 1.0) > 1e-12:
             raise DataError(f"PSF must sum to 1 within 1e-12, got {total!r}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
 
 def psf_for(config: OpticalConfig, psf_seed: int) -> PSF:
@@ -196,15 +193,7 @@ class MeasurementSet:
     buckets: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.buckets, dtype=np.float64)
-        if b.ndim != 1 or b.size != self.ensemble.count:
-            raise ConfigError(
-                f"expected {self.ensemble.count} buckets, got array of shape {b.shape}"
-            )
-        if not np.all(np.isfinite(b)):
-            raise DataError("buckets contain non-finite values")
-        b.setflags(write=False)
-        object.__setattr__(self, "buckets", b)
+        freeze_field(self, "buckets", "buckets", (self.ensemble.count,))
 
 
 def _apply_noise(buckets: np.ndarray, noise: NoiseModel, psf_seed: int) -> np.ndarray:

@@ -63,19 +63,18 @@ class Grid2D:
         return np.hypot(*np.meshgrid(y, x, indexing="ij"))
 
 
-def _frozen_values(arr, dtype) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
-def _check_field(grid: Grid2D, values: np.ndarray, what: str):
-    if values.shape != grid.shape:
-        raise ConfigError(
-            f"{what} shape {values.shape} does not match grid {grid.shape}"
-        )
+def freeze_field(record, name: str, what: str, shape: tuple[int, ...], dtype=np.float64):
+    """Store a read-only ``dtype`` copy of the array field ``name`` on the
+    frozen ``record``, so the caller's array stays writable and later writes
+    to it never reach the record.  ConfigError unless the copy has ``shape``,
+    DataError unless every value is finite; ``what`` names the field."""
+    values = np.array(getattr(record, name), dtype=dtype)
+    if values.shape != shape:
+        raise ConfigError(f"{what} shape {values.shape} does not match {shape}")
     if not np.all(np.isfinite(values)):
         raise DataError(f"{what} contains non-finite values")
+    values.setflags(write=False)
+    object.__setattr__(record, name, values)
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,7 @@ class RealImage:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_values(self.values, np.float64))
-        _check_field(self.grid, self.values, "RealImage")
+        freeze_field(self, "values", "RealImage", self.grid.shape)
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,7 @@ class MagnitudeSpectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_values(self.values, np.float64))
-        _check_field(self.grid, self.values, "MagnitudeSpectrum")
+        freeze_field(self, "values", "MagnitudeSpectrum", self.grid.shape)
         if np.any(self.values < 0):
             raise DataError("MagnitudeSpectrum values must be nonnegative")
 

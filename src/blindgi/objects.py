@@ -57,7 +57,6 @@ def two_points(grid: Grid2D, separation_px: int) -> RealImage:
     """Two unit pixels on the center row, separated along x."""
     _require_sizes(separation=separation_px)
     cy, x_left, x_right = two_point_columns(grid, separation_px)
-    require_central_half(grid, (cy, cy), (x_left, x_right), f"two-point pair {separation_px} px apart")
     img = _blank(grid)
     img[cy, x_left] = 1
     img[cy, x_right] = 1
@@ -65,9 +64,12 @@ def two_points(grid: Grid2D, separation_px: int) -> RealImage:
 
 
 def two_point_columns(grid: Grid2D, separation_px: int) -> tuple[int, int, int]:
-    """Row and column indices (y, x_left, x_right) used by :func:`two_points`."""
-    x_left = grid.nx // 2 - separation_px // 2
-    return grid.ny // 2, x_left, x_left + separation_px
+    """Row and column indices (y, x_left, x_right) used by :func:`two_points`;
+    ConfigError unless both points lie in the central half."""
+    y, x_left = grid.ny // 2, grid.nx // 2 - separation_px // 2
+    require_central_half(grid, (y, y), (x_left, x_left + separation_px),
+                         f"two-point pair {separation_px} px apart")
+    return y, x_left, x_left + separation_px
 
 
 def rectangle(grid: Grid2D, width: int, height: int) -> RealImage:

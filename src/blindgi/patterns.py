@@ -13,9 +13,10 @@ reads the little-endian w-bit field i, in row-major pixel order, dropping the
 padding fields.  random-binary uses the smallest w of 1, 8 or 16 for which
 ``fill * 2^w`` is an integer, and 32 otherwise, and turns pixel i on where
 its score is below ``round(fill * 2^w)``: fill 0.5 costs one bit per pixel.
-random-fixed-fill always uses w = 32.  A batch of patterns sets the
-stream's counter once and then draws its words in row blocks of about
-256 KB, so no batch holds the raw words of all its patterns at once.
+random-fixed-fill always uses w = 32.  A batch of n patterns draws exactly its
+n * P counters, in row blocks of about 256 KB so that it never holds them all,
+and leaves its generator at the next pattern's first counter: a pass continues
+one generator from counter 0, and a lone batch starts one at its first counter.
 """
 
 from __future__ import annotations
@@ -99,25 +100,6 @@ def _score_bits(fill: float) -> int:
     return next((w for w in (1, 8, 16) if (fill * 2**w).is_integer()), 32)
 
 
-def _seek(bits: np.random.Philox, seed: int, counter: int) -> None:
-    """Point ``bits`` at ``counter`` of the pattern stream of ``seed``.
-
-    Same state as a fresh generator advanced by ``counter``, without asking
-    the OS for the seed entropy a new bit generator draws.
-    """
-    bits.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([(counter >> (64 * i)) & _MASK64 for i in range(4)], np.uint64),
-            "key": _key(seed, _STREAM_PATTERNS),
-        },
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def _next_scores(bits: np.random.Philox, n: int, npix: int, w: int) -> np.ndarray:
     """w-bit scores of the next n patterns of the stream, shape (n, npix).
 
@@ -166,9 +148,9 @@ def pattern_batch(
     """Patterns start..stop-1 stacked as a (stop-start, ny, nx) float array.
 
     They are written into ``out`` when it is given (a C-contiguous float64
-    array of that shape), which is then returned.  ``bits`` is a Philox bit
-    generator to draw with; its state is overwritten, so one generator can
-    serve every batch of a pass.
+    array of that shape), which is then returned.  A given Philox ``bits``
+    continues a pass: the batches before this one left it at pattern
+    ``start``'s first counter.  Without it the batch starts a generator there.
     """
     if not 0 <= start <= stop <= spec.count:
         raise UsageError(f"batch range [{start}, {stop}) out of bounds for count {spec.count}")
@@ -188,8 +170,8 @@ def pattern_batch(
         k = min(max(int(round(fill * ny * nx)), 1), ny * nx - 1)
         threshold = min(round(fill * 2**w), 2**w - 1)
         per = -(-ny * nx * w // 256)
-        bits = np.random.Philox(key=_key(spec.seed, _STREAM_PATTERNS)) if bits is None else bits
-        _seek(bits, spec.seed, start * per)
+        if bits is None:
+            bits = np.random.Philox(key=_key(spec.seed, _STREAM_PATTERNS), counter=start * per)
         rows = max(1, _BLOCK_BYTES // (per * 32))
         for a in range(0, n, rows):
             block = flat[a : a + rows]

@@ -10,23 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import arrayio, objects
 from .config import RunConfig
-from .correlation import (
-    CorrelationImage,
-    compensate,
-    correlate,
-    filter_model,
-    magnitude_spectrum,
-)
-from .errors import ConfigError, FormatError
-from .evaluation import (
-    AlignmentResult,
-    align_and_score,
-    apply_alignment,
-    is_resolved,
-    two_point_contrast,
-)
+from .correlation import CorrelationImage, compensate, correlate, filter_model, magnitude_spectrum
+from .errors import ConfigError, FormatError, NumericalError
+from .evaluation import (AlignmentResult, align_and_score, apply_alignment, is_resolved,
+                         two_point_contrast)
 from .forward import MeasurementSet, psf_for, simulate
 from .grid import Grid2D, MagnitudeSpectrum, RealImage
 from .retrieval import Reconstruction, SupportMask, run as run_retrieval
@@ -73,16 +64,25 @@ def run_reconstruction(
 ) -> ReconstructionResult:
     """Correlate, form the magnitude target per the configured mode, retrieve."""
     corr = correlate(measurements)
-    spec = magnitude_spectrum(corr)
-    if cfg.compensation_mode == "compensated":
-        target = compensate(spec, filter_model(cfg.optical()), cfg.epsilon_fraction)
-    else:
-        target = spec
-    support = cfg.support.select(target)
-    recon = run_retrieval(target, cfg.schedule, support)
-    alignment = None
-    if truth is not None and truth.values.std() > 0 and recon.image.values.std() > 0:
-        alignment = align_and_score(recon.image, truth)
+    # the support estimate, E_F and the Pearson score square what follows: an
+    # overflow is a numerical failure, not a NaN in the output
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            spec = magnitude_spectrum(corr)
+            if cfg.compensation_mode == "compensated":
+                target = compensate(spec, filter_model(cfg.optical()), cfg.epsilon_fraction)
+            else:
+                target = spec
+            support = cfg.support.select(target)
+            recon = run_retrieval(target, cfg.schedule, support)
+            alignment = None
+            if truth is not None and truth.values.std() > 0 and recon.image.values.std() > 0:
+                alignment = align_and_score(recon.image, truth)
+    except FloatingPointError as exc:
+        sizes = f"the correlation peaks at {np.abs(corr.values).max():.3g}"
+        if truth is not None:
+            sizes += f", the truth at {np.abs(truth.values).max():.3g}"
+        raise NumericalError(f"values too large to reconstruct ({exc}): {sizes}") from None
     return ReconstructionResult(corr, spec, target, support, recon, alignment)
 
 
@@ -93,6 +93,17 @@ def run_pipeline(cfg: RunConfig):
     return ms, obj, result
 
 
+def separation_px(grid: Grid2D, separation: float) -> int:
+    """Pixels between the two points of a probe ``separation`` meters apart;
+    ConfigError unless that is at least 2 and both points lie in the central half."""
+    if not 2 * grid.pitch <= separation <= grid.nx * grid.pitch:
+        raise ConfigError(f"separation {separation} m must be between 2 pixels "
+                          f"({2 * grid.pitch} m) and the grid width ({grid.nx * grid.pitch} m)")
+    sep_px = int(round(separation / grid.pitch))
+    objects.two_point_columns(grid, sep_px)
+    return sep_px
+
+
 def resolution_probe(cfg: RunConfig, separation: float) -> dict:
     """Two-point resolvability at a physical separation (meters).
 
@@ -100,11 +111,7 @@ def resolution_probe(cfg: RunConfig, separation: float) -> dict:
     dip contrast of the aligned reconstruction.
     """
     grid = cfg.grid()
-    if separation < 2 * grid.pitch:
-        raise ConfigError(
-            f"separation {separation} m must be at least 2 pixels ({2 * grid.pitch} m)"
-        )
-    sep_px = int(round(separation / grid.pitch))
+    sep_px = separation_px(grid, separation)
     cfg = replace(cfg, object_source=f"two-points({sep_px})")
     ms, obj, result = run_pipeline(cfg)
     y, x_left, x_right = objects.two_point_columns(grid, sep_px)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError, UsageError
-from .grid import Grid2D, MagnitudeSpectrum, RealImage, point_reflect, require_mask_in_central_half
+from .grid import (Grid2D, MagnitudeSpectrum, RealImage, freeze_field, point_reflect,
+                   require_mask_in_central_half)
 from .patterns import _philox
 
 _STREAM_RESTART = 0x5245_5354
@@ -31,14 +32,10 @@ class SupportMask:
     mask: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.mask, dtype=bool)
-        if m.shape != self.grid.shape:
-            raise ConfigError("support mask shape does not match grid")
-        if not m.any():
+        freeze_field(self, "mask", "support mask", self.grid.shape, bool)
+        if not self.mask.any():
             raise ConfigError("support mask has no pixels")
-        require_mask_in_central_half(self.grid, m, "support mask")
-        m.setflags(write=False)
-        object.__setattr__(self, "mask", m)
+        require_mask_in_central_half(self.grid, self.mask, "support mask")
 
 
 def centered_box_mask(grid: Grid2D, height: int, width: int) -> SupportMask:
@@ -143,9 +140,7 @@ class Reconstruction:
     ef_trace: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.ef_trace, dtype=np.float64)
-        t.setflags(write=False)
-        object.__setattr__(self, "ef_trace", t)
+        freeze_field(self, "ef_trace", "E_F trace", (np.size(self.ef_trace),))  # any length
 
     @property
     def fourier_error(self) -> float:

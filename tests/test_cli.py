@@ -284,14 +284,21 @@ class TestBadInputs:
     def test_extreme_finite_values(self, tmp_path, capsys, case):
         # every float key at the ends of the float range: each run either
         # works or exits with its documented code, and no traceback escapes;
-        # an exit 2 from simulate names the key and writes nothing
+        # an exit 2 from simulate names the key and writes nothing, and a
+        # reconstruct that exits 0 wrote a finite E_F, one that exits 4 nothing
         base = ["--grid.nx", "16", "--grid.ny", "16", "--optical.case", case,
                 "--ensemble.count", "64", "--object", "rectangle(2,2)",
                 "--schedule.cycles", "1", "--schedule.restarts", "1", "--schedule.final-er", "5"]
         noise = {"noise.snr_db": "gaussian", "noise.photons": "poisson"}
         sweep = [(key, value) for key, (_, parser) in KEYMAP.items() if parser is float
                  for value in ("1e308", "-1e308", "1e300", "1e-300", "5e-324")]
-        for n, (key, value) in enumerate([*sweep, ("support.margin_px", str(10**30))]):
+        # finite values that give finite buckets too large to square
+        big = np.zeros((16, 16))
+        big[7:9, 7:9] = 1e200
+        arrayio.write_array(str(tmp_path / "big.f64"), big, 1.25e-5)
+        overflows = [("noise.snr_db", "-6000"), ("object", str(tmp_path / "big.f64"))]
+        sweep += [*overflows, ("grid.pitch", "1e150"), ("support.margin_px", str(10**30))]
+        for n, (key, value) in enumerate(sweep):
             out = str(tmp_path / str(n))
             argv = [*base, "--" + key.replace("_", "-"), value,
                     "--noise.kind", noise.get(key, "none")]
@@ -303,6 +310,14 @@ class TestBadInputs:
             if code == 0:
                 code = run_cli("reconstruct", "--run", out, "--compensation.mode", "compensated")
                 err = capsys.readouterr().err
+                metrics = os.path.join(out, "metrics.txt")
+                if code == 0:
+                    ef = float(arrayio.read_flat_config(metrics)["fourier_error"])
+                    assert np.isfinite(ef), (key, value)
+                if code == 4:
+                    assert not os.path.exists(metrics), (key, value)
+                if (key, value) in overflows:
+                    assert code == 4 and "too large to reconstruct" in err, (key, value, err)
             assert code in (0, 2, 3, 4), (key, value, code)
             assert "Traceback" not in err
 
@@ -381,11 +396,18 @@ class TestBadInputs:
         ("simulate", ["--object", "rectangle(a,6)"], "object 'rectangle(a,6)'"),
         *[("simulate", ["--object", spec], f"object {spec!r}: {size} must be >= 1 px")
           for spec, size in BAD_OBJECT_SIZES],
+        # every separation is checked before the first probe: wider than the
+        # grid, below 2 px, or a pair off the central half (16 px on 32x32)
+        ("resolution", ["--separations", "1e308"], "--separations 1e+308: separation"),
+        ("resolution", ["--separations-rel", "1e308"], "--separations-rel 1e+308: separation"),
+        ("resolution", ["--separations-rel", "1.4,2,1e308"], "--separations-rel 1e+308"),
+        ("resolution", ["--separations", "1e-5"], "--separations 1e-05: separation"),
+        ("resolution", ["--separations", "2e-4"], "--separations 0.0002: two-point pair"),
     ])
     def test_integer_below_minimum(self, run_dir, tmp_path, capsys, command, flags, name):
-        # and real-valued keys out of range, and values the models reject:
-        # each is rejected before any output, when the config is read (the
-        # object when simulate builds it)
+        # and real-valued keys out of range, values the models reject and
+        # separations no probe can use: each is rejected before any output,
+        # when the config is read (the object when simulate builds it)
         where = ["--run", run_dir] if command == "reconstruct" else SMALL
         out = tmp_path / "o"
         assert run_cli(command, *where, "--out", str(out), *flags) == 2

@@ -19,7 +19,11 @@ from blindgi import (
     disk_autocorrelation,
     point_reflect,
 )
+from blindgi.correlation import CorrelationImage
+from blindgi.forward import PSF, MeasurementSet
 from blindgi.grid import centered_disk
+from blindgi.patterns import EnsembleSpec
+from blindgi.retrieval import Reconstruction, SupportMask
 
 
 def grid(n=8, pitch=1e-5):
@@ -88,6 +92,44 @@ class TestGrid2D:
         x[2, 5] = -1e-300
         with pytest.raises(DataError, match="nonnegative"):
             MagnitudeSpectrum(grid(8), x)
+
+
+# Every record that holds an array: (the field, its dtype and number of axes,
+# a builder taking the array), on an 8x8 grid and an ensemble of 4.
+G8 = Grid2D(nx=8, ny=8, pitch=1e-5)
+RECORDS = {
+    "RealImage": ("values", float, 2, lambda v: RealImage(G8, v)),
+    "MagnitudeSpectrum": ("values", float, 2, lambda v: MagnitudeSpectrum(G8, v)),
+    "CorrelationImage": ("values", float, 2, lambda v: CorrelationImage(G8, v, 4)),
+    "PSF": ("values", float, 2, lambda v: PSF(G8, v)),
+    "MeasurementSet": ("buckets", float, 1,
+                       lambda v: MeasurementSet(EnsembleSpec("pixel-scan", G8, 4), v)),
+    "SupportMask": ("mask", bool, 2, lambda v: SupportMask(G8, v)),
+    "Reconstruction": ("ef_trace", float, 1,
+                       lambda v: Reconstruction(RealImage(G8, np.zeros((8, 8))), 0, v)),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_holds_a_read_only_copy(name):
+    # the array a record is built from stays writable, and writing to it, or
+    # to the array it is a view of, leaves the record unchanged
+    field, dtype, ndim, build = RECORDS[name]
+    if ndim == 2:
+        base = np.zeros((2, 8, 8), dtype)
+        base[:, 4, 4] = 1  # one unit pixel: a unit-sum PSF, a support in the central half
+        view = base[0]
+    else:
+        base = np.arange(1.0, 9.0)
+        view = base[:4]
+    held = getattr(build(view), field)
+    want = held.copy()
+    assert view.flags.writeable and base.flags.writeable
+    assert not held.flags.writeable
+    view[...] = 0
+    npt.assert_array_equal(held, want)
+    base[...] = 1
+    npt.assert_array_equal(held, want)
 
 
 class TestFFT:

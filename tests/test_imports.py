@@ -1,5 +1,5 @@
-"""Source hygiene: every import in the package modules is used, and every
-import sits at module level."""
+"""Source hygiene: every import in the package modules is used, every
+import sits at module level, and one helper freezes arrays."""
 
 import ast
 import glob
@@ -69,3 +69,15 @@ def test_finds_function_local_import():
 def test_no_function_local_imports(path):
     with open(path, encoding="utf-8") as fh:
         assert function_local_imports(fh.read()) == []
+
+
+def test_only_grid_freezes_arrays():
+    # grid.freeze_field is the one place a record's array is made read-only
+    callers = set()
+    for path in ALL_MODULES:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        if any(isinstance(node, ast.Attribute) and node.attr == "setflags"
+               for node in ast.walk(tree)):
+            callers.add(os.path.basename(path))
+    assert callers == {"grid.py"}

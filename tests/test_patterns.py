@@ -138,6 +138,22 @@ class TestGeneratePattern:
             want = np.array(fields)[:, :npix] < round(fill * 2**w)
             npt.assert_array_equal(pattern_batch(s, 0, 4), want.reshape(4, 33, 31))
 
+    def test_batch_at_a_multiword_counter(self):
+        # pattern 2^64 + 5 of a fixed-fill ensemble starts at a counter above
+        # 2^64, so the stream counter spans two words; its rows are the k lowest
+        # 32-bit scores of the words a fresh stream advanced to that counter reads
+        npix, fill = 33 * 31, 0.3
+        s = spec(kind="random-fixed-fill", n=33, nx=31, count=2**70, fill=fill, seed=11)
+        start, per = 2**64 + 5, -(-npix * 32 // 256)
+        bits = np.random.Philox(key=[11, _STREAM_PATTERNS])
+        bits.advance(start * per)
+        raw = bits.random_raw(2 * per * 4).astype("<u8")
+        scores = raw.view("<u4").reshape(2, per * 8)[:, :npix]
+        want = np.zeros((2, npix))
+        for row, lowest in zip(want, np.argsort(scores, axis=1, kind="stable")):
+            row[lowest[: round(fill * npix)]] = 1.0
+        npt.assert_array_equal(pattern_batch(s, start, start + 2), want.reshape(2, 33, 31))
+
     def test_hadamard_first_is_all_ones(self):
         s = spec(kind="hadamard", n=8, count=64)
         npt.assert_array_equal(one(s, 0), 1.0)
