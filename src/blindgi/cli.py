@@ -22,11 +22,10 @@ from dataclasses import replace
 from . import arrayio
 from .config import RunConfig, config_from_entries, config_to_entries
 from .errors import BlindGIError, ConfigError, DataError, FormatError, UsageError
-from .evaluation import align_and_score
 from .forward import MeasurementSet
 from .grid import RealImage
-from .patterns import iter_chunks
-from .pipeline import (read_image, resolution_probe, run_reconstruction, run_simulation,
+from .patterns import iter_chunks, unpack
+from .pipeline import (read_image, resolution_probe, run_reconstruction, run_simulation, score,
                        separation_px)
 
 CONFIG_FILE = "run_config.txt"
@@ -93,8 +92,8 @@ def cmd_simulate(args, overrides) -> int:
     if args.dump_patterns:
         # patterns 0..K-1 are the whole ensemble of count K: one pass writes them
         first = replace(ms.ensemble, count=min(args.dump_patterns, ms.ensemble.count))
-        for lo, _, batch in iter_chunks(first):
-            for j, pattern in enumerate(batch, start=lo):
+        for lo, _, packed in iter_chunks(first):
+            for j, pattern in enumerate(unpack(first, packed), start=lo):
                 arrayio.write_pgm16(os.path.join(args.out, f"pattern_{j:06d}.pgm"), pattern)
     _write_run_config(args.out, cfg)
     print(f"simulated {ms.ensemble.count} buckets -> {args.out}")
@@ -173,7 +172,7 @@ def cmd_evaluate(args, overrides) -> int:
     recon_path = os.path.join(args.run, "reconstruction.f64")
     if not os.path.exists(recon_path):
         raise FormatError(f"no reconstruction.f64 in {args.run}; run reconstruct first")
-    result = align_and_score(read_image(recon_path, cfg.grid()), truth)
+    result = score(read_image(recon_path, cfg.grid()), truth)
     out_dir = args.out or args.run
     _make_out_dir(out_dir)
     path = os.path.join(out_dir, "evaluation.csv")

@@ -17,6 +17,15 @@ random-fixed-fill always uses w = 32.  A batch of n patterns draws exactly its
 n * P counters, in row blocks of about 256 KB so that it never holds them all,
 and leaves its generator at the next pattern's first counter: a pass continues
 one generator from counter 0, and a lone batch starts one at its first counter.
+
+A chunk of patterns is packed bits, for every kind: pattern j is one row of
+``ceil(npixels / 8)`` uint8 bytes, and bit i (little bit order) of byte b is
+pixel ``8b + i`` in row-major order, 1 where the pixel is on; the padding bits
+of the last byte are 0.  At w = 1 the inverted Philox bytes already are that
+row.  Only this module knows the layout: ``unpack`` turns rows into float64
+patterns, and ``byte_table`` and ``byte_table_transpose`` turn per-pixel sums
+into per-byte lookups and back, so a bucket is one table lookup per byte and a
+correlation one weighted histogram of (byte position, byte value) per chunk.
 """
 
 from __future__ import annotations
@@ -100,41 +109,46 @@ def _score_bits(fill: float) -> int:
     return next((w for w in (1, 8, 16) if (fill * 2**w).is_integer()), 32)
 
 
-def _next_scores(bits: np.random.Philox, n: int, npix: int, w: int) -> np.ndarray:
-    """w-bit scores of the next n patterns of the stream, shape (n, npix).
-
-    w is 1, 8, 16 or 32; the scores are uint8 bits for w = 1, else uintw.
-    """
-    per = -(-npix * w // 256)  # counters per pattern
+def _next_bytes(bits: np.random.Philox, n: int, per: int) -> np.ndarray:
+    """The next n patterns' Philox words as bytes, shape (n, per * 32), for
+    patterns of ``per`` counters each."""
     raw = bits.random_raw(n * per * 4).astype("<u8", copy=False)
-    raw = raw.view(np.uint8).reshape(n, per * 32)
-    if w == 1:
-        return np.unpackbits(raw, axis=1, count=npix, bitorder="little")
-    return raw.view(f"<u{w // 8}")[:, :npix]
+    return raw.view(np.uint8).reshape(n, per * 32)
 
 
-def _fixed_fill(scores: np.ndarray, k: int, out: np.ndarray) -> None:
-    """Set row i of ``out`` (n, npix) to 1 on its k lowest scores, 0 elsewhere.
+def _fixed_fill(scores: np.ndarray, k: int, part: np.ndarray) -> np.ndarray:
+    """Bool rows (n, npix), True on each row's k lowest scores.
 
     The k-th order statistic (counting from 0) comes from partitioning a copy
-    of the scores held in ``out``'s own memory: a fresh scratch array per
-    chunk costs hundreds of page faults.  A row's pixels below that statistic
-    are exactly its k lowest unless a lower score ties it; such rows are
-    redone by index.
+    of the scores held in the caller's uint32 scratch ``part``, of the scores'
+    width and at least as many rows: a fresh scratch array per block costs
+    page faults.  A row's pixels below that statistic are exactly its k lowest
+    unless a lower score ties it; such rows are redone by index.
     """
-    part = out.view(np.uint32)[:, : scores.shape[1]]
+    part = part[: len(scores)]
     part[...] = scores
     part.partition(k, axis=1)
     kth = part[:, k : k + 1].copy()
     tied = np.flatnonzero(part[:, :k].max(axis=1) == kth[:, 0])
-    np.less(scores, kth, out=out)
+    on = scores < kth
     for i in tied:
-        out[i] = 0.0
-        out[i, np.argpartition(scores[i], k)[:k]] = 1.0
+        on[i] = False
+        on[i, np.argpartition(scores[i], k)[:k]] = True
+    return on
 
 
-# Bytes of Philox words a random batch draws, or of patterns a lag sum
-# shifts, at a time.
+def _pack(on: np.ndarray) -> np.ndarray:
+    """Packed rows of a bool (n, npixels) array; the padding bits are 0."""
+    return np.packbits(on, axis=1, bitorder="little")
+
+
+def packed_width(grid: Grid2D) -> int:
+    """Bytes in one packed pattern row: ceil(npixels / 8)."""
+    return -(-grid.npixels // 8)
+
+
+# Bytes of Philox words a random batch draws, of patterns a lag sum shifts,
+# or of unpacked patterns ``unpack`` writes, at a time.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -145,72 +159,137 @@ def pattern_batch(
     out: np.ndarray | None = None,
     bits: np.random.Philox | None = None,
 ) -> np.ndarray:
-    """Patterns start..stop-1 stacked as a (stop-start, ny, nx) float array.
+    """Patterns start..stop-1 as packed rows, a (stop-start, ceil(npixels/8)) uint8 array.
 
-    They are written into ``out`` when it is given (a C-contiguous float64
-    array of that shape), which is then returned.  A given Philox ``bits``
-    continues a pass: the batches before this one left it at pattern
-    ``start``'s first counter.  Without it the batch starts a generator there.
+    Bit i (little bit order) of byte b of a row is pixel 8b + i in row-major
+    order, 1 where it is on; the padding bits of the last byte are 0.
+    ``unpack`` turns rows into float64 patterns.  They are written into
+    ``out`` when it is given (a C-contiguous uint8 array of that shape), which
+    is then returned.  A given Philox ``bits`` continues a pass: the batches
+    before this one left it at pattern ``start``'s first counter.  Without it
+    the batch starts a generator there.
     """
     if not 0 <= start <= stop <= spec.count:
         raise UsageError(f"batch range [{start}, {stop}) out of bounds for count {spec.count}")
     ny, nx = spec.grid.shape
-    n = stop - start
+    npix, nb, n = ny * nx, packed_width(spec.grid), stop - start
     if out is None:
-        out = np.empty((n, ny, nx))
-    elif out.shape != (n, ny, nx) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        out = np.empty((n, nb), dtype=np.uint8)
+    elif out.shape != (n, nb) or out.dtype != np.uint8 or not out.flags.c_contiguous:
         raise UsageError(
-            f"pattern buffer must be a C-contiguous float64 array of shape {(n, ny, nx)}, "
+            f"pattern buffer must be a C-contiguous uint8 array of shape {(n, nb)}, "
             f"got {out.dtype} {out.shape}"
         )
-    flat = out.reshape(n, ny * nx)
     if spec.kind in ("random-binary", "random-fixed-fill"):
+        fixed = spec.kind == "random-fixed-fill"
         fill = spec.fill_fraction
-        w = 32 if spec.kind == "random-fixed-fill" else _score_bits(fill)
-        k = min(max(int(round(fill * ny * nx)), 1), ny * nx - 1)
+        w = 32 if fixed else _score_bits(fill)
+        k = min(max(int(round(fill * npix)), 1), npix - 1)
         threshold = min(round(fill * 2**w), 2**w - 1)
-        per = -(-ny * nx * w // 256)
+        per = -(-npix * w // 256)
         if bits is None:
             bits = np.random.Philox(key=_key(spec.seed, _STREAM_PATTERNS), counter=start * per)
         rows = max(1, _BLOCK_BYTES // (per * 32))
+        part = np.empty((min(rows, n), npix), dtype=np.uint32) if fixed else None
         for a in range(0, n, rows):
-            block = flat[a : a + rows]
-            scores = _next_scores(bits, len(block), ny * nx, w)
-            if spec.kind == "random-binary":
-                np.less(scores, scores.dtype.type(threshold), out=block)
+            block = out[a : a + rows]
+            raw = _next_bytes(bits, len(block), per)
+            if w == 1:  # a pixel is on where its bit is below 1
+                np.invert(raw[:, :nb], out=block)
             else:
-                _fixed_fill(scores, k, block)
+                scores = raw.view(f"<u{w // 8}")[:, :npix]
+                block[...] = _pack(_fixed_fill(scores, k, part) if fixed else scores < threshold)
+        if w == 1 and npix % 8:
+            out[:, -1] &= (1 << npix % 8) - 1  # zero the padding bits
     elif spec.kind == "hadamard":
         j = np.arange(start, stop)
-        hy, hx = _hadamard(ny)[j // nx], _hadamard(nx)[j % nx]
-        np.multiply(hy[:, :, None], hx[:, None, :], out=out)
-        out += 1
-        out /= 2
+        hy, hx = _hadamard(ny)[j // nx] > 0, _hadamard(nx)[j % nx] > 0
+        out[...] = _pack((hy[:, :, None] == hx[:, None, :]).reshape(n, npix))
     else:
-        flat[:] = 0.0
-        flat[np.arange(n), np.arange(start, stop)] = 1.0
+        j = np.arange(start, stop)
+        out[...] = 0
+        out[np.arange(n), j // 8] = 1 << (j % 8)
     return out
+
+
+def unpack(spec: EnsembleSpec, packed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Packed pattern rows as a float64 (n, ny, nx) array of 0s and 1s.
+
+    They are written into ``out`` when it is given (an array of that shape),
+    which is then returned.  Rows are unpacked a block at a time, so no second
+    copy of the patterns is made.
+    """
+    npix = spec.grid.npixels
+    if out is None:
+        out = np.empty((len(packed), *spec.grid.shape))
+    rows = max(1, _BLOCK_BYTES // npix)
+    for a in range(0, len(packed), rows):
+        on = np.unpackbits(packed[a : a + rows], axis=1, count=npix, bitorder="little")
+        out[a : a + rows] = on.reshape(-1, *spec.grid.shape)
+    return out
+
+
+# _BYTE_BITS[v, i] is bit i of byte value v, little bit order.
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(np.float64)
+
+
+def byte_table(values: np.ndarray) -> np.ndarray:
+    """Per-byte sums T[b, v] = sum_i bit_i(v) * x[8b + i] of per-pixel values x.
+
+    ``values`` holds x in row-major pixel order (any shape).  T has shape
+    (ceil(npixels / 8), 256), so a packed row r weighs sum_p M(p) x(p) =
+    sum_b T[b, r[b]].
+    """
+    x = np.zeros(-(-values.size // 8) * 8)
+    x[: values.size] = values.ravel()
+    return x.reshape(-1, 8) @ _BYTE_BITS.T
+
+
+def byte_table_transpose(table: np.ndarray, npixels: int) -> np.ndarray:
+    """The transpose of ``byte_table``: x[8b + i] = sum_v bit_i(v) * table[b, v].
+
+    ``table`` holds ceil(npixels / 8) * 256 values, as (b, v) or raveled; the
+    result has shape (npixels,).
+    """
+    return (np.reshape(table, (-1, 256)) @ _BYTE_BITS).ravel()[:npixels]
 
 
 # Chunk size for streaming passes over an ensemble.  Fixed so that summation
 # order never depends on the caller.  On 64x64, 32 to 256 ran equally fast;
-# 128 keeps a pass's workspace at 4 MB and its Python overhead small on small
+# 128 keeps a pass's workspace at 64 KB and its Python overhead small on small
 # grids.
 STREAM_CHUNK = 128
 
 
 def iter_chunks(spec: EnsembleSpec):
-    """Yield ``(lo, hi, patterns lo..hi-1)`` over the ensemble in fixed chunks.
+    """Yield ``(lo, hi, packed rows of patterns lo..hi-1)`` over the ensemble in fixed chunks.
 
-    A pass allocates one chunk-sized workspace and one bit generator, and
-    every chunk it yields is a view of that workspace: a chunk is valid only
-    until the next one is asked for, so a caller that keeps one must copy it.
+    A pass allocates one chunk-sized workspace (128 x 512 bytes at 64x64) and
+    one bit generator, and every chunk it yields is a view of that workspace:
+    a chunk is valid only until the next one is asked for, so a caller that
+    keeps one must copy it.
     """
-    work = np.empty((min(STREAM_CHUNK, spec.count), *spec.grid.shape))
+    work = np.empty((min(STREAM_CHUNK, spec.count), packed_width(spec.grid)), dtype=np.uint8)
     bits = np.random.Philox(key=_key(spec.seed, _STREAM_PATTERNS))
     for lo in range(0, spec.count, STREAM_CHUNK):
         hi = min(lo + STREAM_CHUNK, spec.count)
         yield lo, hi, pattern_batch(spec, lo, hi, work[: hi - lo], bits)
+
+
+def iter_table_indices(spec: EnsembleSpec):
+    """Yield ``(lo, hi, idx)`` over the chunks of ``iter_chunks``.
+
+    ``idx[j, b] = 256 b + r[b]`` for the packed row r of pattern lo + j: the
+    flat index of byte b's entry in a raveled ``byte_table``.  Each idx is a
+    view of one intp workspace, valid until the next chunk is asked for.
+    """
+    nb = packed_width(spec.grid)
+    offsets = np.arange(0, 256 * nb, 256, dtype=np.intp)
+    work = np.empty((min(STREAM_CHUNK, spec.count), nb), dtype=np.intp)
+    for lo, hi, packed in iter_chunks(spec):
+        yield lo, hi, np.add(packed, offsets, out=work[: hi - lo])
 
 
 def _lag_sums(stack: np.ndarray, lags: list[tuple[int, int]]) -> np.ndarray:
@@ -256,7 +335,10 @@ def ensemble_autocorrelations(
     total = np.zeros(spec.grid.shape)  # per-pixel sum of the patterns so far
     prod = np.zeros(len(lags))  # sum over those patterns of sum_p M(p) M(p+lag)
     out = np.empty((len(counts), len(lags)))
-    for lo, hi, batch in iter_chunks(replace(spec, count=max(counts))):
+    spec = replace(spec, count=max(counts))
+    work = np.empty((min(STREAM_CHUNK, spec.count), ny, nx))
+    for lo, hi, packed in iter_chunks(spec):
+        batch = unpack(spec, packed, work[: hi - lo])
         per_pattern = _lag_sums(batch, lags)
         for i, c in enumerate(counts):
             if lo < c <= hi:

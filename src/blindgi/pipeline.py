@@ -8,6 +8,7 @@ numbers.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +48,29 @@ def run_simulation(cfg: RunConfig, obj: RealImage | None = None):
     return simulate(obj, psf, cfg.ensemble(), cfg.noise(), cfg.psf_seed), obj, psf
 
 
+@contextmanager
+def _overflow_guard(action: str, **arrays: np.ndarray):
+    """Run the block with numpy overflow and invalid operations raised.
+
+    Squares of large finite values overflow in the support estimate, E_F and
+    the Pearson score: that is a numerical failure naming ``action`` and the
+    peak of each named array, not a NaN or a warning in the output.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        sizes = ", ".join(f"the {name} peaks at {np.abs(values).max():.3g}"
+                          for name, values in arrays.items())
+        raise NumericalError(f"values too large to {action} ({exc}): {sizes}") from None
+
+
+def score(recon: RealImage, truth: RealImage) -> AlignmentResult:
+    """``align_and_score`` under the overflow guard."""
+    with _overflow_guard("score", reconstruction=recon.values, truth=truth.values):
+        return align_and_score(recon, truth)
+
+
 @dataclass(frozen=True)
 class ReconstructionResult:
     correlation: CorrelationImage
@@ -64,25 +88,20 @@ def run_reconstruction(
 ) -> ReconstructionResult:
     """Correlate, form the magnitude target per the configured mode, retrieve."""
     corr = correlate(measurements)
-    # the support estimate, E_F and the Pearson score square what follows: an
-    # overflow is a numerical failure, not a NaN in the output
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            spec = magnitude_spectrum(corr)
-            if cfg.compensation_mode == "compensated":
-                target = compensate(spec, filter_model(cfg.optical()), cfg.epsilon_fraction)
-            else:
-                target = spec
-            support = cfg.support.select(target)
-            recon = run_retrieval(target, cfg.schedule, support)
-            alignment = None
-            if truth is not None and truth.values.std() > 0 and recon.image.values.std() > 0:
-                alignment = align_and_score(recon.image, truth)
-    except FloatingPointError as exc:
-        sizes = f"the correlation peaks at {np.abs(corr.values).max():.3g}"
-        if truth is not None:
-            sizes += f", the truth at {np.abs(truth.values).max():.3g}"
-        raise NumericalError(f"values too large to reconstruct ({exc}): {sizes}") from None
+    arrays = {"correlation": corr.values}
+    if truth is not None:
+        arrays["truth"] = truth.values
+    with _overflow_guard("reconstruct", **arrays):
+        spec = magnitude_spectrum(corr)
+        if cfg.compensation_mode == "compensated":
+            target = compensate(spec, filter_model(cfg.optical()), cfg.epsilon_fraction)
+        else:
+            target = spec
+        support = cfg.support.select(target)
+        recon = run_retrieval(target, cfg.schedule, support)
+        alignment = None
+        if truth is not None and truth.values.std() > 0 and recon.image.values.std() > 0:
+            alignment = align_and_score(recon.image, truth)
     return ReconstructionResult(corr, spec, target, support, recon, alignment)
 
 

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from blindgi import arrayio, cli, errors
 from blindgi.cli import main
 from blindgi.config import KEYMAP, config_from_entries
-from blindgi.patterns import pattern_batch
+from blindgi.patterns import pattern_batch, unpack
 
 
 def run_cli(*argv):
@@ -75,7 +75,7 @@ class TestSimulate:
         out = str(tmp_path / "edge")
         assert run_cli("simulate", "--out", out, "--dump-patterns", "130", *SMALL) == 0
         cfg = config_from_entries(arrayio.read_flat_config(os.path.join(out, "run_config.txt")))
-        patterns = pattern_batch(cfg.ensemble(), 0, 130)
+        patterns = unpack(cfg.ensemble(), pattern_batch(cfg.ensemble(), 0, 130))
         want = str(tmp_path / "want.pgm")
         for j in range(130):
             arrayio.write_pgm16(want, patterns[j])
@@ -320,6 +320,16 @@ class TestBadInputs:
                     assert code == 4 and "too large to reconstruct" in err, (key, value, err)
             assert code in (0, 2, 3, 4), (key, value, code)
             assert "Traceback" not in err
+        # a finite reconstruction too large to score: evaluate exits 4 and writes nothing
+        out = str(tmp_path / "score")
+        assert run_cli("simulate", "--out", out, *base) == 0
+        assert run_cli("reconstruct", "--run", out) == 0
+        arrayio.write_array(os.path.join(out, "reconstruction.f64"), big, 1.25e-5)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--run", out) == 4
+        err = capsys.readouterr().err
+        assert "values too large to score" in err and "the reconstruction peaks at 1e+200" in err
+        assert not os.path.exists(os.path.join(out, "evaluation.csv"))
 
     def test_workers_flag_is_unknown(self, run_dir, tmp_path, capsys):
         # every stage runs on one thread; no subcommand takes --workers

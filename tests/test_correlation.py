@@ -24,7 +24,7 @@ from blindgi import (
     simulate,
 )
 from blindgi.forward import MeasurementSet, otf_magnitude, psf_for
-from blindgi.patterns import pattern_batch
+from blindgi.patterns import pattern_batch, unpack
 from blindgi import objects
 
 
@@ -111,7 +111,7 @@ class TestCorrelate:
         ms = simulate(obj, psf_for(cfg, 2), ens, NoiseModel(), psf_seed=2)
         streamed = correlate(ms).values
         # two-pass reference: materialize all patterns
-        stack = pattern_batch(ens, 0, ens.count)
+        stack = unpack(ens, pattern_batch(ens, 0, ens.count))
         b = ms.buckets
         ref = np.einsum("j,jyx->yx", b - b.mean(), stack - stack.mean(axis=0)) / ens.count
         assert np.max(np.abs(streamed - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -119,15 +119,16 @@ class TestCorrelate:
     def test_rerun_byte_identical_and_matches_dense(self):
         cfg = optical(n=32)
         obj = objects.rectangle(cfg.object_grid, 8, 6)
-        ens = EnsembleSpec(kind="random-fixed-fill", grid=cfg.object_grid, count=1000, seed=5)
-        ms = simulate(obj, psf_for(cfg, 2), ens, NoiseModel(), psf_seed=2)
-        first = correlate(ms).values
-        npt.assert_array_equal(first, correlate(ms).values)
-        # dense reference on the materialized ensemble, both sides centred
-        m = pattern_batch(ens, 0, ens.count).reshape(ens.count, -1)
-        b = ms.buckets
-        ref = ((b - b.mean()) @ (m - m.mean(axis=0)) / ens.count).reshape(first.shape)
-        assert np.max(np.abs(first - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for kind in ("random-fixed-fill", "random-binary", "hadamard"):
+            ens = EnsembleSpec(kind=kind, grid=cfg.object_grid, count=1000, seed=5)
+            ms = simulate(obj, psf_for(cfg, 2), ens, NoiseModel(), psf_seed=2)
+            first = correlate(ms).values
+            npt.assert_array_equal(first, correlate(ms).values)
+            # dense reference on the materialized ensemble, both sides centred
+            m = unpack(ens, pattern_batch(ens, 0, ens.count)).reshape(ens.count, -1)
+            b = ms.buckets
+            ref = ((b - b.mean()) @ (m - m.mean(axis=0)) / ens.count).reshape(first.shape)
+            assert np.max(np.abs(first - ref)) <= 1e-12 * np.max(np.abs(ref)), kind
 
     @pytest.mark.slow
     def test_converges_to_complete_basis_limit(self):

@@ -29,7 +29,7 @@ import blindgi.pipeline
 from blindgi.config import RunConfig
 from blindgi.forward import otf_magnitude
 from blindgi.pipeline import run_simulation
-from blindgi.patterns import pattern_batch
+from blindgi.patterns import pattern_batch, unpack
 from blindgi import objects
 from reference import bucket, illuminate
 
@@ -237,7 +237,7 @@ class TestSimulate:
         spec = EnsembleSpec(kind="pixel-scan", grid=cfg.object_grid, count=1, seed=0)
         psf = psf_for(cfg, 9)
         ms = simulate(obj, psf, spec, NoiseModel(), psf_seed=9)
-        pat = pattern_batch(spec, 0, 1)[0]
+        pat = unpack(spec, pattern_batch(spec, 0, 1))[0]
         want = bucket(obj, illuminate(pat, psf))
         assert abs(ms.buckets[0] - want) <= 1e-10 * abs(want)
 
@@ -248,6 +248,11 @@ class TestSimulate:
         a = simulate(obj, psf, self.ensemble(), NoiseModel(), psf_seed=4).buckets
         b = simulate(obj, psf, self.ensemble(), NoiseModel(), psf_seed=4).buckets
         npt.assert_array_equal(a, b)
+        # the per-byte table lookup is the dense M @ w up to roundoff
+        ens = self.ensemble()
+        m = unpack(ens, pattern_batch(ens, 0, ens.count)).reshape(ens.count, -1)
+        dense = m @ blindgi.forward.bucket_weights(obj, psf).ravel()
+        assert np.all(np.abs(a - dense) <= 1e-13 * np.abs(dense))
 
     def test_support_validation(self):
         cfg = optical()

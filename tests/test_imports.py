@@ -1,5 +1,6 @@
 """Source hygiene: every import in the package modules is used, every
-import sits at module level, and one helper freezes arrays."""
+import sits at module level, one helper freezes arrays, and one module packs
+pattern bits."""
 
 import ast
 import glob
@@ -81,3 +82,15 @@ def test_only_grid_freezes_arrays():
                for node in ast.walk(tree)):
             callers.add(os.path.basename(path))
     assert callers == {"grid.py"}
+
+
+def test_only_patterns_knows_the_bit_layout():
+    # a packed pattern row is read or written through patterns.py alone
+    callers = set()
+    for path in ALL_MODULES:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        if any(isinstance(node, ast.Attribute) and node.attr in ("packbits", "unpackbits")
+               for node in ast.walk(tree)):
+            callers.add(os.path.basename(path))
+    assert callers == {"patterns.py"}

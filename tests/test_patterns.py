@@ -24,9 +24,13 @@ from blindgi.patterns import (
     _fixed_fill,
     _hadamard,
     _philox,
+    byte_table,
+    byte_table_transpose,
     ensemble_autocorrelations,
     iter_chunks,
+    packed_width,
     pattern_batch,
+    unpack,
 )
 from scipy.linalg import hadamard
 
@@ -40,9 +44,14 @@ def spec(kind="random-binary", n=64, count=16, fill=0.5, seed=9, nx=None):
     return EnsembleSpec(kind=kind, grid=g, count=count, fill_fraction=fill, seed=seed)
 
 
+def dense(s, start, stop):
+    """Patterns start..stop-1 of the ensemble ``s`` as a float64 (n, ny, nx) stack."""
+    return unpack(s, pattern_batch(s, start, stop))
+
+
 def one(s, j):
     """Pattern ``j`` of the ensemble ``s``, generated on its own."""
-    return pattern_batch(s, j, j + 1)[0]
+    return dense(s, j, j + 1)[0]
 
 
 class TestGeneratePattern:
@@ -58,7 +67,7 @@ class TestGeneratePattern:
         # fill 0.3 over 256 patterns: within 5 sigma of the binomial mean
         s = spec(count=256, fill=0.3)
         trials = s.count * s.grid.npixels
-        mean = pattern_batch(s, 0, s.count).mean()
+        mean = dense(s, 0, s.count).mean()
         assert abs(mean - 0.3) < 5 * np.sqrt(0.3 * 0.7 / trials)
 
     def test_deterministic_and_order_independent(self):
@@ -103,7 +112,7 @@ class TestGeneratePattern:
             npix = n * nx
             for fill, k in ((1 / npix, 1), (1e-9, 1), ((npix - 1) / npix, npix - 1)):
                 s = spec(kind="random-fixed-fill", n=n, nx=nx, count=200, fill=fill)
-                sums = pattern_batch(s, 0, s.count).sum(axis=(1, 2))
+                sums = dense(s, 0, s.count).sum(axis=(1, 2))
                 npt.assert_array_equal(sums, k)
 
     def test_fixed_fill_repairs_ties(self):
@@ -114,11 +123,11 @@ class TestGeneratePattern:
             [[5, 1, 5, 5, 0, 9], [7, 7, 7, 7, 7, 7], [4, 0, 1, 6, 6, 6], [3, 0, 5, 1, 4, 2]],
             dtype=np.uint32,
         )
-        out = np.full(scores.shape, -1.0)
-        _fixed_fill(scores, k, out)
+        part = np.full((5, 6), 99, dtype=np.uint32)  # scratch with a spare row
+        out = _fixed_fill(scores, k, part)
+        assert out.dtype == bool
         npt.assert_array_equal(out.sum(axis=1), k)
-        assert set(np.unique(out)) == {0.0, 1.0}
-        for row, on in zip(scores, out == 1):
+        for row, on in zip(scores, out):
             assert row[on].max() <= row[~on].min()
         npt.assert_array_equal(out[2], scores[2] < 6)
         npt.assert_array_equal(out[3], scores[3] < 3)
@@ -136,7 +145,7 @@ class TestGeneratePattern:
             fields = [[(int(word) >> (w * b)) & (2**w - 1) for word in row
                        for b in range(64 // w)] for row in raw.reshape(4, per * 4)]
             want = np.array(fields)[:, :npix] < round(fill * 2**w)
-            npt.assert_array_equal(pattern_batch(s, 0, 4), want.reshape(4, 33, 31))
+            npt.assert_array_equal(dense(s, 0, 4), want.reshape(4, 33, 31))
 
     def test_batch_at_a_multiword_counter(self):
         # pattern 2^64 + 5 of a fixed-fill ensemble starts at a counter above
@@ -152,7 +161,7 @@ class TestGeneratePattern:
         want = np.zeros((2, npix))
         for row, lowest in zip(want, np.argsort(scores, axis=1, kind="stable")):
             row[lowest[: round(fill * npix)]] = 1.0
-        npt.assert_array_equal(pattern_batch(s, start, start + 2), want.reshape(2, 33, 31))
+        npt.assert_array_equal(dense(s, start, start + 2), want.reshape(2, 33, 31))
 
     def test_hadamard_first_is_all_ones(self):
         s = spec(kind="hadamard", n=8, count=64)
@@ -163,8 +172,8 @@ class TestGeneratePattern:
         for ny, nx in ((8, 8), (4, 16), (64, 64), (2, 32)):
             s = spec(kind="hadamard", n=ny, nx=nx, count=ny * nx)
             want = (1 + np.kron(hadamard(ny), hadamard(nx))) / 2
-            npt.assert_array_equal(pattern_batch(s, 0, s.count).reshape(s.count, -1), want)
-            npt.assert_array_equal(pattern_batch(s, 5, 21).reshape(16, -1), want[5:21])
+            npt.assert_array_equal(dense(s, 0, s.count).reshape(s.count, -1), want)
+            npt.assert_array_equal(dense(s, 5, 21).reshape(16, -1), want[5:21])
 
     def test_hadamard_builder_matches_scipy(self):
         for k in range(9):
@@ -187,7 +196,7 @@ class TestGeneratePattern:
 
     def test_batch_matches_singles(self):
         s = spec(count=12)
-        batch = pattern_batch(s, 2, 7)
+        batch = dense(s, 2, 7)
         for i, j in enumerate(range(2, 7)):
             npt.assert_array_equal(batch[i], one(s, j))
         # any sub-batch is the same rows of one stream, across chunk
@@ -199,7 +208,49 @@ class TestGeneratePattern:
                 full = pattern_batch(s, 0, s.count)
                 for a, b in ((0, 1), (5, 133), (127, 129), (129, 300), (299, 300)):
                     npt.assert_array_equal(pattern_batch(s, a, b), full[a:b])
-                npt.assert_array_equal(one(s, 131), full[131])
+                npt.assert_array_equal(pattern_batch(s, 131, 132)[0], full[131])
+
+
+class TestPackedFormat:
+    """Bit i (little bit order) of byte b is pixel 8b + i; padding bits are 0."""
+
+    @pytest.mark.parametrize("kind", ["random-binary", "random-fixed-fill", "hadamard",
+                                      "pixel-scan"])
+    @pytest.mark.parametrize("shape", [(64, 64), (33, 31)], ids=["64x64", "33x31"])
+    def test_rows_are_packbits_of_the_patterns(self, kind, shape):
+        # hadamard needs power-of-two sides, so it has no padding bits
+        ny, nx = (16, 32) if kind == "hadamard" and shape == (33, 31) else shape
+        npix = ny * nx
+        for fill in (0.5, 0.3):
+            s = spec(kind=kind, n=ny, nx=nx, count=min(300, npix), fill=fill)
+            packed = pattern_batch(s, 0, s.count)  # crosses the 128-pattern chunk edge
+            assert packed.dtype == np.uint8
+            assert packed.shape == (s.count, packed_width(s.grid)) == (s.count, -(-npix // 8))
+            # decoded by shifts, independently of np.unpackbits
+            bits = (packed[:, :, None] >> np.arange(8, dtype=np.uint8)) & 1
+            pixels = bits.reshape(s.count, -1)
+            patterns = unpack(s, packed)
+            assert patterns.dtype == np.float64 and patterns.shape == (s.count, ny, nx)
+            npt.assert_array_equal(pixels[:, :npix], patterns.reshape(s.count, -1))
+            assert not pixels[:, npix:].any()  # padding bits
+            flat = patterns.reshape(s.count, -1).astype(bool)
+            npt.assert_array_equal(np.packbits(flat, axis=1, bitorder="little"), packed)
+
+    def test_byte_tables_are_dense_sums(self):
+        # sum_b T[b, r[b]] is the dense M @ x, and the transpose sends a table
+        # back to pixels, on 33 x 31 (npixels % 8 = 7)
+        s = spec(kind="random-fixed-fill", n=33, nx=31, count=40, fill=0.3)
+        x = np.random.default_rng(0).standard_normal(s.grid.shape)
+        packed = pattern_batch(s, 0, s.count)
+        table = byte_table(x)
+        assert table.shape == (packed_width(s.grid), 256)
+        want = unpack(s, packed).reshape(s.count, -1) @ x.ravel()
+        got = table[np.arange(packed.shape[1]), packed].sum(axis=1)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(x).sum())
+        h = np.random.default_rng(1).standard_normal(table.shape)
+        # <T(x), h> = <x, T'(h)>
+        assert np.sum(table * h) == pytest.approx(
+            np.dot(x.ravel(), byte_table_transpose(h, s.grid.npixels)), rel=1e-12)
 
 
 def traced_peak(fn):
@@ -227,16 +278,18 @@ class TestChunkWorkspace:
             chunks = list(iter_chunks(s))
             assert [(lo, hi) for lo, hi, _ in chunks] == [(0, 128), (128, 256), (256, 300)]
             assert all(np.shares_memory(chunks[0][2], batch) for _, _, batch in chunks)
-            copies = [batch.copy() for _, _, batch in iter_chunks(s)]
-            npt.assert_array_equal(np.concatenate(copies), pattern_batch(s, 0, s.count))
+            rows = np.concatenate([batch.copy() for _, _, batch in iter_chunks(s)])
+            npt.assert_array_equal(rows, pattern_batch(s, 0, s.count))
+            # a lone batch, across a chunk edge, is the same rows of the pass
+            npt.assert_array_equal(pattern_batch(s, 100, 140), rows[100:140])
 
     def test_batch_writes_into_out(self):
         s = spec(kind="random-fixed-fill", count=20)
-        out = np.full((5, 64, 64), -1.0)
+        out = np.full((5, 512), 0xAA, dtype=np.uint8)
         assert pattern_batch(s, 3, 8, out) is out
         npt.assert_array_equal(out, pattern_batch(s, 3, 8))
-        for bad in (np.empty((4, 64, 64)), np.empty((5, 64, 64), np.float32),
-                    np.empty((5, 64, 128))[:, :, ::2]):
+        for bad in (np.empty((4, 512), np.uint8), np.empty((5, 512)), np.empty((5, 64, 64)),
+                    np.empty((5, 1024), np.uint8)[:, ::2]):
             with pytest.raises(UsageError, match="pattern buffer"):
                 pattern_batch(s, 3, 8, bad)
 
@@ -245,15 +298,18 @@ class TestChunkWorkspace:
         ens, psf = cfg.ensemble(), psf_for(cfg.optical(), cfg.psf_seed)
         obj = objects.from_spec(cfg.grid(), cfg.object_source)
         ms = simulate(obj, psf, ens, NoiseModel(), cfg.psf_seed)
+        # a chunk of float64 patterns; simulate and correlate read packed
+        # chunks and never hold one, ensemble_autocorrelations unpacks into one
         chunk_bytes = STREAM_CHUNK * cfg.grid().npixels * 8
-        for name, fn in (
-            ("simulate", lambda: simulate(obj, psf, ens, NoiseModel(), cfg.psf_seed)),
-            ("correlate", lambda: correlate(ms)),
+        for name, fn, bound in (
+            ("simulate", lambda: simulate(obj, psf, ens, NoiseModel(), cfg.psf_seed), 1.0),
+            ("correlate", lambda: correlate(ms), 1.0),
             ("ensemble_autocorrelations",
-             lambda: ensemble_autocorrelations(ens, [(0, 0), (1, 2), (-3, 5)], [100, ens.count])),
+             lambda: ensemble_autocorrelations(ens, [(0, 0), (1, 2), (-3, 5)], [100, ens.count]),
+             1.25),
         ):
             peak = traced_peak(fn)
-            assert peak < 1.25 * chunk_bytes, f"{name} held {peak / chunk_bytes:.2f} chunks"
+            assert peak < bound * chunk_bytes, f"{name} held {peak / chunk_bytes:.2f} chunks"
 
 
 def test_import_loads_no_scipy():
@@ -286,7 +342,7 @@ class TestEnsembleAutocorrelation:
     def test_hadamard_complete_basis_diagonal(self):
         # sum_j dM_j(p) dM_j(p') over the full basis is exactly diagonal
         s = spec(kind="hadamard", n=4, count=16)
-        stack = pattern_batch(s, 0, 16).reshape(16, -1)
+        stack = dense(s, 0, 16).reshape(16, -1)
         d = stack - stack.mean(axis=0)
         gram = d.T @ d
         off = gram - np.diag(np.diag(gram))
@@ -317,10 +373,10 @@ class TestEnsembleAutocorrelation:
 
 def two_pass_autocorrelations(s, lags):
     """Reference form: the per-pixel mean in one pass, then mean-removed products."""
-    mean = sum(batch.sum(axis=0) for _, _, batch in iter_chunks(s)) / s.count
+    mean = sum(unpack(s, packed).sum(axis=0) for _, _, packed in iter_chunks(s)) / s.count
     acc = np.zeros(len(lags))
-    for _, _, batch in iter_chunks(s):
-        d = batch - mean
+    for _, _, packed in iter_chunks(s):
+        d = unpack(s, packed) - mean
         for i, (dy, dx) in enumerate(lags):
             acc[i] += float(np.einsum("jyx,jyx->", d, np.roll(d, (-dy, -dx), axis=(1, 2))))
     return acc / (s.count * s.grid.npixels)
