@@ -10,6 +10,13 @@ median and quartiles, the number of pairs the change won (ties count for
 neither side) and each side's attempted and failed passes.  The file is
 rewritten after every pair, so an interrupted series keeps what it measured.
 
+At the end it prints, and adds to the file, one verdict line per workload
+and end-to-end metric.  The gain rule holds when the change won at least 9
+in 10 of the pairs and its median is better than the parent's by more than
+the parent's interquartile range.  The bound check passes when the change's
+median is worse than the parent's by no more than the metric's bound in
+``BENCHMARK.json``, a share of the parent's median.
+
 The checkouts are plain directories (a ``git clone`` or a ``git archive``
 export of each commit).  Standard library only.  Example:
 
@@ -45,10 +52,13 @@ def run_bench(root: str, workload: str, seed: int, seconds: float, trace: int) -
             "pass_wall_s": info["pass_wall_s"], "environment": info["environment"]}
 
 
-def directions(root: str) -> dict:
-    """Metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
+def load_benchmark(root: str) -> dict:
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
-        bench = json.load(fh)
+        return json.load(fh)
+
+
+def directions(bench: dict) -> dict:
+    """Metric name -> "lower" or "higher"."""
     return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
 
 
@@ -85,6 +95,22 @@ def counts(pairs: list[dict], key: str) -> dict:
     return out
 
 
+def verdict(workload: str, name: str, metric: dict, bound: float) -> str:
+    """The gain rule and the bound check of one end-to-end metric, as one line."""
+    parent, change, pairs = metric["parent"], metric["change"], metric["pairs"]
+    if pairs < 2:
+        return f"{workload} {name}: {pairs} pair(s), no verdict"
+    sign = -1 if metric["better"] == "lower" else 1
+    gain = sign * (change["median"] - parent["median"])  # > 0: the change is better
+    rel = (change["median"] - parent["median"]) / abs(parent["median"]) if parent["median"] else 0.0
+    gain_holds = 10 * metric["change_won"] >= 9 * pairs and gain > parent["iqr"]
+    within = -gain <= bound * abs(parent["median"])
+    return (f"{workload} {name}: median {parent['median']:.6g} -> {change['median']:.6g} "
+            f"({rel:+.1%}), change won {metric['change_won']}/{pairs}, parent IQR "
+            f"{parent['iqr']:.3g}; gain rule {'holds' if gain_holds else 'does not hold'}; "
+            f"bound {bound:g} {'passes' if within else 'FAILS'}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent checkout")
@@ -96,7 +122,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    better = directions(roots["change"])
+    bench = load_benchmark(roots["change"])
+    better = directions(bench)
     traces = (0, 1) if args.layers else (0,)
     report = {"command": ["python3", "scripts/bench_pairs.py", *sys.argv[1:]],
               "seconds": args.seconds, "environment": {}, "workloads": {}}
@@ -123,6 +150,15 @@ def main(argv=None) -> int:
             report["workloads"][workload] = entry
             with open(args.out, "w") as fh:
                 json.dump(report, fh, indent=1)
+
+    report["verdicts"] = [
+        verdict(workload, m["name"], entry["end_to_end"][m["name"]], m["bound"])
+        for workload, entry in report["workloads"].items()
+        for m in bench["end_to_end"] if m["name"] in entry["end_to_end"]
+    ]
+    print("\n".join(report["verdicts"]))
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=1)
     return 0
 
 

@@ -9,16 +9,24 @@ Formats are versioned and byte-reproducible:
 * ``.pgm`` previews: binary P5, maxval 65535, big-endian samples,
   min-max scaled; write-only pictures, never read back.
 * CSV tables (buckets, E_F traces, scores): one header line, then one line
-  per row; floats are repr-formatted.  Buckets have the header ``j,value``.
+  per row; floats are repr-formatted.  Buckets have the header ``j,value``
+  and rows ``f"{j},{v!r}"``.  The reader's grammar is the per-line one: a
+  row is stripped and cut at its first comma, and ``int`` and ``float`` of
+  the two parts must give the row's index and value; blank lines are
+  skipped.  Rows are parsed a block at a time by numpy's C parser, and a
+  block it cannot take exactly is re-read by that per-line rule, so the
+  block reader accepts and rejects the same files, with the same messages.
 
 Text files (CSV tables, configs) are UTF-8.
 """
 
 from __future__ import annotations
 
+import warnings
 from array import array
 from collections.abc import Iterable, Sequence
 from contextlib import closing
+from itertools import islice
 
 import numpy as np
 
@@ -164,30 +172,76 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -
             fh.write(",".join(row) + "\n")
 
 
+# Rows of a bucket table parsed or formatted at a time: enough to make the
+# per-block numpy and Python call overhead small, few enough that a block's
+# lines and strings stay about 100 KB.
+_CSV_BLOCK = 1024
+
+_BUCKET_ROW = np.dtype([("j", "<i8"), ("v", "<f8")])
+
+
 def write_buckets_csv(path: str, buckets: np.ndarray) -> None:
-    write_csv(path, ("j", "value"), ((str(j), repr(float(v))) for j, v in enumerate(buckets)))
+    """Buckets as a ``j,value`` table, one block of formatted rows per write."""
+    values = np.asarray(buckets, dtype=np.float64)
+    with open(path, "w", encoding=TEXT_ENCODING, newline="") as fh:
+        fh.write("j,value\n")
+        for a in range(0, len(values), _CSV_BLOCK):
+            block = values[a : a + _CSV_BLOCK].tolist()
+            fh.write("".join([f"{j},{v!r}\n" for j, v in enumerate(block, a)]))
+
+
+def _parse_block(lines: list[str], start: int) -> np.ndarray | None:
+    """Values of bucket rows ``start``, ``start + 1``, ... from numpy's C
+    parser, or None unless it gives exactly one row per line with those
+    indices, without a warning.  A row it takes that way is one the
+    line-by-line grammar takes with the same value; on None the caller
+    re-reads the block by that grammar, which accepts it or names the line."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, delimiter=",", comments=None, dtype=_BUCKET_ROW, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if len(rows) != len(lines) or np.any(rows["j"] != np.arange(start, start + len(lines))):
+        return None
+    return rows["v"]
+
+
+def _parse_lines(path: str, lines: list[str], first_lineno: int, values: array) -> None:
+    """Append the values of bucket rows read one line at a time to ``values``,
+    which holds the rows before them; ``lines[0]`` is line ``first_lineno``
+    of the file."""
+    for lineno, line in enumerate(lines, start=first_lineno):
+        line = line.strip()
+        if not line:
+            continue
+        j_str, _, v_str = line.partition(",")
+        try:
+            j = int(j_str)
+            values.append(float(v_str))
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad row at line {lineno}: {line!r}") from exc
+        if j != len(values) - 1:
+            raise FormatError(f"{path}: non-sequential index {j} at line {lineno}")
 
 
 def read_buckets_csv(path: str) -> np.ndarray:
-    """Bucket values of a ``j,value`` CSV, streamed into a float64 array."""
+    """Bucket values of a ``j,value`` CSV, streamed a block of lines at a time
+    into one float64 buffer, which the returned array views."""
     values = array("d")
     with closing(_iter_lines(path)) as lines:
         header = next(lines, "").strip()
         if header != "j,value":
             raise FormatError(f"{path}: expected header 'j,value', got {header!r} (line 1)")
-        for lineno, line in enumerate(lines, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            j_str, _, v_str = line.partition(",")
-            try:
-                j = int(j_str)
-                values.append(float(v_str))
-            except ValueError as exc:
-                raise FormatError(f"{path}: bad row at line {lineno}: {line!r}") from exc
-            if j != len(values) - 1:
-                raise FormatError(f"{path}: non-sequential index {j} at line {lineno}")
-    return np.array(values)
+        lineno = 2
+        while block := list(islice(lines, _CSV_BLOCK)):
+            parsed = _parse_block(block, len(values))
+            if parsed is None:
+                _parse_lines(path, block, lineno, values)
+            else:
+                values.frombytes(parsed.tobytes())
+            lineno += len(block)
+    return np.frombuffer(values)
 
 
 def write_flat_config(path: str, entries: dict) -> None:

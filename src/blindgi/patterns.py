@@ -30,6 +30,7 @@ correlation one weighted histogram of (byte position, byte value) per chunk.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -283,13 +284,21 @@ def iter_table_indices(spec: EnsembleSpec):
 
     ``idx[j, b] = 256 b + r[b]`` for the packed row r of pattern lo + j: the
     flat index of byte b's entry in a raveled ``byte_table``.  Each idx is a
-    view of one intp workspace, valid until the next chunk is asked for.
+    read-only view of one intp workspace, valid until the next chunk is asked
+    for.  The workspace holds 256 b once; since r[b] < 256 and 256 b has a
+    zero low byte, a chunk's indices are its packed rows copied into the low
+    byte of each element.
     """
     nb = packed_width(spec.grid)
-    offsets = np.arange(0, 256 * nb, 256, dtype=np.intp)
     work = np.empty((min(STREAM_CHUNK, spec.count), nb), dtype=np.intp)
+    work[...] = np.arange(0, 256 * nb, 256, dtype=np.intp)
+    low = 0 if sys.byteorder == "little" else work.itemsize - 1
+    low_bytes = work.view(np.uint8).reshape(*work.shape, work.itemsize)[..., low]
+    indices = work.view()
+    indices.flags.writeable = False
     for lo, hi, packed in iter_chunks(spec):
-        yield lo, hi, np.add(packed, offsets, out=work[: hi - lo])
+        low_bytes[: hi - lo] = packed
+        yield lo, hi, indices[: hi - lo]
 
 
 def _lag_sums(stack: np.ndarray, lags: list[tuple[int, int]]) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Single-iterate, single-pattern reference arithmetic the tests hold the
-package's batched code to.
+package's batched code to, and the line-by-line bucket reader the block
+reader is held to.
 
 No run executes these.  ``simulate`` reduces every bucket to a dot product
 against one weight image, and retrieval steps all restarts as one stack in
@@ -9,9 +10,13 @@ against the object, and one iterate projected onto the Fourier-magnitude
 constraint with the complex FFT.
 """
 
+from array import array
+from contextlib import closing
+
 import numpy as np
 
-from blindgi.errors import ConfigError, DataError, NumericalError, UsageError
+from blindgi.arrayio import _iter_lines
+from blindgi.errors import ConfigError, DataError, FormatError, NumericalError, UsageError
 from blindgi.forward import PSF
 from blindgi.grid import MagnitudeSpectrum, RealImage, circ_convolve
 from blindgi.retrieval import SupportMask, _free_bin_mask
@@ -95,3 +100,27 @@ def hio_step(
     gp = project_magnitude(iterate, target, free_dc_radius).real
     feasible = support.mask & (gp >= 0)
     return np.where(feasible, gp, iterate - beta * gp)
+
+
+def read_buckets_csv(path: str) -> np.ndarray:
+    """Bucket values of a ``j,value`` CSV, parsed one line at a time: the
+    grammar ``arrayio.read_buckets_csv`` must accept, value for value and
+    message for message."""
+    values = array("d")
+    with closing(_iter_lines(path)) as lines:
+        header = next(lines, "").strip()
+        if header != "j,value":
+            raise FormatError(f"{path}: expected header 'j,value', got {header!r} (line 1)")
+        for lineno, line in enumerate(lines, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            j_str, _, v_str = line.partition(",")
+            try:
+                j = int(j_str)
+                values.append(float(v_str))
+            except ValueError as exc:
+                raise FormatError(f"{path}: bad row at line {lineno}: {line!r}") from exc
+            if j != len(values) - 1:
+                raise FormatError(f"{path}: non-sequential index {j} at line {lineno}")
+    return np.array(values)

@@ -3,15 +3,18 @@
 import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from blindgi import FormatError
 from blindgi import arrayio
 from blindgi.config import RunConfig, config_from_entries, config_to_entries
+
+import reference
 
 
 class TestArrayFormat:
@@ -166,6 +169,105 @@ class TestBucketsCSV:
         finally:
             tracemalloc.stop()
         assert peak < 3 * os.path.getsize(path)
+
+
+    def test_writer_blocks(self, tmp_path, monkeypatch):
+        # 20,000 rows end mid-block; every row is f"{j},{v!r}", and the block
+        # reader takes the writer's rows without the line-by-line fallback
+        values = np.random.default_rng(5).normal(size=20000) * 1e-3
+        values[[0, 1023, 1024, 2047, 19999]] = [-0.0, np.inf, np.nan, 5e-324, 1e300]
+        path = str(tmp_path / "b.csv")
+        arrayio.write_buckets_csv(path, values)
+        with open(path, "rb") as f:
+            text = f.read()
+        want = "j,value\n" + "".join(f"{j},{v!r}\n" for j, v in enumerate(values.tolist()))
+        assert text == want.encode()
+
+        def no_fallback(*args):
+            raise AssertionError("block fell back to the line-by-line reader")
+
+        monkeypatch.setattr(arrayio, "_parse_lines", no_fallback)
+        assert arrayio.read_buckets_csv(path).tobytes() == values.tobytes()
+
+    def test_writer_holds_one_block(self, tmp_path):
+        path = str(tmp_path / "b.csv")
+        values = np.random.default_rng(4).normal(size=65536)
+        arrayio.write_buckets_csv(path, values)
+        tracemalloc.start()
+        try:
+            arrayio.write_buckets_csv(path, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's text, strings and floats, not the file's 1.7 MB of text
+        assert peak < os.path.getsize(path) / 8
+
+
+# Bucket row forms: (index, value) -> line.  The GOOD forms are rows the
+# line-by-line grammar accepts as row j with value v, most of which numpy's C
+# parser rejects; blank lines are skipped; the rest are bad rows.
+_ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+ROW_FORMS = {
+    "canonical": lambda j, v: f"{j},{v!r}",
+    "plus": lambda j, v: f"+{j},+{v!r}",
+    "spaced": lambda j, v: f" {j}\t, {v!r}\u3000",
+    "underscore": lambda j, v: f"{'_'.join(str(j))},{v!r}",
+    "arabic": lambda j, v: f"{str(j).translate(_ARABIC)},{repr(v).translate(_ARABIC)}",
+    "empty": lambda j, v: "",
+    "whitespace": lambda j, v: " \t ",
+    "extra comma": lambda j, v: f"{j},{v!r},",
+    "bad float": lambda j, v: f"{j},{v!r}x",
+    "comment": lambda j, v: "#",
+    "out of order": lambda j, v: f"{j + 1},{v!r}",
+    "float index": lambda j, v: f"{j}.0,{v!r}",
+}
+GOOD_FORMS = {"canonical", "plus", "spaced", "underscore", "arabic"}
+
+
+def bucket_text(prefix, rows, newline):
+    """A bucket table: ``prefix`` canonical rows, so that the drawn rows can
+    sit in any block, then one line per drawn (form, value)."""
+    lines = ["j,value"] + [f"{j},{j / 7!r}" for j in range(prefix)]
+    j = prefix
+    for form, v in rows:
+        lines.append(ROW_FORMS[form](j, v))
+        j += form in GOOD_FORMS
+    return newline.join(lines) + newline
+
+
+def values_or_message(read, path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = read(path).tobytes()
+        except FormatError as exc:
+            result = str(exc)
+    assert not caught, "the reader printed a warning"
+    return result
+
+
+class TestBlockReader:
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        prefix=st.sampled_from([0, 3, 1020, 1024, 2040]),
+        rows=st.lists(
+            st.tuples(
+                # good rows weighted up, so that more files are read through
+                st.one_of(st.sampled_from(sorted(GOOD_FORMS)), st.sampled_from(sorted(ROW_FORMS))),
+                st.one_of(st.floats(), st.sampled_from([0.5, -0.0, 1e-300, 12345.0])),
+            ),
+            max_size=12,
+        ),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    @example(prefix=0, rows=[("empty", 0.0)], newline="\n")  # a block with no rows at all
+    def test_agrees_with_line_reader(self, tmp_path, prefix, rows, newline):
+        # the same array, bit for bit, or the same FormatError message
+        path = tmp_path / "b.csv"
+        path.write_bytes(bucket_text(prefix, rows, newline).encode())
+        assert values_or_message(arrayio.read_buckets_csv, str(path)) == values_or_message(
+            reference.read_buckets_csv, str(path))
 
 
 class TestFlatConfig:

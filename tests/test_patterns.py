@@ -19,6 +19,7 @@ from blindgi.config import RunConfig
 from blindgi.correlation import correlate
 from blindgi.forward import NoiseModel, psf_for, simulate
 from blindgi.patterns import (
+    KINDS,
     STREAM_CHUNK,
     _STREAM_PATTERNS,
     _fixed_fill,
@@ -28,6 +29,7 @@ from blindgi.patterns import (
     byte_table_transpose,
     ensemble_autocorrelations,
     iter_chunks,
+    iter_table_indices,
     packed_width,
     pattern_batch,
     unpack,
@@ -282,6 +284,23 @@ class TestChunkWorkspace:
             npt.assert_array_equal(rows, pattern_batch(s, 0, s.count))
             # a lone batch, across a chunk edge, is the same rows of the pass
             npt.assert_array_equal(pattern_batch(s, 100, 140), rows[100:140])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", [(64, 64), (33, 31)], ids=["64x64", "33x31"])
+    def test_table_indices_are_offset_rows(self, kind, shape):
+        # idx = packed + 256 b for every chunk of the same pass, the last one
+        # partial; hadamard needs power-of-two sides
+        ny, nx = (16, 32) if kind == "hadamard" and shape == (33, 31) else shape
+        s = spec(kind=kind, n=ny, nx=nx, count=300)
+        offsets = 256 * np.arange(packed_width(s.grid))
+        spans = []
+        for (lo, hi, packed), (ilo, ihi, idx) in zip(iter_chunks(s), iter_table_indices(s),
+                                                     strict=True):
+            assert (ilo, ihi) == (lo, hi)
+            assert idx.dtype == np.intp and not idx.flags.writeable
+            npt.assert_array_equal(idx, np.add(packed, offsets))
+            spans.append((lo, hi))
+        assert spans == [(0, 128), (128, 256), (256, 300)]
 
     def test_batch_writes_into_out(self):
         s = spec(kind="random-fixed-fill", count=20)
