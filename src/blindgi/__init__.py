@@ -16,7 +16,6 @@ from .grid import (
     MagnitudeSpectrum,
     RealImage,
     circ_convolve,
-    disk_autocorrelation,
     point_reflect,
 )
 from .patterns import EnsembleSpec

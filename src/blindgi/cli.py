@@ -9,7 +9,8 @@ Subcommands::
 
 Any dotted config key can be overridden on the command line with
 ``--<key> value`` using dashes for underscores, e.g. ``--optical.z-o 0.3``.
-Exit codes: 0 success, 2 usage/config, 3 data format, 4 numerical failure.
+Exit codes: 0 success, 2 usage/config (a size too large to allocate included),
+3 data format, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -272,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     except BlindGIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # a size too large to allocate: numpy's text names the shape
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

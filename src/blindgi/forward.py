@@ -145,13 +145,6 @@ def psf_for(config: OpticalConfig, psf_seed: int) -> PSF:
     return PSF(grid, intensity / intensity.sum())
 
 
-def otf_magnitude(psf: PSF) -> np.ndarray:
-    """Centered MTF of a PSF, normalized to 1 at zero frequency."""
-    otf = np.fft.fftshift(np.fft.fft2(psf.values, norm="ortho"))
-    mag = np.abs(otf)
-    return mag / mag[psf.grid.ny // 2, psf.grid.nx // 2]
-
-
 def bucket_weights(obj: RealImage, psf: PSF) -> np.ndarray:
     """Per-pixel weights w with bucket_j = sum(w * M_j).
 

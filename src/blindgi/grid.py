@@ -135,16 +135,6 @@ def require_mask_in_central_half(grid: Grid2D, mask: np.ndarray, what: str):
         require_central_half(grid, (ys.min(), ys.max()), (xs.min(), xs.max()), what)
 
 
-def centered_disk(grid: Grid2D, diameter_px: float) -> np.ndarray:
-    """Boolean disk indicator of the given pixel diameter, centered on the grid.
-
-    A pixel belongs to the disk when its center lies strictly inside the
-    radius, so a diameter-1 disk is the single center pixel and the
-    autocorrelation of a diameter-d disk vanishes at lags >= d.
-    """
-    return grid.pixel_radius() < diameter_px / 2.0
-
-
 def indicator_autocorrelation(grid: Grid2D, mask: np.ndarray) -> np.ndarray:
     """Aperiodic autocorrelation of a binary indicator, peak-normalized.
 
@@ -165,17 +155,3 @@ def indicator_autocorrelation(grid: Grid2D, mask: np.ndarray) -> np.ndarray:
     if peak <= 0:
         raise DataError("indicator mask is empty")
     return ac / peak
-
-
-def disk_autocorrelation(diameter_px: float, grid: Grid2D) -> MagnitudeSpectrum:
-    """Normalized autocorrelation of a centered binary disk.
-
-    Peak value 1 at zero lag, support within twice the disk diameter,
-    radially non-increasing.
-    """
-    if not 0 < diameter_px <= min(grid.nx, grid.ny):
-        raise ConfigError(
-            f"disk diameter {diameter_px} px must be in (0, {min(grid.nx, grid.ny)}]"
-        )
-    ac = indicator_autocorrelation(grid, centered_disk(grid, diameter_px))
-    return MagnitudeSpectrum(grid, ac)

@@ -1,4 +1,4 @@
-"""Preset source-pattern ensembles and their ensemble statistics.
+"""Preset source-pattern ensembles.
 
 Patterns are never stored: each one is regenerated on demand from
 ``(seed, index)`` with a counter-based generator, so ensembles of 10^6
@@ -22,7 +22,7 @@ A chunk of patterns is packed bits, for every kind: pattern j is one row of
 ``ceil(npixels / 8)`` uint8 bytes, and bit i (little bit order) of byte b is
 pixel ``8b + i`` in row-major order, 1 where the pixel is on; the padding bits
 of the last byte are 0.  At w = 1 the inverted Philox bytes already are that
-row.  Only this module knows the layout: ``unpack`` turns rows into float64
+row.  Only this module knows the layout: ``unpack`` turns rows into uint8 0/1
 patterns, and ``byte_table`` and ``byte_table_transpose`` turn per-pixel sums
 into per-byte lookups and back, so a bucket is one table lookup per byte and a
 correlation one weighted histogram of (byte position, byte value) per chunk.
@@ -31,7 +31,7 @@ correlation one weighted histogram of (byte position, byte value) per chunk.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,8 +148,7 @@ def packed_width(grid: Grid2D) -> int:
     return -(-grid.npixels // 8)
 
 
-# Bytes of Philox words a random batch draws, of patterns a lag sum shifts,
-# or of unpacked patterns ``unpack`` writes, at a time.
+# Bytes of Philox words a random batch draws at a time.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -164,7 +163,7 @@ def pattern_batch(
 
     Bit i (little bit order) of byte b of a row is pixel 8b + i in row-major
     order, 1 where it is on; the padding bits of the last byte are 0.
-    ``unpack`` turns rows into float64 patterns.  They are written into
+    ``unpack`` turns rows into uint8 0/1 patterns.  They are written into
     ``out`` when it is given (a C-contiguous uint8 array of that shape), which
     is then returned.  A given Philox ``bits`` continues a pass: the batches
     before this one left it at pattern ``start``'s first counter.  Without it
@@ -213,21 +212,10 @@ def pattern_batch(
     return out
 
 
-def unpack(spec: EnsembleSpec, packed: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Packed pattern rows as a float64 (n, ny, nx) array of 0s and 1s.
-
-    They are written into ``out`` when it is given (an array of that shape),
-    which is then returned.  Rows are unpacked a block at a time, so no second
-    copy of the patterns is made.
-    """
-    npix = spec.grid.npixels
-    if out is None:
-        out = np.empty((len(packed), *spec.grid.shape))
-    rows = max(1, _BLOCK_BYTES // npix)
-    for a in range(0, len(packed), rows):
-        on = np.unpackbits(packed[a : a + rows], axis=1, count=npix, bitorder="little")
-        out[a : a + rows] = on.reshape(-1, *spec.grid.shape)
-    return out
+def unpack(spec: EnsembleSpec, packed: np.ndarray) -> np.ndarray:
+    """Packed pattern rows as a uint8 (n, ny, nx) array of 0s and 1s."""
+    on = np.unpackbits(packed, axis=1, count=spec.grid.npixels, bitorder="little")
+    return on.reshape(-1, *spec.grid.shape)
 
 
 # _BYTE_BITS[v, i] is bit i of byte value v, little bit order.
@@ -299,62 +287,3 @@ def iter_table_indices(spec: EnsembleSpec):
     for lo, hi, packed in iter_chunks(spec):
         low_bytes[: hi - lo] = packed
         yield lo, hi, indices[: hi - lo]
-
-
-def _lag_sums(stack: np.ndarray, lags: list[tuple[int, int]]) -> np.ndarray:
-    """sum_p s(p) s(p+lag) per row s of an (n, ny, nx) stack: shape (n, len(lags)).
-
-    Rows are shifted a block at a time, so no copy of the whole stack is made.
-    """
-    rows = max(1, _BLOCK_BYTES // stack[0].nbytes)
-    out = np.empty((len(stack), len(lags)))
-    for a in range(0, len(stack), rows):
-        block = stack[a : a + rows]
-        for i, (dy, dx) in enumerate(lags):
-            out[a : a + rows, i] = np.einsum(
-                "jyx,jyx->j", block, np.roll(block, (-dy, -dx), axis=(1, 2))
-            )
-    return out
-
-
-def ensemble_autocorrelations(
-    spec: EnsembleSpec, lags: list[tuple[int, int]], counts: list[int] | None = None
-) -> np.ndarray:
-    """Mean-removed ensemble autocorrelation at several pixel lags (dy, dx).
-
-    Each value is (1/J) sum_j <dM_j(p) dM_j(p+lag)>_p with dM_j = M_j minus
-    the per-pixel ensemble mean and periodic indexing in p.  At zero lag this
-    is the mean per-pixel variance; away from zero it decays like 1/sqrt(J)
-    for random ensembles and vanishes for a complete Hadamard basis.
-
-    Row i holds the values for the ensemble's first ``counts[i]`` patterns
-    (default: all of them), one column per lag.  Those ensembles are prefixes
-    of one stream, so a single pass serves every count and every lag through
-    the moment form (1/J) sum_j <M_j(p) M_j(p+lag)>_p - <m(p) m(p+lag)>_p,
-    m the per-pixel mean of the J patterns.
-    """
-    ny, nx = spec.grid.shape
-    for dy, dx in lags:
-        if abs(dy) >= ny or abs(dx) >= nx:
-            raise UsageError(f"lag {(dy, dx)} outside grid {spec.grid.shape}")
-    counts = [spec.count] if counts is None else list(counts)
-    for c in counts:
-        if not 1 <= c <= spec.count:
-            raise UsageError(f"prefix count {c} out of range [1, {spec.count}]")
-    total = np.zeros(spec.grid.shape)  # per-pixel sum of the patterns so far
-    prod = np.zeros(len(lags))  # sum over those patterns of sum_p M(p) M(p+lag)
-    out = np.empty((len(counts), len(lags)))
-    spec = replace(spec, count=max(counts))
-    work = np.empty((min(STREAM_CHUNK, spec.count), ny, nx))
-    for lo, hi, packed in iter_chunks(spec):
-        batch = unpack(spec, packed, work[: hi - lo])
-        per_pattern = _lag_sums(batch, lags)
-        for i, c in enumerate(counts):
-            if lo < c <= hi:
-                mean = (total + batch[: c - lo].sum(axis=0)) / c
-                moment = (prod + per_pattern[: c - lo].sum(axis=0)) / c
-                out[i] = (moment - _lag_sums(mean[None], lags)[0]) / spec.grid.npixels
-        total += batch.sum(axis=0)
-        prod += per_pattern.sum(axis=0)
-    return out
-

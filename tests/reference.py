@@ -1,30 +1,36 @@
-"""Single-iterate, single-pattern reference arithmetic the tests hold the
-package's batched code to, and the line-by-line bucket reader the block
-reader is held to.
+"""Code the tests measure with and hold the package to; no run executes it.
 
-No run executes these.  ``simulate`` reduces every bucket to a dot product
-against one weight image, and retrieval steps all restarts as one stack in
-``retrieval._StackEngine``; the functions here are the textbook forms those
-fast paths must reproduce: one pattern convolved with the PSF and summed
-against the object, and one iterate projected onto the Fourier-magnitude
-constraint with the complex FFT.
+* Single-iterate, single-pattern reference arithmetic for the batched code.
+  ``simulate`` reduces every bucket to a dot product against one weight
+  image, and retrieval steps all restarts as one stack in
+  ``retrieval._StackEngine``; the textbook forms here are what those fast
+  paths must reproduce: one pattern convolved with the PSF and summed
+  against the object, and one iterate projected onto the Fourier-magnitude
+  constraint with the complex FFT.
+* The line-by-line bucket reader the block reader is held to.
+* The statistics the acceptance criteria measure: the mean-removed ensemble
+  autocorrelation of the patterns (criterion 3), and a PSF's MTF against the
+  autocorrelation of a disk (criterion 4).
 """
 
 from array import array
 from contextlib import closing
+from dataclasses import replace
 
 import numpy as np
 
 from blindgi.arrayio import _iter_lines
 from blindgi.errors import ConfigError, DataError, FormatError, NumericalError, UsageError
 from blindgi.forward import PSF
-from blindgi.grid import MagnitudeSpectrum, RealImage, circ_convolve
+from blindgi.grid import (Grid2D, MagnitudeSpectrum, RealImage, circ_convolve,
+                          indicator_autocorrelation)
+from blindgi.patterns import EnsembleSpec, iter_chunks, unpack
 from blindgi.retrieval import SupportMask, _free_bin_mask
 
 
 def illuminate(pattern: np.ndarray, psf: PSF) -> RealImage:
     """Illumination produced by one source pattern: pattern convolved with the PSF."""
-    out =circ_convolve(RealImage(psf.grid, pattern), RealImage(psf.grid, psf.values))
+    out = circ_convolve(RealImage(psf.grid, pattern), RealImage(psf.grid, psf.values))
     return RealImage(out.grid, np.maximum(out.values, 0.0))
 
 
@@ -124,3 +130,81 @@ def read_buckets_csv(path: str) -> np.ndarray:
             if j != len(values) - 1:
                 raise FormatError(f"{path}: non-sequential index {j} at line {lineno}")
     return np.array(values)
+
+
+def centered_disk(grid: Grid2D, diameter_px: float) -> np.ndarray:
+    """Boolean disk indicator of the given pixel diameter, centered on the grid.
+
+    A pixel belongs to the disk when its center lies strictly inside the
+    radius, so a diameter-1 disk is the single center pixel and the
+    autocorrelation of a diameter-d disk vanishes at lags >= d.
+    """
+    return grid.pixel_radius() < diameter_px / 2.0
+
+
+def disk_autocorrelation(diameter_px: float, grid: Grid2D) -> MagnitudeSpectrum:
+    """Normalized autocorrelation of a centered binary disk.
+
+    Peak value 1 at zero lag, support within twice the disk diameter,
+    radially non-increasing.
+    """
+    if not 0 < diameter_px <= min(grid.nx, grid.ny):
+        raise ConfigError(
+            f"disk diameter {diameter_px} px must be in (0, {min(grid.nx, grid.ny)}]"
+        )
+    ac = indicator_autocorrelation(grid, centered_disk(grid, diameter_px))
+    return MagnitudeSpectrum(grid, ac)
+
+
+def otf_magnitude(psf: PSF) -> np.ndarray:
+    """Centered MTF of a PSF, normalized to 1 at zero frequency."""
+    otf = np.fft.fftshift(np.fft.fft2(psf.values, norm="ortho"))
+    mag = np.abs(otf)
+    return mag / mag[psf.grid.ny // 2, psf.grid.nx // 2]
+
+
+def ensemble_autocorrelations(
+    spec: EnsembleSpec, lags: list[tuple[int, int]], counts: list[int] | None = None
+) -> np.ndarray:
+    """Mean-removed ensemble autocorrelation at several pixel lags (dy, dx).
+
+    Each value is (1/J) sum_j <dM_j(p) dM_j(p+lag)>_p with dM_j = M_j minus
+    the per-pixel ensemble mean and periodic indexing in p.  At zero lag this
+    is the mean per-pixel variance; away from zero it decays like 1/sqrt(J)
+    for random ensembles and vanishes for a complete Hadamard basis.
+
+    Row i holds the values for the ensemble's first ``counts[i]`` patterns
+    (default: all of them), one column per lag.  Those ensembles are prefixes
+    of one stream, so a single pass serves every count and every lag through
+    the moment form (1/J) sum_j <M_j(p) M_j(p+lag)>_p - <m(p) m(p+lag)>_p,
+    m the per-pixel mean of the J patterns.  The pass cuts each chunk at the
+    prefix counts inside it and keeps running sums over 0/1 patterns, exact
+    integer counts; only that final formula is float64.
+    """
+    ny, nx = spec.grid.shape
+    for dy, dx in lags:
+        if abs(dy) >= ny or abs(dx) >= nx:
+            raise UsageError(f"lag {(dy, dx)} outside grid {spec.grid.shape}")
+    counts = [spec.count] if counts is None else list(counts)
+    for c in counts:
+        if not 1 <= c <= spec.count:
+            raise UsageError(f"prefix count {c} out of range [1, {spec.count}]")
+    total = np.zeros(spec.grid.shape, dtype=np.int64)  # per-pixel sum of the patterns so far
+    prod = np.zeros(len(lags), dtype=np.int64)  # sum over those patterns of sum_p M(p) M(p+lag)
+    out = np.empty((len(counts), len(lags)))
+    spec = replace(spec, count=max(counts))
+    for lo, hi, packed in iter_chunks(spec):
+        on = unpack(spec, packed).view(bool)
+        cuts = sorted({c - lo for c in counts if lo < c < hi} | {hi - lo})
+        for a, b in zip([0, *cuts], cuts):
+            seg, j = on[a:b], lo + b
+            total += seg.sum(axis=0, dtype=np.int64)
+            prod += [np.count_nonzero(seg & np.roll(seg, (-dy, -dx), axis=(1, 2)))
+                     for dy, dx in lags]
+            if j in counts:
+                mean = total[None] / j
+                mean_lags = np.concatenate([
+                    np.einsum("jyx,jyx->j", mean, np.roll(mean, (-dy, -dx), axis=(1, 2)))
+                    for dy, dx in lags])
+                out[[c == j for c in counts]] = (prod / j - mean_lags) / spec.grid.npixels
+    return out

@@ -26,8 +26,7 @@ from blindgi import (
 )
 from blindgi.arrayio import read_flat_config
 from blindgi.config import RunConfig, ScheduleConfig, SupportPolicy, config_from_entries
-from blindgi.forward import otf_magnitude, psf_for
-from blindgi.grid import disk_autocorrelation
+from blindgi.forward import psf_for
 from blindgi import objects
 from blindgi.pipeline import (
     resolution_probe,
@@ -36,6 +35,7 @@ from blindgi.pipeline import (
 )
 from blindgi.retrieval import centered_box_mask, _initial_iterate, _run_stack, _StackEngine
 
+from reference import disk_autocorrelation, otf_magnitude
 from test_correlation import classic_gi_pearson
 from test_forward import bucket_both_forms
 from test_patterns import offpeak_decay_slope

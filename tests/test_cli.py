@@ -413,15 +413,25 @@ class TestBadInputs:
         ("resolution", ["--separations-rel", "1.4,2,1e308"], "--separations-rel 1e+308"),
         ("resolution", ["--separations", "1e-5"], "--separations 1e-05: separation"),
         ("resolution", ["--separations", "2e-4"], "--separations 0.0002: two-point pair"),
+        # sizes beyond the 128 TiB address space: J float64 buckets that no
+        # intp can address are refused with the config, and a 10^8 x 10^8
+        # object or a stack of 10^12 restarts fails at once, numpy's message
+        # naming the shape
+        ("simulate", ["--ensemble.count", str(2**62)], "ensemble.count"),
+        ("simulate", ["--grid.nx", "100000000", "--grid.ny", "100000000"],
+         "shape (100000000, 100000000)"),
+        ("reconstruct", ["--schedule.restarts", str(10**12)], "shape (1000000000000,"),
     ])
     def test_integer_below_minimum(self, run_dir, tmp_path, capsys, command, flags, name):
-        # and real-valued keys out of range, values the models reject and
-        # separations no probe can use: each is rejected before any output,
-        # when the config is read (the object when simulate builds it)
+        # and real-valued keys out of range, values the models reject,
+        # separations no probe can use and sizes that cannot be allocated:
+        # each is rejected before any output, when the config is read (the
+        # object when simulate builds it, a size when it is allocated)
         where = ["--run", run_dir] if command == "reconstruct" else SMALL
         out = tmp_path / "o"
         assert run_cli(command, *where, "--out", str(out), *flags) == 2
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the bucket mean overflows

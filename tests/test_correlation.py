@@ -23,9 +23,10 @@ from blindgi import (
     point_reflect,
     simulate,
 )
-from blindgi.forward import MeasurementSet, otf_magnitude, psf_for
+from blindgi.forward import MeasurementSet, psf_for
 from blindgi.patterns import pattern_batch, unpack
 from blindgi import objects
+from reference import otf_magnitude
 
 
 def grid(n=16, pitch=12.5e-6):

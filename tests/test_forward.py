@@ -19,7 +19,6 @@ from blindgi import (
     PSF,
     RealImage,
     circ_convolve,
-    disk_autocorrelation,
     point_reflect,
     psf_for,
     simulate,
@@ -27,11 +26,10 @@ from blindgi import (
 import blindgi.forward
 import blindgi.pipeline
 from blindgi.config import RunConfig
-from blindgi.forward import otf_magnitude
 from blindgi.pipeline import run_simulation
 from blindgi.patterns import pattern_batch, unpack
 from blindgi import objects
-from reference import bucket, illuminate
+from reference import bucket, centered_disk, disk_autocorrelation, illuminate, otf_magnitude
 
 
 def grid(n=64, pitch=12.5e-6):
@@ -170,7 +168,6 @@ class TestSpecklePSF:
 
     def test_full_aperture_speckle_is_negative_exponential(self):
         # fully developed speckle: intensity histogram ~ Exp(mean)
-        from blindgi.grid import centered_disk
         from blindgi.patterns import _philox
 
         g = grid(64)

@@ -16,14 +16,13 @@ from blindgi import (
     MagnitudeSpectrum,
     RealImage,
     circ_convolve,
-    disk_autocorrelation,
     point_reflect,
 )
 from blindgi.correlation import CorrelationImage
 from blindgi.forward import PSF, MeasurementSet
-from blindgi.grid import centered_disk
 from blindgi.patterns import EnsembleSpec
 from blindgi.retrieval import Reconstruction, SupportMask
+from reference import centered_disk, disk_autocorrelation
 
 
 def grid(n=8, pitch=1e-5):

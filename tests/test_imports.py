@@ -1,10 +1,11 @@
 """Source hygiene: every import in the package modules is used, every
-import sits at module level, one helper freezes arrays, and one module packs
-pattern bits."""
+import sits at module level, every top-level definition has a caller in the
+package, one helper freezes arrays, and one module packs pattern bits."""
 
 import ast
 import glob
 import os
+from collections import Counter
 
 import pytest
 
@@ -70,6 +71,38 @@ def test_finds_function_local_import():
 def test_no_function_local_imports(path):
     with open(path, encoding="utf-8") as fh:
         assert function_local_imports(fh.read()) == []
+
+
+def names_read(node: ast.AST) -> Counter:
+    """How often each name occurs under ``node``, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_definitions(sources: list[str]) -> list[str]:
+    """Top-level functions and classes of the modules ``sources`` whose name
+    occurs nowhere in them outside their own definition."""
+    trees = [ast.parse(source) for source in sources]
+    everywhere = sum(map(names_read, trees), Counter())
+    return sorted(node.name for tree in trees for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and everywhere[node.name] == names_read(node)[node.name])
+
+
+def test_finds_unreferenced_definition():
+    sources = ["def f(n):\n    return f(n - 1)\n\nclass C:\n    pass\n\ndef g():\n    return C\n",
+               "from a import g\n\ndef h():\n    return a.g()\n"]
+    assert unreferenced_definitions(sources) == ["f", "h"]
+
+
+def test_every_definition_has_a_caller():
+    # src/ holds only what a run executes; __init__.py, which only exports,
+    # does not count as a caller
+    sources = []
+    for path in MODULES:
+        with open(path, encoding="utf-8") as fh:
+            sources.append(fh.read())
+    assert unreferenced_definitions(sources) == []
 
 
 def test_only_grid_freezes_arrays():

@@ -27,7 +27,6 @@ from blindgi.patterns import (
     _philox,
     byte_table,
     byte_table_transpose,
-    ensemble_autocorrelations,
     iter_chunks,
     iter_table_indices,
     packed_width,
@@ -35,6 +34,8 @@ from blindgi.patterns import (
     unpack,
 )
 from scipy.linalg import hadamard
+
+from reference import ensemble_autocorrelations
 
 
 def grid(n=64):
@@ -47,8 +48,9 @@ def spec(kind="random-binary", n=64, count=16, fill=0.5, seed=9, nx=None):
 
 
 def dense(s, start, stop):
-    """Patterns start..stop-1 of the ensemble ``s`` as a float64 (n, ny, nx) stack."""
-    return unpack(s, pattern_batch(s, start, stop))
+    """Patterns start..stop-1 of the ensemble ``s`` as a float64 (n, ny, nx) stack,
+    so that arithmetic such as ``1 - p`` cannot wrap as uint8 would."""
+    return unpack(s, pattern_batch(s, start, stop)).astype(np.float64)
 
 
 def one(s, j):
@@ -232,7 +234,7 @@ class TestPackedFormat:
             bits = (packed[:, :, None] >> np.arange(8, dtype=np.uint8)) & 1
             pixels = bits.reshape(s.count, -1)
             patterns = unpack(s, packed)
-            assert patterns.dtype == np.float64 and patterns.shape == (s.count, ny, nx)
+            assert patterns.dtype == np.uint8 and patterns.shape == (s.count, ny, nx)
             npt.assert_array_equal(pixels[:, :npix], patterns.reshape(s.count, -1))
             assert not pixels[:, npix:].any()  # padding bits
             flat = patterns.reshape(s.count, -1).astype(bool)
@@ -318,7 +320,9 @@ class TestChunkWorkspace:
         obj = objects.from_spec(cfg.grid(), cfg.object_source)
         ms = simulate(obj, psf, ens, NoiseModel(), cfg.psf_seed)
         # a chunk of float64 patterns; simulate and correlate read packed
-        # chunks and never hold one, ensemble_autocorrelations unpacks into one
+        # chunks and never hold one, and the reference ensemble_autocorrelations
+        # holds a chunk of bool patterns, a rolled copy and their product, an
+        # eighth of one each (0.35 chunks measured)
         chunk_bytes = STREAM_CHUNK * cfg.grid().npixels * 8
         for name, fn, bound in (
             ("simulate", lambda: simulate(obj, psf, ens, NoiseModel(), cfg.psf_seed), 1.0),
