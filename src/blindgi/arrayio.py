@@ -13,20 +13,19 @@ Formats are versioned and byte-reproducible:
   and rows ``f"{j},{v!r}"``.  The reader's grammar is the per-line one: a
   row is stripped and cut at its first comma, and ``int`` and ``float`` of
   the two parts must give the row's index and value; blank lines are
-  skipped.  Rows are parsed a block at a time by numpy's C parser, and a
-  block it cannot take exactly is re-read by that per-line rule, so the
-  block reader accepts and rejects the same files, with the same messages.
+  skipped.  A file that numpy's C parser takes exactly, as it takes every
+  file the writer makes, is read by one ``np.loadtxt`` call, and any other
+  by that per-line rule, so the reader accepts and rejects the files the
+  grammar does, with the same messages.
 
 Text files (CSV tables, configs) are UTF-8.
 """
 
 from __future__ import annotations
 
+import io
 import warnings
-from array import array
 from collections.abc import Iterable, Sequence
-from contextlib import closing
-from itertools import islice
 
 import numpy as np
 
@@ -68,13 +67,18 @@ def write_array(
         fh.write(values.astype("<f8").tobytes())
 
 
-def read_array(path: str) -> tuple[np.ndarray, dict]:
-    """Read an ``.f64`` array; returns (values, meta) with grid/kind metadata."""
+def _read_bytes(path: str) -> bytes:
+    """The bytes of a file; FormatError naming it if it cannot be read."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
         raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
+
+
+def read_array(path: str) -> tuple[np.ndarray, dict]:
+    """Read an ``.f64`` array; returns (values, meta) with grid/kind metadata."""
+    raw = _read_bytes(path)
     if len(raw) < _HEADER_BYTES:
         raise FormatError(f"{path}: truncated header, {len(raw)} bytes < {_HEADER_BYTES} (byte offset 0)")
     header = np.frombuffer(raw[:_HEADER_BYTES], dtype="<f8")
@@ -118,50 +122,14 @@ def write_pgm16(path: str, values: np.ndarray) -> None:
         fh.write(samples.tobytes())
 
 
-# Bytes a text reader takes from its file at a time.
-_READ_BLOCK = 1 << 16
-
-
-def _text_pieces(fh):
-    """The bytes of a binary file in pieces that each end just after a line
-    feed, the last piece excepted.  A line feed byte never occurs inside a
-    multi-byte UTF-8 character or a CR LF pair, so the pieces decode and
-    split into lines one at a time exactly as the whole file would."""
-    tail = bytearray()
-    while block := fh.read(_READ_BLOCK):
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            yield tail + block[:cut]
-            tail = bytearray(block[cut:])
-        else:
-            tail += block
-    if tail:
-        yield tail
-
-
-def _iter_lines(path: str):
-    """Lines of a text file as ``str.splitlines`` cuts them, read a piece at a
-    time; FormatError naming the file if it is unreadable or not UTF-8.
-
-    The whole file is checked for UTF-8 before the first line is yielded,
-    so a bad byte is reported wherever it sits.
-    """
+def _read_lines(path: str) -> list[str]:
+    """Lines of a text file as ``str.splitlines`` cuts them; FormatError
+    naming the file if it is unreadable or not UTF-8."""
+    raw = _read_bytes(path)
     try:
-        with open(path, "rb") as fh:
-            offset = 0
-            for piece in _text_pieces(fh):
-                try:
-                    piece.decode(TEXT_ENCODING)
-                except UnicodeDecodeError as exc:
-                    raise FormatError(
-                        f"{path}: not {TEXT_ENCODING} text (byte offset {offset + exc.start})"
-                    ) from None
-                offset += len(piece)
-            fh.seek(0)
-            for piece in _text_pieces(fh):
-                yield from piece.decode(TEXT_ENCODING).splitlines()
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
+        return raw.decode(TEXT_ENCODING).splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not {TEXT_ENCODING} text (byte offset {exc.start})") from None
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
@@ -172,9 +140,9 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -
             fh.write(",".join(row) + "\n")
 
 
-# Rows of a bucket table parsed or formatted at a time: enough to make the
-# per-block numpy and Python call overhead small, few enough that a block's
-# lines and strings stay about 100 KB.
+# Rows of a bucket table formatted at a time: enough to make the per-block
+# numpy and Python call overhead small, few enough that a block's strings
+# stay about 100 KB.
 _CSV_BLOCK = 1024
 
 _BUCKET_ROW = np.dtype([("j", "<i8"), ("v", "<f8")])
@@ -190,28 +158,39 @@ def write_buckets_csv(path: str, buckets: np.ndarray) -> None:
             fh.write("".join([f"{j},{v!r}\n" for j, v in enumerate(block, a)]))
 
 
-def _parse_block(lines: list[str], start: int) -> np.ndarray | None:
-    """Values of bucket rows ``start``, ``start + 1``, ... from numpy's C
-    parser, or None unless it gives exactly one row per line with those
-    indices, without a warning.  A row it takes that way is one the
-    line-by-line grammar takes with the same value; on None the caller
-    re-reads the block by that grammar, which accepts it or names the line."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(lines, delimiter=",", comments=None, dtype=_BUCKET_ROW, ndmin=1)
-    except (ValueError, Warning):
-        return None
-    if len(rows) != len(lines) or np.any(rows["j"] != np.arange(start, start + len(lines))):
-        return None
-    return rows["v"]
+# numpy's C parser takes these for blanks inside a field, where the line
+# grammar breaks the line (VT, FF, FS, GS, RS, and NEL, LS and PS outside
+# ASCII) or int() and float() refuse them (US); a file holding one, or any
+# byte outside ASCII, is left to the grammar.
+_LOADTXT_BLANKS = b"\v\f\x1c\x1d\x1e\x1f"
 
 
-def _parse_lines(path: str, lines: list[str], first_lineno: int, values: array) -> None:
-    """Append the values of bucket rows read one line at a time to ``values``,
-    which holds the rows before them; ``lines[0]`` is line ``first_lineno``
-    of the file."""
-    for lineno, line in enumerate(lines, start=first_lineno):
+def read_buckets_csv(path: str) -> np.ndarray:
+    """Bucket values of a ``j,value`` CSV.
+
+    An ASCII file whose rows numpy's C parser takes without a warning, as
+    rows 0, 1, 2, ..., is read by one ``np.loadtxt`` call: such a row is one
+    the line grammar takes with the same value.  Any other file is read by
+    that grammar, which accepts it or names the line it rejects.
+    """
+    raw = _read_bytes(path)
+    if raw.isascii() and not any(c in raw for c in _LOADTXT_BLANKS):
+        try:
+            with (io.TextIOWrapper(io.BytesIO(raw), encoding=TEXT_ENCODING) as fh,
+                  warnings.catch_warnings()):
+                warnings.simplefilter("error")
+                if fh.readline().strip() == "j,value":
+                    rows = np.loadtxt(fh, delimiter=",", comments=None, dtype=_BUCKET_ROW, ndmin=1)
+                    if np.array_equal(rows["j"], np.arange(len(rows))):
+                        return rows["v"]
+        except (ValueError, Warning):
+            pass
+    lines = _read_lines(path)
+    header = lines[0].strip() if lines else ""
+    if header != "j,value":
+        raise FormatError(f"{path}: expected header 'j,value', got {header!r} (line 1)")
+    values = []
+    for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line:
             continue
@@ -223,25 +202,7 @@ def _parse_lines(path: str, lines: list[str], first_lineno: int, values: array) 
             raise FormatError(f"{path}: bad row at line {lineno}: {line!r}") from exc
         if j != len(values) - 1:
             raise FormatError(f"{path}: non-sequential index {j} at line {lineno}")
-
-
-def read_buckets_csv(path: str) -> np.ndarray:
-    """Bucket values of a ``j,value`` CSV, streamed a block of lines at a time
-    into one float64 buffer, which the returned array views."""
-    values = array("d")
-    with closing(_iter_lines(path)) as lines:
-        header = next(lines, "").strip()
-        if header != "j,value":
-            raise FormatError(f"{path}: expected header 'j,value', got {header!r} (line 1)")
-        lineno = 2
-        while block := list(islice(lines, _CSV_BLOCK)):
-            parsed = _parse_block(block, len(values))
-            if parsed is None:
-                _parse_lines(path, block, lineno, values)
-            else:
-                values.frombytes(parsed.tobytes())
-            lineno += len(block)
-    return np.frombuffer(values)
+    return np.array(values)
 
 
 def write_flat_config(path: str, entries: dict) -> None:
@@ -254,8 +215,7 @@ def write_flat_config(path: str, entries: dict) -> None:
 def read_flat_config(path: str) -> dict:
     entries = {}
     first_line = {}
-    # a config is a few dozen lines: list() reads it whole and closes the file
-    for lineno, line in enumerate(list(_iter_lines(path)), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError
 from .forward import NoiseModel, OpticalConfig
 from .grid import Grid2D
@@ -63,11 +61,6 @@ class RunConfig:
             raise ConfigError(
                 f"compensation.epsilon_fraction must be > 0 and <= 1e154, got {self.epsilon_fraction}"
             )
-        # a run holds J float64 buckets, so J * 8 bytes must be addressable; an
-        # EnsembleSpec alone may count further, as a pattern index is no array index
-        most = np.iinfo(np.intp).max // 8
-        if self.ensemble_count > most:
-            raise ConfigError(f"ensemble.count must be <= {most}, got {self.ensemble_count}")
         # the support, optics, ensemble and noise check their own keys, naming them
         self.support.box_shape(self.grid())
         self.optical()

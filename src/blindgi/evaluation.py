@@ -89,5 +89,8 @@ def two_point_contrast(
     return float((peak - dip) / peak)
 
 
-def is_resolved(contrast: float, dip_threshold: float = 0.2) -> bool:
-    return contrast >= dip_threshold
+DIP_THRESHOLD = 0.2  # two points are resolved at this dip contrast or more
+
+
+def is_resolved(contrast: float) -> bool:
+    return contrast >= DIP_THRESHOLD

@@ -238,6 +238,10 @@ def simulate(
     if np.any(obj.values < 0):
         raise DataError("object transmittance must be nonnegative")
     require_mask_in_central_half(obj.grid, obj.values, "object support")
+    # J float64 buckets need J * 8 addressable bytes; a pattern index may go further
+    most = np.iinfo(np.intp).max // 8
+    if ensemble.count > most:
+        raise ConfigError(f"ensemble.count must be <= {most}, got {ensemble.count}")
 
     # a bucket is sum_p M(p) w(p): one table entry per pattern byte
     table = byte_table(bucket_weights(obj, psf)).ravel()

@@ -7,19 +7,19 @@
   paths must reproduce: one pattern convolved with the PSF and summed
   against the object, and one iterate projected onto the Fourier-magnitude
   constraint with the complex FFT.
-* The line-by-line bucket reader the block reader is held to.
+* The line-by-line bucket reader that ``arrayio.read_buckets_csv`` is held
+  to, whether numpy's C parser or its own line grammar reads the file.
 * The statistics the acceptance criteria measure: the mean-removed ensemble
   autocorrelation of the patterns (criterion 3), and a PSF's MTF against the
   autocorrelation of a disk (criterion 4).
 """
 
 from array import array
-from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
 
-from blindgi.arrayio import _iter_lines
+from blindgi.arrayio import _read_lines
 from blindgi.errors import ConfigError, DataError, FormatError, NumericalError, UsageError
 from blindgi.forward import PSF
 from blindgi.grid import (Grid2D, MagnitudeSpectrum, RealImage, circ_convolve,
@@ -112,23 +112,23 @@ def read_buckets_csv(path: str) -> np.ndarray:
     """Bucket values of a ``j,value`` CSV, parsed one line at a time: the
     grammar ``arrayio.read_buckets_csv`` must accept, value for value and
     message for message."""
+    lines = iter(_read_lines(path))
+    header = next(lines, "").strip()
+    if header != "j,value":
+        raise FormatError(f"{path}: expected header 'j,value', got {header!r} (line 1)")
     values = array("d")
-    with closing(_iter_lines(path)) as lines:
-        header = next(lines, "").strip()
-        if header != "j,value":
-            raise FormatError(f"{path}: expected header 'j,value', got {header!r} (line 1)")
-        for lineno, line in enumerate(lines, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            j_str, _, v_str = line.partition(",")
-            try:
-                j = int(j_str)
-                values.append(float(v_str))
-            except ValueError as exc:
-                raise FormatError(f"{path}: bad row at line {lineno}: {line!r}") from exc
-            if j != len(values) - 1:
-                raise FormatError(f"{path}: non-sequential index {j} at line {lineno}")
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        j_str, _, v_str = line.partition(",")
+        try:
+            j = int(j_str)
+            values.append(float(v_str))
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad row at line {lineno}: {line!r}") from exc
+        if j != len(values) - 1:
+            raise FormatError(f"{path}: non-sequential index {j} at line {lineno}")
     return np.array(values)
 
 

@@ -259,6 +259,14 @@ class TestSimulate:
             simulate(RealImage(cfg.object_grid, vals), psf_for(cfg, 4), self.ensemble(),
                      NoiseModel(), 4)
 
+    def test_count_beyond_addressable_buckets(self):
+        # 2^62 float64 buckets need 2^65 bytes: a ConfigError naming the key,
+        # not numpy's "array is too big"
+        cfg = optical(case="delta")
+        obj = objects.rectangle(cfg.object_grid, 2, 2)
+        with pytest.raises(ConfigError, match=r"ensemble\.count must be <="):
+            simulate(obj, psf_for(cfg, 4), self.ensemble(count=2**62), NoiseModel(), psf_seed=4)
+
     def test_gaussian_noise_snr(self):
         cfg = optical()
         obj = objects.letter(cfg.object_grid)

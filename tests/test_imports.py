@@ -1,6 +1,7 @@
 """Source hygiene: every import in the package modules is used, every
 import sits at module level, every top-level definition has a caller in the
-package, one helper freezes arrays, and one module packs pattern bits."""
+package, one helper freezes arrays, one module packs pattern bits, and one
+module reads and writes files."""
 
 import ast
 import glob
@@ -127,3 +128,30 @@ def test_only_patterns_knows_the_bit_layout():
                for node in ast.walk(tree)):
             callers.add(os.path.basename(path))
     assert callers == {"patterns.py"}
+
+
+def file_calls(source: str) -> list[int]:
+    """Lines of the calls of ``open``, ``loadtxt``, ``fromfile`` and
+    ``tofile``, bare or as an attribute (``io.open``, ``np.loadtxt``)."""
+    names = {"open", "loadtxt", "fromfile", "tofile"}
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) in names
+                       or getattr(node.func, "attr", None) in names))
+
+
+def test_finds_file_calls():
+    source = ("import io\nimport numpy as np\n\ndef f(p, a):\n    with open(p) as fh:\n"
+              "        a.tofile(fh)\n    return np.loadtxt(p), np.fromfile(p), io.open(p)\n\n"
+              "reopen = open\n")
+    assert file_calls(source) == [5, 6, 7, 7, 7]
+
+
+def test_only_arrayio_touches_files():
+    # the on-disk formats are read and written through arrayio.py alone
+    callers = set()
+    for path in ALL_MODULES:
+        with open(path, encoding="utf-8") as fh:
+            if file_calls(fh.read()):
+                callers.add(os.path.basename(path))
+    assert callers == {"arrayio.py"}

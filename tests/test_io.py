@@ -142,8 +142,8 @@ class TestBucketsCSV:
             arrayio.read_buckets_csv(str(path))
 
     def test_streams_across_read_blocks(self, tmp_path):
-        # rows, CR LF pairs and bad bytes on both sides of the reader's block
-        # boundaries are handled as a whole-file read would handle them
+        # CR LF pairs throughout, and a bad row or a bad byte deep in a large
+        # file, are handled as in a small one
         body = b"".join(f"{j},{j / 7!r}\r\n".encode() for j in range(20000))
         path = tmp_path / "b.csv"
         path.write_bytes(b"j,value\r\n" + body)
@@ -172,8 +172,8 @@ class TestBucketsCSV:
 
 
     def test_writer_blocks(self, tmp_path, monkeypatch):
-        # 20,000 rows end mid-block; every row is f"{j},{v!r}", and the block
-        # reader takes the writer's rows without the line-by-line fallback
+        # 20,000 rows end mid-block; every row is f"{j},{v!r}", and numpy's C
+        # parser takes the writer's rows without the line-grammar fallback
         values = np.random.default_rng(5).normal(size=20000) * 1e-3
         values[[0, 1023, 1024, 2047, 19999]] = [-0.0, np.inf, np.nan, 5e-324, 1e300]
         path = str(tmp_path / "b.csv")
@@ -184,9 +184,9 @@ class TestBucketsCSV:
         assert text == want.encode()
 
         def no_fallback(*args):
-            raise AssertionError("block fell back to the line-by-line reader")
+            raise AssertionError("the reader fell back to the line grammar")
 
-        monkeypatch.setattr(arrayio, "_parse_lines", no_fallback)
+        monkeypatch.setattr(arrayio, "_read_lines", no_fallback)
         assert arrayio.read_buckets_csv(path).tobytes() == values.tobytes()
 
     def test_writer_holds_one_block(self, tmp_path):
@@ -226,7 +226,7 @@ GOOD_FORMS = {"canonical", "plus", "spaced", "underscore", "arabic"}
 
 def bucket_text(prefix, rows, newline):
     """A bucket table: ``prefix`` canonical rows, so that the drawn rows can
-    sit in any block, then one line per drawn (form, value)."""
+    sit deep in the file, then one line per drawn (form, value)."""
     lines = ["j,value"] + [f"{j},{j / 7!r}" for j in range(prefix)]
     j = prefix
     for form, v in rows:
@@ -259,15 +259,30 @@ class TestBlockReader:
             ),
             max_size=12,
         ),
-        newline=st.sampled_from(["\n", "\r\n"]),
+        # a text-mode file ends lines at CR and LF, str.splitlines at more
+        newline=st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]),
     )
-    @example(prefix=0, rows=[("empty", 0.0)], newline="\n")  # a block with no rows at all
+    @example(prefix=0, rows=[("empty", 0.0)], newline="\n")  # a file with no rows at all
+    @example(prefix=3, rows=[("canonical", 0.5)], newline="\r")
+    @example(prefix=3, rows=[("canonical", 0.5)], newline="\x0c")
+    @example(prefix=3, rows=[("canonical", 0.5)], newline="\x85")
+    @example(prefix=3, rows=[("canonical", 0.5)], newline="\u2028")
     def test_agrees_with_line_reader(self, tmp_path, prefix, rows, newline):
         # the same array, bit for bit, or the same FormatError message
         path = tmp_path / "b.csv"
         path.write_bytes(bucket_text(prefix, rows, newline).encode())
         assert values_or_message(arrayio.read_buckets_csv, str(path)) == values_or_message(
             reference.read_buckets_csv, str(path))
+
+    @pytest.mark.parametrize("blank", list("\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"))
+    def test_blank_inside_a_row(self, tmp_path, blank):
+        # numpy's C parser takes each of these for a blank inside a field,
+        # where the grammar breaks the line or int() and float() refuse it
+        path = tmp_path / "b.csv"
+        for row in (f"0,{blank}0.5", f"0{blank},0.5", f"0,0.5{blank}"):
+            path.write_bytes(f"j,value\n{row}\n1,2.0\n".encode())
+            assert values_or_message(arrayio.read_buckets_csv, str(path)) == values_or_message(
+                reference.read_buckets_csv, str(path))
 
 
 class TestFlatConfig:
