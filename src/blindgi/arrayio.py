@@ -122,12 +122,11 @@ def write_pgm16(path: str, values: np.ndarray) -> None:
         fh.write(samples.tobytes())
 
 
-def _read_lines(path: str) -> list[str]:
-    """Lines of a text file as ``str.splitlines`` cuts them; FormatError
-    naming the file if it is unreadable or not UTF-8."""
-    raw = _read_bytes(path)
+def _decode(path: str, raw: bytes) -> str:
+    """The text of the bytes ``raw`` read from ``path``; FormatError naming
+    the file if they are not UTF-8."""
     try:
-        return raw.decode(TEXT_ENCODING).splitlines()
+        return raw.decode(TEXT_ENCODING)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not {TEXT_ENCODING} text (byte offset {exc.start})") from None
 
@@ -185,7 +184,11 @@ def read_buckets_csv(path: str) -> np.ndarray:
                         return rows["v"]
         except (ValueError, Warning):
             pass
-    lines = _read_lines(path)
+    # the grammar holds only the lines: the bytes and the text go first
+    text = _decode(path, raw)
+    del raw
+    lines = text.splitlines()
+    del text
     header = lines[0].strip() if lines else ""
     if header != "j,value":
         raise FormatError(f"{path}: expected header 'j,value', got {header!r} (line 1)")
@@ -215,7 +218,7 @@ def write_flat_config(path: str, entries: dict) -> None:
 def read_flat_config(path: str) -> dict:
     entries = {}
     first_line = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(_decode(path, _read_bytes(path)).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import UsageError
 from .forward import MeasurementSet, OpticalConfig, pupil_mask
 from .grid import Grid2D, MagnitudeSpectrum, freeze_field, indicator_autocorrelation
-from .patterns import byte_table_transpose, iter_table_indices, packed_width
+from .patterns import rmatvec
 
 
 @dataclass(frozen=True)
@@ -40,21 +40,13 @@ def correlate(measurements: MeasurementSet) -> CorrelationImage:
 
     Streams the centred form C = (1/J) sum_j (B_j - mean B) M_j, equal to the
     mean-removed estimator because the centred buckets sum to zero, in fixed
-    chunk order.  Each chunk adds its centred buckets to a histogram over
-    (byte position, byte value) of the packed patterns; the histogram becomes
-    pixels once, at the end of the pass.  ``np.add.at`` adds in place, in
-    pattern order: a per-chunk ``np.bincount`` plus a sum ran slower, and it
-    held a second histogram.
+    chunk order: C is ``rmatvec`` of the centred buckets, over J.
     """
     spec = measurements.ensemble
     if spec.count < 2:
         raise UsageError("correlation needs at least 2 measurements")
     centred = measurements.buckets - measurements.buckets.mean()
-    hist = np.zeros(packed_width(spec.grid) * 256)  # a raveled byte table
-    for lo, hi, idx in iter_table_indices(spec):
-        np.add.at(hist, idx.ravel(), np.repeat(centred[lo:hi], idx.shape[1]))
-    acc = byte_table_transpose(hist, spec.grid.npixels)
-    return CorrelationImage(spec.grid, (acc / spec.count).reshape(spec.grid.shape), spec.count)
+    return CorrelationImage(spec.grid, rmatvec(spec, centred) / spec.count, spec.count)
 
 
 def magnitude_spectrum(c: CorrelationImage) -> MagnitudeSpectrum:

@@ -18,8 +18,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .grid import (Grid2D, RealImage, circ_convolve, freeze_field, point_reflect,
                    require_mask_in_central_half)
-from .patterns import (STREAM_CHUNK, EnsembleSpec, _philox, byte_table, iter_table_indices,
-                       packed_width)
+from .patterns import EnsembleSpec, _philox, matvec
 # Not called here; kept importable as forward.pattern_batch, the name the
 # benchmark's tracer test (perfbench/tests) patches and restores.
 from .patterns import pattern_batch  # noqa: F401
@@ -243,11 +242,5 @@ def simulate(
     if ensemble.count > most:
         raise ConfigError(f"ensemble.count must be <= {most}, got {ensemble.count}")
 
-    # a bucket is sum_p M(p) w(p): one table entry per pattern byte
-    table = byte_table(bucket_weights(obj, psf)).ravel()
-    buckets = np.empty(ensemble.count)
-    entries = np.empty((min(STREAM_CHUNK, ensemble.count), packed_width(ensemble.grid)))
-    for lo, hi, idx in iter_table_indices(ensemble):
-        # every index is in range; mode="clip" lets take write out= unbuffered
-        np.take(table, idx, out=entries[: hi - lo], mode="clip").sum(axis=1, out=buckets[lo:hi])
+    buckets = matvec(ensemble, bucket_weights(obj, psf))
     return MeasurementSet(ensemble, _apply_noise(buckets, noise, psf_seed))

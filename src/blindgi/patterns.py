@@ -23,9 +23,8 @@ A chunk of patterns is packed bits, for every kind: pattern j is one row of
 pixel ``8b + i`` in row-major order, 1 where the pixel is on; the padding bits
 of the last byte are 0.  At w = 1 the inverted Philox bytes already are that
 row.  Only this module knows the layout: ``unpack`` turns rows into uint8 0/1
-patterns, and ``byte_table`` and ``byte_table_transpose`` turn per-pixel sums
-into per-byte lookups and back, so a bucket is one table lookup per byte and a
-correlation one weighted histogram of (byte position, byte value) per chunk.
+patterns, and ``matvec`` and ``rmatvec`` give the products M x and M^T w of
+the count x npixels 0/1 pattern matrix M through per-byte tables.
 """
 
 from __future__ import annotations
@@ -156,30 +155,20 @@ def pattern_batch(
     spec: EnsembleSpec,
     start: int,
     stop: int,
-    out: np.ndarray | None = None,
     bits: np.random.Philox | None = None,
 ) -> np.ndarray:
-    """Patterns start..stop-1 as packed rows, a (stop-start, ceil(npixels/8)) uint8 array.
+    """Patterns start..stop-1 as packed rows, a new (stop-start, ceil(npixels/8)) uint8 array.
 
     Bit i (little bit order) of byte b of a row is pixel 8b + i in row-major
     order, 1 where it is on; the padding bits of the last byte are 0.
-    ``unpack`` turns rows into uint8 0/1 patterns.  They are written into
-    ``out`` when it is given (a C-contiguous uint8 array of that shape), which
-    is then returned.  A given Philox ``bits`` continues a pass: the batches
-    before this one left it at pattern ``start``'s first counter.  Without it
-    the batch starts a generator there.
+    ``unpack`` turns rows into uint8 0/1 patterns.  A given Philox ``bits``
+    continues a pass: the batches before this one left it at pattern
+    ``start``'s first counter.  Without it the batch starts a generator there.
     """
     if not 0 <= start <= stop <= spec.count:
         raise UsageError(f"batch range [{start}, {stop}) out of bounds for count {spec.count}")
     ny, nx = spec.grid.shape
     npix, nb, n = ny * nx, packed_width(spec.grid), stop - start
-    if out is None:
-        out = np.empty((n, nb), dtype=np.uint8)
-    elif out.shape != (n, nb) or out.dtype != np.uint8 or not out.flags.c_contiguous:
-        raise UsageError(
-            f"pattern buffer must be a C-contiguous uint8 array of shape {(n, nb)}, "
-            f"got {out.dtype} {out.shape}"
-        )
     if spec.kind in ("random-binary", "random-fixed-fill"):
         fixed = spec.kind == "random-fixed-fill"
         fill = spec.fill_fraction
@@ -191,6 +180,7 @@ def pattern_batch(
             bits = np.random.Philox(key=_key(spec.seed, _STREAM_PATTERNS), counter=start * per)
         rows = max(1, _BLOCK_BYTES // (per * 32))
         part = np.empty((min(rows, n), npix), dtype=np.uint32) if fixed else None
+        out = np.empty((n, nb), dtype=np.uint8)
         for a in range(0, n, rows):
             block = out[a : a + rows]
             raw = _next_bytes(bits, len(block), per)
@@ -201,14 +191,13 @@ def pattern_batch(
                 block[...] = _pack(_fixed_fill(scores, k, part) if fixed else scores < threshold)
         if w == 1 and npix % 8:
             out[:, -1] &= (1 << npix % 8) - 1  # zero the padding bits
-    elif spec.kind == "hadamard":
-        j = np.arange(start, stop)
+        return out
+    j = np.arange(start, stop)
+    if spec.kind == "hadamard":
         hy, hx = _hadamard(ny)[j // nx] > 0, _hadamard(nx)[j % nx] > 0
-        out[...] = _pack((hy[:, :, None] == hx[:, None, :]).reshape(n, npix))
-    else:
-        j = np.arange(start, stop)
-        out[...] = 0
-        out[np.arange(n), j // 8] = 1 << (j % 8)
+        return _pack((hy[:, :, None] == hx[:, None, :]).reshape(n, npix))
+    out = np.zeros((n, nb), dtype=np.uint8)
+    out[np.arange(n), j // 8] = 1 << (j % 8)
     return out
 
 
@@ -218,36 +207,9 @@ def unpack(spec: EnsembleSpec, packed: np.ndarray) -> np.ndarray:
     return on.reshape(-1, *spec.grid.shape)
 
 
-# _BYTE_BITS[v, i] is bit i of byte value v, little bit order.
-_BYTE_BITS = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
-).astype(np.float64)
-
-
-def byte_table(values: np.ndarray) -> np.ndarray:
-    """Per-byte sums T[b, v] = sum_i bit_i(v) * x[8b + i] of per-pixel values x.
-
-    ``values`` holds x in row-major pixel order (any shape).  T has shape
-    (ceil(npixels / 8), 256), so a packed row r weighs sum_p M(p) x(p) =
-    sum_b T[b, r[b]].
-    """
-    x = np.zeros(-(-values.size // 8) * 8)
-    x[: values.size] = values.ravel()
-    return x.reshape(-1, 8) @ _BYTE_BITS.T
-
-
-def byte_table_transpose(table: np.ndarray, npixels: int) -> np.ndarray:
-    """The transpose of ``byte_table``: x[8b + i] = sum_v bit_i(v) * table[b, v].
-
-    ``table`` holds ceil(npixels / 8) * 256 values, as (b, v) or raveled; the
-    result has shape (npixels,).
-    """
-    return (np.reshape(table, (-1, 256)) @ _BYTE_BITS).ravel()[:npixels]
-
-
 # Chunk size for streaming passes over an ensemble.  Fixed so that summation
 # order never depends on the caller.  On 64x64, 32 to 256 ran equally fast;
-# 128 keeps a pass's workspace at 64 KB and its Python overhead small on small
+# 128 keeps a chunk at 64 KB and a pass's Python overhead small on small
 # grids.
 STREAM_CHUNK = 128
 
@@ -255,23 +217,21 @@ STREAM_CHUNK = 128
 def iter_chunks(spec: EnsembleSpec):
     """Yield ``(lo, hi, packed rows of patterns lo..hi-1)`` over the ensemble in fixed chunks.
 
-    A pass allocates one chunk-sized workspace (128 x 512 bytes at 64x64) and
-    one bit generator, and every chunk it yields is a view of that workspace:
-    a chunk is valid only until the next one is asked for, so a caller that
-    keeps one must copy it.
+    A pass continues one bit generator from counter 0, and each chunk is a
+    new array (128 x 512 bytes at 64x64) that stays valid after the next one
+    is asked for.
     """
-    work = np.empty((min(STREAM_CHUNK, spec.count), packed_width(spec.grid)), dtype=np.uint8)
     bits = np.random.Philox(key=_key(spec.seed, _STREAM_PATTERNS))
     for lo in range(0, spec.count, STREAM_CHUNK):
         hi = min(lo + STREAM_CHUNK, spec.count)
-        yield lo, hi, pattern_batch(spec, lo, hi, work[: hi - lo], bits)
+        yield lo, hi, pattern_batch(spec, lo, hi, bits)
 
 
-def iter_table_indices(spec: EnsembleSpec):
+def _table_indices(spec: EnsembleSpec):
     """Yield ``(lo, hi, idx)`` over the chunks of ``iter_chunks``.
 
     ``idx[j, b] = 256 b + r[b]`` for the packed row r of pattern lo + j: the
-    flat index of byte b's entry in a raveled ``byte_table``.  Each idx is a
+    flat index of byte b's entry in a raveled per-byte table.  Each idx is a
     read-only view of one intp workspace, valid until the next chunk is asked
     for.  The workspace holds 256 b once; since r[b] < 256 and 256 b has a
     zero low byte, a chunk's indices are its packed rows copied into the low
@@ -287,3 +247,47 @@ def iter_table_indices(spec: EnsembleSpec):
     for lo, hi, packed in iter_chunks(spec):
         low_bytes[: hi - lo] = packed
         yield lo, hi, indices[: hi - lo]
+
+
+# _BYTE_BITS[v, i] is bit i of byte value v, little bit order.
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(np.float64)
+
+
+def matvec(spec: EnsembleSpec, x: np.ndarray) -> np.ndarray:
+    """M @ x.ravel(), a length-count float64 array, for M the count x npixels
+    0/1 pattern matrix and x an image of npixels values (any shape).
+
+    x becomes the per-byte table T[b, v] = sum_i bit_i(v) x[8b + i], 1 MB at
+    64x64, and the product for a packed row r is sum_b T[b, r[b]]: one lookup
+    per eight pixels, and no float64 pattern.
+    """
+    nb = packed_width(spec.grid)
+    padded = np.zeros(nb * 8)
+    padded[: spec.grid.npixels] = np.reshape(x, spec.grid.npixels)
+    table = (padded.reshape(-1, 8) @ _BYTE_BITS.T).ravel()
+    out = np.empty(spec.count)
+    entries = np.empty((min(STREAM_CHUNK, spec.count), nb))
+    for lo, hi, idx in _table_indices(spec):
+        # every index is in range; mode="clip" lets take write out= unbuffered
+        np.take(table, idx, out=entries[: hi - lo], mode="clip").sum(axis=1, out=out[lo:hi])
+    return out
+
+
+def rmatvec(spec: EnsembleSpec, w: np.ndarray) -> np.ndarray:
+    """M^T w as an (ny, nx) float64 image, for M the count x npixels 0/1
+    pattern matrix and w a length-count vector.
+
+    Each chunk adds its w to a histogram H[b, v] over (byte position, byte
+    value) of its packed rows; at the end of the pass H becomes pixels,
+    x[8b + i] = sum_v bit_i(v) H[b, v].  ``np.add.at`` adds in place, in
+    pattern order: a per-chunk ``np.bincount`` plus a sum ran slower, and it
+    held a second histogram.
+    """
+    w = np.reshape(w, spec.count)
+    hist = np.zeros(packed_width(spec.grid) * 256)
+    for lo, hi, idx in _table_indices(spec):
+        np.add.at(hist, idx.ravel(), np.repeat(w[lo:hi], idx.shape[1]))
+    pixels = (hist.reshape(-1, 256) @ _BYTE_BITS).ravel()[: spec.grid.npixels]
+    return pixels.reshape(spec.grid.shape)

@@ -25,8 +25,11 @@ from .retrieval import Reconstruction, SupportMask, run as run_retrieval
 
 
 def read_image(path: str, grid: Grid2D) -> RealImage:
-    """An ``.f64`` image on the run grid; FormatError naming the file if its shape differs."""
+    """An ``.f64`` image on the run grid; FormatError naming the file if it is not one."""
     values, meta = arrayio.read_array(path)
+    if meta["kind"] != arrayio.KIND_IMAGE:
+        raise FormatError(f"{path}: kind tag {meta['kind']:g} at byte offset 48 is not an "
+                          f"image's ({arrayio.KIND_IMAGE:g})")
     if values.shape != grid.shape:
         raise FormatError(
             f"{path}: array is {meta['ny']}x{meta['nx']}, run grid is {grid.ny}x{grid.nx}"

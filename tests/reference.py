@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from blindgi.arrayio import _read_lines
+from blindgi.arrayio import _decode, _read_bytes
 from blindgi.errors import ConfigError, DataError, FormatError, NumericalError, UsageError
 from blindgi.forward import PSF
 from blindgi.grid import (Grid2D, MagnitudeSpectrum, RealImage, circ_convolve,
@@ -112,7 +112,7 @@ def read_buckets_csv(path: str) -> np.ndarray:
     """Bucket values of a ``j,value`` CSV, parsed one line at a time: the
     grammar ``arrayio.read_buckets_csv`` must accept, value for value and
     message for message."""
-    lines = iter(_read_lines(path))
+    lines = iter(_decode(path, _read_bytes(path)).splitlines())
     header = next(lines, "").strip()
     if header != "j,value":
         raise FormatError(f"{path}: expected header 'j,value', got {header!r} (line 1)")

@@ -498,6 +498,27 @@ class TestBadInputs:
         assert f"{path}: array is 16x16, run grid is 32x32" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    def test_f64_kind_not_image_is_format_error(self, run_dir, tmp_path, capsys, command):
+        # a grid-sized array of another kind: the oracle PSF (tag 2) read as
+        # the object, or the centred spectrum (tag 1) over the reconstruction
+        run = str(tmp_path / "run")
+        shutil.copytree(run_dir, run)
+        if command == "evaluate":
+            assert run_cli("reconstruct", "--run", run) == 0
+            path, tag = os.path.join(run, "reconstruction.f64"), 1
+            shutil.copyfile(os.path.join(run, "spectrum.f64"), path)
+            where = ["--run", run]
+        else:
+            path, tag = os.path.join(run, "oracle_psf.f64"), 2
+            where = [*SMALL, "--object", path]
+        out = tmp_path / "o"
+        assert run_cli(command, *where, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: kind tag {tag} at byte offset 48 is not an image's (0)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "reconstruct", "evaluate", "resolution"])
     def test_out_names_a_file(self, run_dir, tmp_path, capsys, command):
         run = str(tmp_path / "run")

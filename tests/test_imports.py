@@ -1,7 +1,7 @@
 """Source hygiene: every import in the package modules is used, every
 import sits at module level, every top-level definition has a caller in the
-package, one helper freezes arrays, one module packs pattern bits, and one
-module reads and writes files."""
+package, one helper freezes arrays, one module packs pattern bits and sizes
+its chunks and tables, and one module reads and writes files."""
 
 import ast
 import glob
@@ -128,6 +128,39 @@ def test_only_patterns_knows_the_bit_layout():
                for node in ast.walk(tree)):
             callers.add(os.path.basename(path))
     assert callers == {"patterns.py"}
+
+
+# The names that size the packed layout: a row's width, a chunk's length and
+# the per-byte tables, with the table helpers patterns.py no longer defines so
+# that none comes back in another module.
+LAYOUT_NAMES = {"packed_width", "STREAM_CHUNK", "_BYTE_BITS", "_table_indices", "byte_table",
+                "byte_table_transpose", "iter_table_indices"}
+
+
+def layout_names(source: str) -> list[str]:
+    """The names of ``LAYOUT_NAMES`` that ``source`` imports or reads."""
+    tree = ast.parse(source)
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    return sorted(LAYOUT_NAMES & (imported | set(names_read(tree))))
+
+
+def test_finds_layout_names():
+    source = ("from .patterns import STREAM_CHUNK as CHUNK, matvec\nfrom . import patterns\n\n"
+              "def f(spec):\n    return patterns.packed_width(spec.grid) * CHUNK\n")
+    assert layout_names(source) == ["STREAM_CHUNK", "packed_width"]
+
+
+def test_only_patterns_sizes_the_layout():
+    # chunk buffers and per-byte tables are sized and driven in patterns.py
+    # alone; the other modules call matvec, rmatvec and iter_chunks
+    found = {}
+    for path in ALL_MODULES:
+        with open(path, encoding="utf-8") as fh:
+            names = layout_names(fh.read())
+        if names and os.path.basename(path) != "patterns.py":
+            found[os.path.basename(path)] = names
+    assert found == {}
 
 
 def file_calls(source: str) -> list[int]:

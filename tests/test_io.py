@@ -170,6 +170,22 @@ class TestBucketsCSV:
             tracemalloc.stop()
         assert peak < 3 * os.path.getsize(path)
 
+    def test_grammar_memory_below_six_file_sizes(self, tmp_path):
+        # one U+3000 after the last row sends the file to the line grammar,
+        # which holds the file's lines and values but not its bytes or text
+        path = tmp_path / "b.csv"
+        arrayio.write_buckets_csv(str(path), np.random.default_rng(4).normal(size=65536))
+        path.write_bytes(path.read_bytes()[:-1] + "\u3000\n".encode())
+        arrayio.read_buckets_csv(str(path))
+        tracemalloc.start()
+        try:
+            values = arrayio.read_buckets_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(values) == 65536
+        assert peak < 6 * os.path.getsize(path)
+
 
     def test_writer_blocks(self, tmp_path, monkeypatch):
         # 20,000 rows end mid-block; every row is f"{j},{v!r}", and numpy's C
@@ -186,7 +202,7 @@ class TestBucketsCSV:
         def no_fallback(*args):
             raise AssertionError("the reader fell back to the line grammar")
 
-        monkeypatch.setattr(arrayio, "_read_lines", no_fallback)
+        monkeypatch.setattr(arrayio, "_decode", no_fallback)
         assert arrayio.read_buckets_csv(path).tobytes() == values.tobytes()
 
     def test_writer_holds_one_block(self, tmp_path):

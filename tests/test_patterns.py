@@ -25,12 +25,12 @@ from blindgi.patterns import (
     _fixed_fill,
     _hadamard,
     _philox,
-    byte_table,
-    byte_table_transpose,
+    _table_indices,
     iter_chunks,
-    iter_table_indices,
+    matvec,
     packed_width,
     pattern_batch,
+    rmatvec,
     unpack,
 )
 from scipy.linalg import hadamard
@@ -240,21 +240,27 @@ class TestPackedFormat:
             flat = patterns.reshape(s.count, -1).astype(bool)
             npt.assert_array_equal(np.packbits(flat, axis=1, bitorder="little"), packed)
 
-    def test_byte_tables_are_dense_sums(self):
-        # sum_b T[b, r[b]] is the dense M @ x, and the transpose sends a table
-        # back to pixels, on 33 x 31 (npixels % 8 = 7)
-        s = spec(kind="random-fixed-fill", n=33, nx=31, count=40, fill=0.3)
-        x = np.random.default_rng(0).standard_normal(s.grid.shape)
-        packed = pattern_batch(s, 0, s.count)
-        table = byte_table(x)
-        assert table.shape == (packed_width(s.grid), 256)
-        want = unpack(s, packed).reshape(s.count, -1) @ x.ravel()
-        got = table[np.arange(packed.shape[1]), packed].sum(axis=1)
-        npt.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(x).sum())
-        h = np.random.default_rng(1).standard_normal(table.shape)
-        # <T(x), h> = <x, T'(h)>
-        assert np.sum(table * h) == pytest.approx(
-            np.dot(x.ravel(), byte_table_transpose(h, s.grid.npixels)), rel=1e-12)
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", [(64, 64), (33, 31)], ids=["64x64", "33x31"])
+    def test_products_are_dense_products(self, kind, shape):
+        # matvec is M @ x and rmatvec is w @ M for the dense 0/1 pattern matrix
+        # M, on 300 patterns so that the last chunk is partial; hadamard needs
+        # power-of-two sides
+        ny, nx = (16, 32) if kind == "hadamard" and shape == (33, 31) else shape
+        rng = np.random.default_rng(0)
+        for fill in (0.5, 0.3):
+            s = spec(kind=kind, n=ny, nx=nx, count=300, fill=fill)
+            m = dense(s, 0, s.count).reshape(s.count, -1)
+            x, w = rng.standard_normal((ny, nx)), rng.standard_normal(s.count)
+            mx, mtw = matvec(s, x), rmatvec(s, w)
+            assert mx.dtype == mtw.dtype == np.float64
+            assert mx.shape == (s.count,) and mtw.shape == (ny, nx)
+            npt.assert_allclose(mx, m @ x.ravel(), rtol=0, atol=1e-13 * np.abs(x).sum())
+            npt.assert_allclose(mtw.ravel(), w @ m, rtol=0, atol=1e-13 * np.abs(w).sum())
+            # the adjoint identity <M x, w> = <x, M^T w>, within roundoff of the
+            # sum of |M[j, p] x[p] w[j]|
+            scale = np.abs(w) @ m @ np.abs(x.ravel())
+            assert abs(np.dot(mx, w) - np.sum(x * mtw)) <= 1e-13 * scale
 
 
 def traced_peak(fn):
@@ -269,11 +275,11 @@ def traced_peak(fn):
 
 
 class TestChunkWorkspace:
-    """A pass yields views of one chunk-sized workspace, and holds little else."""
+    """A pass yields a new array per chunk and holds about one chunk at a time."""
 
     def test_chunks_match_one_batch(self):
-        # every chunk, copied out before the next is asked for, equals the same
-        # rows of one pattern_batch; the count ends mid-chunk
+        # every chunk, kept after the next is asked for, equals the same rows
+        # of one pattern_batch; the count ends mid-chunk
         cases = [(kind, fill, shape) for kind in ("random-binary", "random-fixed-fill")
                  for fill in (0.5, 0.3) for shape in ((64, 64), (33, 31))]
         cases += [("hadamard", 0.5, (64, 64)), ("pixel-scan", 0.5, (33, 31))]
@@ -281,8 +287,7 @@ class TestChunkWorkspace:
             s = spec(kind=kind, n=ny, nx=nx, count=300, fill=fill)
             chunks = list(iter_chunks(s))
             assert [(lo, hi) for lo, hi, _ in chunks] == [(0, 128), (128, 256), (256, 300)]
-            assert all(np.shares_memory(chunks[0][2], batch) for _, _, batch in chunks)
-            rows = np.concatenate([batch.copy() for _, _, batch in iter_chunks(s)])
+            rows = np.concatenate([batch for _, _, batch in chunks])
             npt.assert_array_equal(rows, pattern_batch(s, 0, s.count))
             # a lone batch, across a chunk edge, is the same rows of the pass
             npt.assert_array_equal(pattern_batch(s, 100, 140), rows[100:140])
@@ -296,23 +301,13 @@ class TestChunkWorkspace:
         s = spec(kind=kind, n=ny, nx=nx, count=300)
         offsets = 256 * np.arange(packed_width(s.grid))
         spans = []
-        for (lo, hi, packed), (ilo, ihi, idx) in zip(iter_chunks(s), iter_table_indices(s),
+        for (lo, hi, packed), (ilo, ihi, idx) in zip(iter_chunks(s), _table_indices(s),
                                                      strict=True):
             assert (ilo, ihi) == (lo, hi)
             assert idx.dtype == np.intp and not idx.flags.writeable
             npt.assert_array_equal(idx, np.add(packed, offsets))
             spans.append((lo, hi))
         assert spans == [(0, 128), (128, 256), (256, 300)]
-
-    def test_batch_writes_into_out(self):
-        s = spec(kind="random-fixed-fill", count=20)
-        out = np.full((5, 512), 0xAA, dtype=np.uint8)
-        assert pattern_batch(s, 3, 8, out) is out
-        npt.assert_array_equal(out, pattern_batch(s, 3, 8))
-        for bad in (np.empty((4, 512), np.uint8), np.empty((5, 512)), np.empty((5, 64, 64)),
-                    np.empty((5, 1024), np.uint8)[:, ::2]):
-            with pytest.raises(UsageError, match="pattern buffer"):
-                pattern_batch(s, 3, 8, bad)
 
     def test_passes_hold_one_chunk(self):
         cfg = RunConfig(ensemble_kind="random-fixed-fill", ensemble_count=3 * STREAM_CHUNK + 44)
