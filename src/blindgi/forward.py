@@ -87,12 +87,6 @@ class OpticalConfig:
         """Nominal resolution wavelength*z_o/aperture_diameter, meters."""
         return 1.0 / self.cutoff_frequency
 
-    @property
-    def pupil_diameter_px(self) -> float:
-        """Aperture diameter in pupil-grid pixels (pupil pitch wavelength*z_o/(N*pitch))."""
-        g = self.object_grid
-        return self.aperture_diameter * g.nx * g.pitch / (self.wavelength * self.z_o)
-
 
 def pupil_mask(config: OpticalConfig) -> np.ndarray:
     """Centered aperture indicator on the object-plane frequency grid.
@@ -150,10 +144,18 @@ def bucket_weights(obj: RealImage, psf: PSF) -> np.ndarray:
     Integrating the object against a convolved pattern equals integrating the
     pattern against the object correlated with the reflected kernel, so all J
     buckets reduce to dot products against one precomputed image.
+
+    Values of the convolution within the FFT's roundoff of zero, |w| <=
+    npixels * eps * max|w|, are set to exactly 0: with the delta PSF the
+    nonzero weights are then the object's pixels, and ``matvec`` reads only
+    the pattern bytes that cover them.  The rule applies to the convolution,
+    which a RealImage holds finite, before the pitch^2 scale, so a weight
+    that overflows only when scaled stays infinite and the buckets are refused.
     """
     reflected = RealImage(psf.grid, point_reflect(psf.values))
-    w = circ_convolve(obj, reflected)
-    return w.values * obj.grid.pitch**2
+    w = circ_convolve(obj, reflected).values
+    roundoff = w.size * np.finfo(np.float64).eps * np.abs(w).max()
+    return np.where(np.abs(w) <= roundoff, 0.0, w) * obj.grid.pitch**2
 
 
 @dataclass(frozen=True)
@@ -211,8 +213,8 @@ def _apply_noise(buckets: np.ndarray, noise: NoiseModel, psf_seed: int) -> np.nd
             f"noise.photons = {noise.photons!r} gives a Poisson mean of {lam.max():.3g} photons "
             f"in the brightest bucket, above the sampler's limit of {_POISSON_LAM_MAX:.3g}"
         )
-    # FFT roundoff in bucket_weights leaves about -1e-26 on pixels off the
-    # object, so a pattern that misses the object can have a bucket just below 0
+    # the weights are a nonnegative object seen through a nonnegative PSF, so
+    # a bucket can fall below 0 only by roundoff; the draw takes it as 0
     return rng.poisson(np.maximum(lam, 0.0)).astype(np.float64) / scale
 
 

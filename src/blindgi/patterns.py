@@ -24,7 +24,9 @@ pixel ``8b + i`` in row-major order, 1 where the pixel is on; the padding bits
 of the last byte are 0.  At w = 1 the inverted Philox bytes already are that
 row.  Only this module knows the layout: ``unpack`` turns rows into uint8 0/1
 patterns, and ``matvec`` and ``rmatvec`` give the products M x and M^T w of
-the count x npixels 0/1 pattern matrix M through per-byte tables.
+the count x npixels 0/1 pattern matrix M through per-byte tables.  ``matvec``
+reads only the byte positions where x has a nonzero pixel, so an x that is 0
+off a small object costs one lookup per byte of the object's pixels.
 """
 
 from __future__ import annotations
@@ -94,6 +96,12 @@ class EnsembleSpec:
             raise ConfigError(f"ensemble.count must be >= 1, got {self.count}")
         if self.kind in ("random-binary", "random-fixed-fill") and not 0 < self.fill_fraction < 1:
             raise ConfigError(f"ensemble.fill_fraction must be in (0,1), got {self.fill_fraction}")
+        if self.kind == "random-binary" and not 0 < round(self.fill_fraction * 2**32) < 2**32:
+            raise ConfigError(
+                f"ensemble.fill_fraction = {self.fill_fraction!r} rounds to an all-dark or "
+                "all-lit random-binary pattern: its 32-bit scores need a fill in "
+                "(2^-33, 1 - 2^-33)"
+            )
         if self.kind == "hadamard":
             if not (_is_pow2(self.grid.nx) and _is_pow2(self.grid.ny)):
                 raise ConfigError("ensemble.kind 'hadamard' needs power-of-two grid dimensions")
@@ -174,7 +182,7 @@ def pattern_batch(
         fill = spec.fill_fraction
         w = 32 if fixed else _score_bits(fill)
         k = min(max(int(round(fill * npix)), 1), npix - 1)
-        threshold = min(round(fill * 2**w), 2**w - 1)
+        threshold = round(fill * 2**w)
         per = -(-npix * w // 256)
         if bits is None:
             bits = np.random.Philox(key=_key(spec.seed, _STREAM_PATTERNS), counter=start * per)
@@ -227,25 +235,26 @@ def iter_chunks(spec: EnsembleSpec):
         yield lo, hi, pattern_batch(spec, lo, hi, bits)
 
 
-def _table_indices(spec: EnsembleSpec):
+def _table_indices(spec: EnsembleSpec, positions: np.ndarray | None = None):
     """Yield ``(lo, hi, idx)`` over the chunks of ``iter_chunks``.
 
-    ``idx[j, b] = 256 b + r[b]`` for the packed row r of pattern lo + j: the
-    flat index of byte b's entry in a raveled per-byte table.  Each idx is a
-    read-only view of one intp workspace, valid until the next chunk is asked
-    for.  The workspace holds 256 b once; since r[b] < 256 and 256 b has a
-    zero low byte, a chunk's indices are its packed rows copied into the low
-    byte of each element.
+    ``idx[j, k] = 256 b + r[b]``, b the k-th of the byte ``positions`` (every
+    position, in order, when None), for the packed row r of pattern lo + j:
+    the flat index of byte b's entry in a raveled per-byte table.  Each idx is
+    a read-only view of one intp workspace, valid until the next chunk is
+    asked for.  The workspace holds 256 b once; since r[b] < 256 and 256 b has
+    a zero low byte, a chunk's indices are its packed rows, or their columns
+    at ``positions``, copied into the low byte of each element.
     """
-    nb = packed_width(spec.grid)
-    work = np.empty((min(STREAM_CHUNK, spec.count), nb), dtype=np.intp)
-    work[...] = np.arange(0, 256 * nb, 256, dtype=np.intp)
+    cols = np.arange(packed_width(spec.grid)) if positions is None else positions
+    work = np.empty((min(STREAM_CHUNK, spec.count), len(cols)), dtype=np.intp)
+    work[...] = 256 * cols
     low = 0 if sys.byteorder == "little" else work.itemsize - 1
     low_bytes = work.view(np.uint8).reshape(*work.shape, work.itemsize)[..., low]
     indices = work.view()
     indices.flags.writeable = False
     for lo, hi, packed in iter_chunks(spec):
-        low_bytes[: hi - lo] = packed
+        low_bytes[: hi - lo] = packed if positions is None else packed[:, positions]
         yield lo, hi, indices[: hi - lo]
 
 
@@ -260,16 +269,20 @@ def matvec(spec: EnsembleSpec, x: np.ndarray) -> np.ndarray:
     0/1 pattern matrix and x an image of npixels values (any shape).
 
     x becomes the per-byte table T[b, v] = sum_i bit_i(v) x[8b + i], 1 MB at
-    64x64, and the product for a packed row r is sum_b T[b, r[b]]: one lookup
-    per eight pixels, and no float64 pattern.
+    64x64, and the product for a packed row r is sum_b T[b, r[b]] over the
+    byte positions b where x has a nonzero pixel, since T[b] is 0 at every
+    other: one lookup per eight pixels, and no float64 pattern.  When every
+    position holds a nonzero pixel the gather reads whole rows.
     """
     nb = packed_width(spec.grid)
     padded = np.zeros(nb * 8)
     padded[: spec.grid.npixels] = np.reshape(x, spec.grid.npixels)
-    table = (padded.reshape(-1, 8) @ _BYTE_BITS.T).ravel()
+    octets = padded.reshape(-1, 8)
+    table = (octets @ _BYTE_BITS.T).ravel()
+    used = np.flatnonzero(octets.any(axis=1))
     out = np.empty(spec.count)
-    entries = np.empty((min(STREAM_CHUNK, spec.count), nb))
-    for lo, hi, idx in _table_indices(spec):
+    entries = np.empty((min(STREAM_CHUNK, spec.count), len(used)))
+    for lo, hi, idx in _table_indices(spec, None if len(used) == nb else used):
         # every index is in range; mode="clip" lets take write out= unbuffered
         np.take(table, idx, out=entries[: hi - lo], mode="clip").sum(axis=1, out=out[lo:hi])
     return out

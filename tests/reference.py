@@ -11,7 +11,7 @@
   to, whether numpy's C parser or its own line grammar reads the file.
 * The statistics the acceptance criteria measure: the mean-removed ensemble
   autocorrelation of the patterns (criterion 3), and a PSF's MTF against the
-  autocorrelation of a disk (criterion 4).
+  autocorrelation of a disk the size of the pupil (criteria 4 and 5).
 """
 
 from array import array
@@ -21,7 +21,7 @@ import numpy as np
 
 from blindgi.arrayio import _decode, _read_bytes
 from blindgi.errors import ConfigError, DataError, FormatError, NumericalError, UsageError
-from blindgi.forward import PSF
+from blindgi.forward import PSF, OpticalConfig
 from blindgi.grid import (Grid2D, MagnitudeSpectrum, RealImage, circ_convolve,
                           indicator_autocorrelation)
 from blindgi.patterns import EnsembleSpec, iter_chunks, unpack
@@ -140,6 +140,12 @@ def centered_disk(grid: Grid2D, diameter_px: float) -> np.ndarray:
     autocorrelation of a diameter-d disk vanishes at lags >= d.
     """
     return grid.pixel_radius() < diameter_px / 2.0
+
+
+def pupil_diameter_px(config: OpticalConfig) -> float:
+    """Aperture diameter in pupil-grid pixels (pupil pitch wavelength*z_o/(N*pitch))."""
+    g = config.object_grid
+    return config.aperture_diameter * g.nx * g.pitch / (config.wavelength * config.z_o)
 
 
 def disk_autocorrelation(diameter_px: float, grid: Grid2D) -> MagnitudeSpectrum:

@@ -35,7 +35,7 @@ from blindgi.pipeline import (
 )
 from blindgi.retrieval import centered_box_mask, _initial_iterate, _run_stack, _StackEngine
 
-from reference import disk_autocorrelation, otf_magnitude
+from reference import disk_autocorrelation, otf_magnitude, pupil_diameter_px
 from test_correlation import classic_gi_pearson
 from test_forward import bucket_both_forms
 from test_patterns import offpeak_decay_slope
@@ -144,9 +144,9 @@ def test_criterion_4_speckle_mtf_model():
     for seed in range(64):
         acc += otf_magnitude(psf_for(cfg, seed))
     mtf_mean = acc / 64
-    model = np.sqrt(disk_autocorrelation(cfg.pupil_diameter_px, g).values)
+    model = np.sqrt(disk_autocorrelation(pupil_diameter_px(cfg), g).values)
     rbin = radial_bins(g)
-    maxr = int(np.floor(cfg.pupil_diameter_px))
+    maxr = int(np.floor(pupil_diameter_px(cfg)))
     prof_m = np.array([mtf_mean[rbin == k].mean() for k in range(1, maxr)])
     prof_f = np.array([model[rbin == k].mean() for k in range(1, maxr)])
     scale = float(prof_m @ prof_f / (prof_f @ prof_f))
@@ -167,7 +167,7 @@ def test_criterion_5_factorization(headline_measurement):
     o_mag = np.abs(np.fft.fftshift(np.fft.fft2(obj.values, norm="ortho")))
     f_model = filter_model(cfg).values
     rbin = radial_bins(g)
-    maxr = int(np.floor(cfg.pupil_diameter_px))
+    maxr = int(np.floor(pupil_diameter_px(cfg)))
     beyond = rbin >= maxr + 3  # the diffuser passes nothing out here
 
     def ratio_profile(ms):

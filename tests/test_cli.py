@@ -272,8 +272,8 @@ class TestBadInputs:
         assert not out.exists()
 
     def test_poisson_noise_on_buckets_that_miss_the_object(self, tmp_path):
-        # FFT roundoff leaves buckets of about -1e-26 where a pattern misses
-        # the object; the Poisson draw takes them as 0
+        # a pattern that misses the object has a bucket of 0, which the
+        # Poisson draw must take
         out = str(tmp_path / "r")
         assert run_cli("simulate", "--out", out, "--grid.nx", "16", "--grid.ny", "16",
                        "--optical.case", "delta", "--ensemble.count", "64",
@@ -421,6 +421,10 @@ class TestBadInputs:
         ("simulate", ["--grid.nx", "100000000", "--grid.ny", "100000000"],
          "shape (100000000, 100000000)"),
         ("reconstruct", ["--schedule.restarts", str(10**12)], "shape (1000000000000,"),
+        # a random-binary threshold of 0 or 2^32 of the 32-bit scores would
+        # give all-dark or all-lit patterns
+        *[("simulate", ["--ensemble.kind", "random-binary", "--ensemble.fill-fraction", fill],
+           "ensemble.fill_fraction = " + fill) for fill in ("1e-12", "0.999999999999")],
     ])
     def test_integer_below_minimum(self, run_dir, tmp_path, capsys, command, flags, name):
         # and real-valued keys out of range, values the models reject,
@@ -432,6 +436,21 @@ class TestBadInputs:
         assert run_cli(command, *where, "--out", str(out), *flags) == 2
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the pitch^2 scale overflows
+    def test_weights_overflowing_after_the_pitch_scale(self, tmp_path, capsys):
+        # the convolution is finite, so the roundoff rule keeps it; the pitch^2
+        # scale overflows and the buckets are refused before any output
+        big = np.zeros((16, 16))
+        big[7:9, 7:9] = 1e200
+        arrayio.write_array(str(tmp_path / "big.f64"), big, 1e150)
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--out", str(out), "--grid.nx", "16", "--grid.ny", "16",
+                       "--optical.case", "delta", "--ensemble.count", "64",
+                       "--object", str(tmp_path / "big.f64"), "--grid.pitch", "1e150") == 3
+        err = capsys.readouterr().err
+        assert "buckets contains non-finite values" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the bucket mean overflows

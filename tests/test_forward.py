@@ -1,7 +1,9 @@
 """Forward-model tests: PSF synthesis, the bucket identity, speckle
 statistics, and measurement determinism."""
 
+import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -25,11 +27,13 @@ from blindgi import (
 )
 import blindgi.forward
 import blindgi.pipeline
-from blindgi.config import RunConfig
-from blindgi.pipeline import run_simulation
+from blindgi.arrayio import read_flat_config
+from blindgi.config import RunConfig, config_from_entries
+from blindgi.pipeline import run_simulation, separation_px
 from blindgi.patterns import pattern_batch, unpack
 from blindgi import objects
-from reference import bucket, centered_disk, disk_autocorrelation, illuminate, otf_magnitude
+from reference import (bucket, centered_disk, disk_autocorrelation, illuminate, otf_magnitude,
+                       pupil_diameter_px)
 
 
 def grid(n=64, pitch=12.5e-6):
@@ -93,7 +97,7 @@ class TestLensPSF:
         cfg = optical(case="lens-only")
         psf = psf_for(cfg, 0)
         got = otf_magnitude(psf)
-        want = disk_autocorrelation(cfg.pupil_diameter_px, cfg.object_grid).values
+        want = disk_autocorrelation(pupil_diameter_px(cfg), cfg.object_grid).values
         npt.assert_allclose(got, want, atol=1e-10)
 
     def test_otf_dc_and_beyond_cutoff(self):
@@ -109,7 +113,7 @@ class TestLensPSF:
         g = grid(64)
         d_one_px = 1.0 * 532e-9 * 0.3 / (64 * 12.5e-6)
         cfg = optical(aperture=d_one_px, case="lens-only")
-        assert cfg.pupil_diameter_px == pytest.approx(1.0)
+        assert pupil_diameter_px(cfg) == pytest.approx(1.0)
         psf = psf_for(cfg, 0)
         npt.assert_allclose(psf.values, 1.0 / g.npixels, atol=1e-15)
         mtf = otf_magnitude(psf)
@@ -157,9 +161,9 @@ class TestSpecklePSF:
         for seed in range(64):
             acc += otf_magnitude(psf_for(cfg, seed))
         mtf_mean = acc / 64
-        model = np.sqrt(disk_autocorrelation(cfg.pupil_diameter_px, g).values)
+        model = np.sqrt(disk_autocorrelation(pupil_diameter_px(cfg), g).values)
         r = g.pixel_radius()
-        maxr = int(np.floor(cfg.pupil_diameter_px))
+        maxr = int(np.floor(pupil_diameter_px(cfg)))
         prof_m = np.array([mtf_mean[(r >= k) & (r < k + 1)].mean() for k in range(1, maxr)])
         prof_f = np.array([model[(r >= k) & (r < k + 1)].mean() for k in range(1, maxr)])
         scale = float(prof_m @ prof_f / (prof_f @ prof_f))
@@ -314,3 +318,64 @@ class TestSimulate:
         start = time.time()
         simulate(obj, psf_for(cfg, 4), ens, NoiseModel(), psf_seed=4)
         assert time.time() - start < 10.0
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def config_file(name):
+    return config_from_entries(read_flat_config(os.path.join(CONFIGS, name)))
+
+
+def unrounded_weights(obj, psf):
+    """bucket_weights without its roundoff rule: the scaled FFT convolution."""
+    reflected = RealImage(psf.grid, point_reflect(psf.values))
+    return circ_convolve(obj, reflected).values * obj.grid.pitch**2
+
+
+class TestBucketWeights:
+    @pytest.mark.parametrize("shape", [(64, 64), (33, 31)], ids=["64x64", "33x31"])
+    @pytest.mark.parametrize("source", ["letter", "two-points(5)", "rectangle(3,4)",
+                                        "double-slit(2,6,4)"])
+    def test_delta_weights_are_the_object(self, shape, source):
+        # with the delta PSF the FFT leaves roundoff off the object, and
+        # bucket_weights sets it to exactly 0: the nonzero weights are the
+        # object's pixels, within roundoff of the object times pitch^2
+        g = Grid2D(nx=shape[1], ny=shape[0], pitch=12.5e-6)
+        obj = objects.from_spec(g, source)
+        psf = psf_for(OpticalConfig(532e-9, 0.3, 2e-3, 7.4e-6, g, case="delta"), 0)
+        w = blindgi.forward.bucket_weights(obj, psf)
+        npt.assert_array_equal(w != 0, obj.values != 0)
+        npt.assert_allclose(w, obj.values * g.pitch**2, rtol=1e-12)
+
+    def test_scattering_and_lens_weights_keep_their_bytes(self):
+        # no weight of the headline run, its lens-only twin or criterion 8's
+        # two points (scattering and lens-only) lies within roundoff of 0, so
+        # the rule leaves every byte of the FFT convolution
+        headline, resolution = config_file("headline.txt"), config_file("resolution.txt")
+        limit = resolution.optical().resolution_limit
+        cfgs = [headline, replace(headline, case="lens-only")]
+        for rel in (0.35, 0.7, 1.4, 2.0):
+            sep = separation_px(resolution.grid(), rel * limit)
+            two = replace(resolution, object_source=f"two-points({sep})")
+            cfgs += [two, replace(two, case="lens-only")]
+        for cfg in cfgs:
+            obj = objects.from_spec(cfg.grid(), cfg.object_source)
+            psf = psf_for(cfg.optical(), cfg.psf_seed)
+            w = blindgi.forward.bucket_weights(obj, psf)
+            assert w.tobytes() == unrounded_weights(obj, psf).tobytes(), cfg
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the pitch^2 scale overflows
+    def test_rule_precedes_the_pitch_scale(self):
+        # a weight that overflows only when scaled by pitch^2 stays infinite,
+        # and the buckets are refused
+        g = Grid2D(nx=16, ny=16, pitch=1e150)
+        vals = np.zeros(g.shape)
+        vals[7:9, 7:9] = 1e200
+        obj = RealImage(g, vals)
+        psf = psf_for(OpticalConfig(532e-9, 0.3, 2e-3, 7.4e-6, g, case="delta"), 0)
+        w = blindgi.forward.bucket_weights(obj, psf)
+        assert np.all(np.isinf(w[vals > 0])) and np.all(w[vals == 0] == 0)
+        ens = EnsembleSpec("random-binary", g, 64)
+        with pytest.raises(DataError, match="buckets contains non-finite values"):
+            simulate(obj, psf, ens, NoiseModel(), 0)

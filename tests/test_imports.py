@@ -1,7 +1,8 @@
 """Source hygiene: every import in the package modules is used, every
-import sits at module level, every top-level definition has a caller in the
-package, one helper freezes arrays, one module packs pattern bits and sizes
-its chunks and tables, and one module reads and writes files."""
+import sits at module level, every top-level definition, method and property
+has a caller in the package, one helper freezes arrays, one module packs
+pattern bits and sizes its chunks and tables, and one module reads and
+writes files."""
 
 import ast
 import glob
@@ -81,19 +82,38 @@ def names_read(node: ast.AST) -> Counter:
 
 
 def unreferenced_definitions(sources: list[str]) -> list[str]:
-    """Top-level functions and classes of the modules ``sources`` whose name
-    occurs nowhere in them outside their own definition."""
+    """Top-level functions and classes of the modules ``sources``, and the
+    methods and properties of those classes (as ``Class.name``), whose name
+    occurs nowhere in them outside their own definition.  Dunder methods,
+    which Python calls by protocol, and the methods of a class derived from
+    one defined elsewhere, which override what that base calls, are skipped;
+    dataclass fields are annotated names, not definitions."""
     trees = [ast.parse(source) for source in sources]
     everywhere = sum(map(names_read, trees), Counter())
-    return sorted(node.name for tree in trees for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and everywhere[node.name] == names_read(node)[node.name])
+    top = [node for tree in trees for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    classes = {node.name for node in top if isinstance(node, ast.ClassDef)}
+    found = []
+    for node in top:
+        found.append((node.name, node))
+        if isinstance(node, ast.ClassDef) and all(
+                isinstance(base, ast.Name) and base.id in classes for base in node.bases):
+            found += [(f"{node.name}.{item.name}", item) for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return sorted(label for label, node in found
+                  if everywhere[node.name] == names_read(node)[node.name])
 
 
 def test_finds_unreferenced_definition():
     sources = ["def f(n):\n    return f(n - 1)\n\nclass C:\n    pass\n\ndef g():\n    return C\n",
-               "from a import g\n\ndef h():\n    return a.g()\n"]
-    assert unreferenced_definitions(sources) == ["f", "h"]
+               "from a import g\n\ndef h():\n    return a.g()\n",
+               "class D:\n    size: int\n\n    def __post_init__(self):\n        self.m()\n\n"
+               "    def m(self):\n        return self.size\n\n    @property\n"
+               "    def p(self):\n        return self.p\n\n    def q(self):\n        pass\n\n"
+               "D(1)\n\nclass E(D):\n    def r(self):\n        pass\n\n"
+               "class P(argparse.ArgumentParser):\n    def error(self, message):\n        pass\n"]
+    assert unreferenced_definitions(sources) == ["D.p", "D.q", "E", "E.r", "P", "f", "h"]
 
 
 def test_every_definition_has_a_caller():

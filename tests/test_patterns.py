@@ -119,6 +119,19 @@ class TestGeneratePattern:
                 sums = dense(s, 0, s.count).sum(axis=(1, 2))
                 npt.assert_array_equal(sums, k)
 
+    def test_binary_fill_must_round_inside_the_scores(self):
+        # a random-binary fill that rounds to 0 or 2^32 of the 32-bit scores
+        # would give all-dark or all-lit patterns; just inside, one pixel in
+        # 2^32 is on or off, and the fill 2^-16 reads exact 16-bit scores
+        lo, hi = 2.0**-33, 1 - 2.0**-33
+        for fill in (1e-12, lo, hi, 1 - 1e-12):
+            with pytest.raises(ConfigError, match="ensemble.fill_fraction"):
+                spec(fill=fill)
+        for fill in (np.nextafter(lo, 1), np.nextafter(hi, 0), 2.0**-16, 1 - 2.0**-16):
+            spec(fill=fill)
+        # fixed-fill turns k >= 1 pixels on at any fill in (0, 1)
+        spec(kind="random-fixed-fill", fill=1e-12)
+
     def test_fixed_fill_repairs_ties(self):
         # row 0 ties its k-th value below it, row 1 is constant, row 2 has
         # the tie only above the k-th value, row 3 has no ties
@@ -245,14 +258,22 @@ class TestPackedFormat:
     def test_products_are_dense_products(self, kind, shape):
         # matvec is M @ x and rmatvec is w @ M for the dense 0/1 pattern matrix
         # M, on 300 patterns so that the last chunk is partial; hadamard needs
-        # power-of-two sides
+        # power-of-two sides.  x is dense, then 0 on whole bytes, which matvec
+        # skips: one pixel, the last pixel (alone in the partial last byte of
+        # 33x31), the letter's pixels, and nothing (buckets of exactly 0)
         ny, nx = (16, 32) if kind == "hadamard" and shape == (33, 31) else shape
         rng = np.random.default_rng(0)
-        for fill in (0.5, 0.3):
+        one, last = np.zeros((2, ny, nx), bool)
+        one[ny // 3, nx // 5] = last[-1, -1] = True
+        letter = objects.letter(Grid2D(nx=nx, ny=ny, pitch=1e-5)).values > 0
+        for fill, mask in [(0.5, True), (0.3, True), (0.5, one), (0.5, last), (0.5, letter),
+                           (0.5, False)]:
             s = spec(kind=kind, n=ny, nx=nx, count=300, fill=fill)
             m = dense(s, 0, s.count).reshape(s.count, -1)
-            x, w = rng.standard_normal((ny, nx)), rng.standard_normal(s.count)
+            x, w = rng.standard_normal((ny, nx)) * mask, rng.standard_normal(s.count)
             mx, mtw = matvec(s, x), rmatvec(s, w)
+            if not np.any(mask):
+                npt.assert_array_equal(mx, 0.0)
             assert mx.dtype == mtw.dtype == np.float64
             assert mx.shape == (s.count,) and mtw.shape == (ny, nx)
             npt.assert_allclose(mx, m @ x.ravel(), rtol=0, atol=1e-13 * np.abs(x).sum())
@@ -296,18 +317,21 @@ class TestChunkWorkspace:
     @pytest.mark.parametrize("shape", [(64, 64), (33, 31)], ids=["64x64", "33x31"])
     def test_table_indices_are_offset_rows(self, kind, shape):
         # idx = packed + 256 b for every chunk of the same pass, the last one
-        # partial; hadamard needs power-of-two sides
+        # partial, over every byte position b or the given ones; hadamard needs
+        # power-of-two sides
         ny, nx = (16, 32) if kind == "hadamard" and shape == (33, 31) else shape
         s = spec(kind=kind, n=ny, nx=nx, count=300)
-        offsets = 256 * np.arange(packed_width(s.grid))
-        spans = []
-        for (lo, hi, packed), (ilo, ihi, idx) in zip(iter_chunks(s), _table_indices(s),
-                                                     strict=True):
-            assert (ilo, ihi) == (lo, hi)
-            assert idx.dtype == np.intp and not idx.flags.writeable
-            npt.assert_array_equal(idx, np.add(packed, offsets))
-            spans.append((lo, hi))
-        assert spans == [(0, 128), (128, 256), (256, 300)]
+        nb = packed_width(s.grid)
+        for positions in (None, np.array([1, 2, 7, nb - 1])):
+            cols = np.arange(nb) if positions is None else positions
+            spans = []
+            for (lo, hi, packed), (ilo, ihi, idx) in zip(
+                    iter_chunks(s), _table_indices(s, positions), strict=True):
+                assert (ilo, ihi) == (lo, hi)
+                assert idx.dtype == np.intp and not idx.flags.writeable
+                npt.assert_array_equal(idx, np.add(packed[:, cols], 256 * cols))
+                spans.append((lo, hi))
+            assert spans == [(0, 128), (128, 256), (256, 300)]
 
     def test_passes_hold_one_chunk(self):
         cfg = RunConfig(ensemble_kind="random-fixed-fill", ensemble_count=3 * STREAM_CHUNK + 44)
