@@ -36,23 +36,18 @@ ORACLE_PSF_FILE = "oracle_psf.f64"
 
 
 def _extract_overrides(extra: list[str]) -> dict[str, str]:
-    """Parse leftover '--dotted.key value' tokens into config entries."""
+    """Parse leftover '--dotted.key value' or '--dotted.key=value' tokens into config entries."""
     overrides = {}
-    i = 0
-    while i < len(extra):
-        token = extra[i]
+    tokens = iter(extra)
+    for token in tokens:
         if not token.startswith("--"):
             raise UsageError(f"unexpected argument {token!r}")
-        body = token[2:]
-        if "=" in body:
-            flag, value = body.split("=", 1)
-        else:
-            if i + 1 >= len(extra):
+        flag, eq, value = token[2:].partition("=")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
                 raise UsageError(f"missing value for {token}")
-            flag, value = body, extra[i + 1]
-            i += 1
         overrides[flag.replace("-", "_")] = value
-        i += 1
     return overrides
 
 

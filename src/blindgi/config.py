@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .errors import ConfigError
 from .forward import NoiseModel, OpticalConfig
@@ -134,20 +135,15 @@ def config_to_entries(cfg: RunConfig) -> dict[str, str]:
     """Flatten a RunConfig to dotted-key strings (repr-formatted floats)."""
     entries = {}
     for key, (path, _) in KEYMAP.items():
-        obj = cfg
-        *heads, leaf = path.split(".")
-        for head in heads:
-            obj = getattr(obj, head)
-        value = getattr(obj, leaf)
+        value = reduce(getattr, path.split("."), cfg)
         entries[key] = repr(value) if isinstance(value, float) else str(value)
     return entries
 
 
 def config_from_entries(entries: dict[str, str]) -> RunConfig:
     """Build a RunConfig from dotted-key strings over the defaults."""
-    top: dict[str, object] = {}
-    support: dict[str, object] = {}
-    schedule: dict[str, object] = {}
+    # attribute path "section.name" -> sections[section][name]; "" is RunConfig's own
+    sections: dict[str, dict[str, object]] = {"": {}, "support": {}, "schedule": {}}
     for key, raw in entries.items():
         if key not in KEYMAP:
             raise ConfigError(f"unknown config key {key!r}")
@@ -158,10 +154,7 @@ def config_from_entries(entries: dict[str, str]) -> RunConfig:
             raise ConfigError(f"bad value for {key}: {raw!r}") from exc
         if parser is float and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {raw!r}")
-        if path.startswith("support."):
-            support[path.split(".", 1)[1]] = value
-        elif path.startswith("schedule."):
-            schedule[path.split(".", 1)[1]] = value
-        else:
-            top[path] = value
-    return RunConfig(support=SupportPolicy(**support), schedule=ScheduleConfig(**schedule), **top)
+        section, _, name = path.rpartition(".")
+        sections[section][name] = value
+    return RunConfig(support=SupportPolicy(**sections["support"]),
+                     schedule=ScheduleConfig(**sections["schedule"]), **sections[""])

@@ -1,9 +1,14 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the guard that turns a
+numpy overflow into a numerical failure.
 
 Each class carries the process exit code the CLI returns for it: config and
 usage problems exit 2, data and file-format problems exit 3, numerical
 failures exit 4.
 """
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class BlindGIError(Exception):
@@ -34,3 +39,21 @@ class FormatError(BlindGIError):
 class NumericalError(BlindGIError):
     """A numerical procedure failed, e.g. empty support or undefined correlation."""
     exit_code = 4
+
+
+@contextmanager
+def overflow_guard(action: str, **arrays: np.ndarray):
+    """Run the block with numpy overflow and invalid operations raised.
+
+    Squares and sums of large finite values overflow in the noise level, the
+    support estimate, E_F and the Pearson score: that is a numerical failure
+    naming ``action`` and the peak of each named array, not a NaN or a
+    warning in the output.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        sizes = ", ".join(f"the {name} peaks at {np.abs(values).max():.3g}"
+                          for name, values in arrays.items())
+        raise NumericalError(f"values too large to {action} ({exc}): {sizes}") from None

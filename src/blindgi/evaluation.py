@@ -27,19 +27,19 @@ class AlignmentResult:
     pearson: float
 
 
-def _pearson_maps(recon: np.ndarray, truth: np.ndarray) -> list[np.ndarray]:
-    """Pearson correlation as a function of shift, for each flip state."""
+def _pearson_maps(recon: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Pearson correlation as a function of shift, stacked as (flip, dy, dx)
+    with the unflipped state first."""
     npix = truth.size
     t = truth - truth.mean()
     t_std = truth.std()
     f_t_conj = np.conj(np.fft.fft2(t))
-    maps = []
-    for flipped in (False, True):
-        x = point_reflect(recon) if flipped else recon
+    maps = np.empty((2, *truth.shape))
+    for flipped, x in enumerate((recon, point_reflect(recon))):
         x_std = x.std()
         # cross[s] = sum_r t(r) x(r + s): peaks at the displacement of x
         cross = np.fft.ifft2(f_t_conj * np.fft.fft2(x - x.mean())).real
-        maps.append(cross / (npix * t_std * x_std))
+        maps[flipped] = cross / (npix * t_std * x_std)
     return maps
 
 
@@ -54,13 +54,12 @@ def align_and_score(recon: RealImage, truth: RealImage) -> AlignmentResult:
     if recon.values.std() == 0 or truth.values.std() == 0:
         raise NumericalError("Pearson correlation undefined for zero-variance input")
     maps = _pearson_maps(recon.values, truth.values)
-    best = max(m.max() for m in maps)
-    for flipped, m in zip((False, True), maps):
-        hits = np.argwhere(m == best)
-        if hits.size:
-            dy, dx = map(int, hits[0])
-            return AlignmentResult(shift=(dy, dx), flipped=flipped, pearson=float(best))
-    raise NumericalError("alignment search failed")  # pragma: no cover
+    # argmax returns the first maximum in C order: that is the tie rule
+    flipped, dy, dx = map(int, np.unravel_index(np.argmax(maps), maps.shape))
+    best = float(maps[flipped, dy, dx])
+    if not np.isfinite(best):
+        raise NumericalError(f"alignment search failed: the best Pearson correlation is {best}")
+    return AlignmentResult(shift=(dy, dx), flipped=bool(flipped), pearson=best)
 
 
 def apply_alignment(recon: RealImage, result: AlignmentResult) -> RealImage:

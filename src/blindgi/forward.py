@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, overflow_guard
 from .grid import (Grid2D, RealImage, circ_convolve, freeze_field, point_reflect,
                    require_mask_in_central_half)
 from .patterns import EnsembleSpec, _philox, matvec
@@ -150,12 +150,14 @@ def bucket_weights(obj: RealImage, psf: PSF) -> np.ndarray:
     nonzero weights are then the object's pixels, and ``matvec`` reads only
     the pattern bytes that cover them.  The rule applies to the convolution,
     which a RealImage holds finite, before the pitch^2 scale, so a weight
-    that overflows only when scaled stays infinite and the buckets are refused.
+    that overflows only when scaled stays infinite, with no warning, and
+    ``simulate`` refuses the buckets.
     """
     reflected = RealImage(psf.grid, point_reflect(psf.values))
     w = circ_convolve(obj, reflected).values
     roundoff = w.size * np.finfo(np.float64).eps * np.abs(w).max()
-    return np.where(np.abs(w) <= roundoff, 0.0, w) * obj.grid.pitch**2
+    with np.errstate(over="ignore"):
+        return np.where(np.abs(w) <= roundoff, 0.0, w) * obj.grid.pitch**2
 
 
 @dataclass(frozen=True)
@@ -192,8 +194,6 @@ class MeasurementSet:
 
 
 def _apply_noise(buckets: np.ndarray, noise: NoiseModel, psf_seed: int) -> np.ndarray:
-    if noise.kind == "none":
-        return buckets
     rng = _philox(psf_seed, _STREAM_NOISE)
     if noise.kind == "gaussian":
         # SNR is measured against the mean-removed bucket fluctuation, the
@@ -230,7 +230,9 @@ def simulate(
     The one PSF given is held fixed for all J patterns (the diffuser is
     static during acquisition); ``psf_seed``, which drew it, also keys the
     noise stream.  Deterministic given (psf, psf_seed, ensemble.seed);
-    bucket order is fixed by pattern index.
+    bucket order is fixed by pattern index.  Buckets that overflow are
+    refused (DataError) before any noise is drawn, and noise arithmetic
+    that overflows on finite buckets is a NumericalError naming their peak.
     """
     if ensemble.grid != psf.grid:
         raise ConfigError("ensemble grid does not match the PSF grid")
@@ -244,5 +246,9 @@ def simulate(
     if ensemble.count > most:
         raise ConfigError(f"ensemble.count must be <= {most}, got {ensemble.count}")
 
-    buckets = matvec(ensemble, bucket_weights(obj, psf))
-    return MeasurementSet(ensemble, _apply_noise(buckets, noise, psf_seed))
+    with np.errstate(over="ignore", invalid="ignore"):  # the record refuses non-finite buckets
+        measured = MeasurementSet(ensemble, matvec(ensemble, bucket_weights(obj, psf)))
+    if noise.kind == "none":
+        return measured
+    with overflow_guard("add bucket noise", signal=measured.buckets):
+        return MeasurementSet(ensemble, _apply_noise(measured.buckets, noise, psf_seed))

@@ -8,15 +8,12 @@ numbers.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import arrayio, objects
 from .config import RunConfig
 from .correlation import CorrelationImage, compensate, correlate, filter_model, magnitude_spectrum
-from .errors import ConfigError, FormatError, NumericalError
+from .errors import ConfigError, FormatError, overflow_guard
 from .evaluation import (AlignmentResult, align_and_score, apply_alignment, is_resolved,
                          two_point_contrast)
 from .forward import MeasurementSet, psf_for, simulate
@@ -51,26 +48,9 @@ def run_simulation(cfg: RunConfig, obj: RealImage | None = None):
     return simulate(obj, psf, cfg.ensemble(), cfg.noise(), cfg.psf_seed), obj, psf
 
 
-@contextmanager
-def _overflow_guard(action: str, **arrays: np.ndarray):
-    """Run the block with numpy overflow and invalid operations raised.
-
-    Squares of large finite values overflow in the support estimate, E_F and
-    the Pearson score: that is a numerical failure naming ``action`` and the
-    peak of each named array, not a NaN or a warning in the output.
-    """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        sizes = ", ".join(f"the {name} peaks at {np.abs(values).max():.3g}"
-                          for name, values in arrays.items())
-        raise NumericalError(f"values too large to {action} ({exc}): {sizes}") from None
-
-
 def score(recon: RealImage, truth: RealImage) -> AlignmentResult:
     """``align_and_score`` under the overflow guard."""
-    with _overflow_guard("score", reconstruction=recon.values, truth=truth.values):
+    with overflow_guard("score", reconstruction=recon.values, truth=truth.values):
         return align_and_score(recon, truth)
 
 
@@ -94,7 +74,7 @@ def run_reconstruction(
     arrays = {"correlation": corr.values}
     if truth is not None:
         arrays["truth"] = truth.values
-    with _overflow_guard("reconstruct", **arrays):
+    with overflow_guard("reconstruct", **arrays):
         spec = magnitude_spectrum(corr)
         if cfg.compensation_mode == "compensated":
             target = compensate(spec, filter_model(cfg.optical()), cfg.epsilon_fraction)
@@ -106,13 +86,6 @@ def run_reconstruction(
         if truth is not None and truth.values.std() > 0 and recon.image.values.std() > 0:
             alignment = align_and_score(recon.image, truth)
     return ReconstructionResult(corr, spec, target, support, recon, alignment)
-
-
-def run_pipeline(cfg: RunConfig):
-    """Full simulate-and-reconstruct run; returns (measurements, truth, result)."""
-    ms, obj, _ = run_simulation(cfg)
-    result = run_reconstruction(cfg, ms, truth=obj)
-    return ms, obj, result
 
 
 def separation_px(grid: Grid2D, separation: float) -> int:
@@ -134,8 +107,8 @@ def resolution_probe(cfg: RunConfig, separation: float) -> dict:
     """
     grid = cfg.grid()
     sep_px = separation_px(grid, separation)
-    cfg = replace(cfg, object_source=f"two-points({sep_px})")
-    ms, obj, result = run_pipeline(cfg)
+    obj = objects.two_points(grid, sep_px)
+    result = run_reconstruction(cfg, run_simulation(cfg, obj)[0], truth=obj)
     y, x_left, x_right = objects.two_point_columns(grid, sep_px)
     aligned = apply_alignment(result.reconstruction.image, result.alignment)
     contrast = two_point_contrast(aligned, y, x_left, x_right)

@@ -286,22 +286,17 @@ def _run_stack(engine: _StackEngine, schedule: ScheduleConfig, x: np.ndarray) ->
     """Iterate the schedule on the stack ``x`` (in place); returns the
     ``(restarts, iterations)`` E_F traces.
 
-    The E_F of iteration k is taken from the spectrum that iteration k + 1
-    projects, so the loop costs one forward and one inverse real transform
-    per iteration.  The last block is ER, so the images already satisfy the
-    object constraints.
+    The E_F of iteration k is taken from the spectrum of its result, which
+    iteration k + 1 then projects, so the loop costs one forward and one
+    inverse real transform per iteration.  The last block is ER, so the
+    images already satisfy the object constraints.
     """
     trace = np.empty((len(x), schedule.total_iterations))
     engine.transform(x)
-    k = 0
-    for algorithm, iterations in schedule:
-        for _ in range(iterations):
-            if k:
-                trace[:, k - 1] = engine.errors()
-            engine.step(x, algorithm, schedule.beta)
-            engine.transform(x)
-            k += 1
-    trace[:, -1] = engine.errors()
+    for k, algorithm in enumerate(a for a, n in schedule for _ in range(n)):
+        engine.step(x, algorithm, schedule.beta)
+        engine.transform(x)
+        trace[:, k] = engine.errors()
     return trace
 
 

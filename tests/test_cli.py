@@ -141,13 +141,14 @@ class TestReconstruct:
     def test_subcommands_match_in_process_pipeline(self, run_dir):
         # the file-based route and the in-process route must agree bin by bin
         from blindgi.config import config_from_entries
-        from blindgi.pipeline import run_pipeline
+        from blindgi.pipeline import run_reconstruction, run_simulation
 
         run_cli("reconstruct", "--run", run_dir)
         cfg = config_from_entries(
             arrayio.read_flat_config(os.path.join(run_dir, "run_config.txt"))
         )
-        _, _, result = run_pipeline(cfg)
+        ms, obj, _ = run_simulation(cfg)
+        result = run_reconstruction(cfg, ms, truth=obj)
         for name, values in (
             ("correlation", result.correlation.values),
             ("spectrum", result.spectrum.values),
@@ -195,6 +196,40 @@ class TestResolution:
         with open(os.path.join(a, "resolution.csv")) as fa, \
                 open(os.path.join(b, "resolution.csv")) as fb:
             assert fa.read() == fb.read()
+
+
+class TestOverrides:
+    """Leftover tokens are '--dotted.key value' or '--dotted.key=value' pairs."""
+
+    def test_key_equals_value(self, tmp_path):
+        # '--key=value' sets the key as '--key value' does
+        tiny = ["--grid.nx", "16", "--grid.ny", "16", "--optical.case", "delta",
+                "--object", "rectangle(2,2)", "--noise.kind", "gaussian"]
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert run_cli("simulate", "--out", a, *tiny, "--ensemble.count", "64",
+                       "--noise.snr-db", "30") == 0
+        assert run_cli("simulate", "--out", b, *tiny, "--ensemble.count=64",
+                       "--noise.snr-db=30") == 0
+        entries = arrayio.read_flat_config(os.path.join(b, "run_config.txt"))
+        assert entries["ensemble.count"] == "64" and entries["noise.snr_db"] == "30.0"
+        assert dir_digest(a) == dir_digest(b)
+
+    def test_value_holding_an_equals_sign(self):
+        # only the first '=' ends the key; a later one belongs to the value
+        assert cli._extract_overrides(["--object=a=b", "--support.box", "x=y"]) == {
+            "object": "a=b", "support.box": "x=y"}
+
+    @pytest.mark.parametrize("tokens,message", [
+        (["--ensemble.count"], "missing value for --ensemble.count"),
+        (["stray"], "unexpected argument 'stray'"),
+        (["--ensemble.count", "64", "stray"], "unexpected argument 'stray'"),
+    ])
+    def test_malformed_overrides(self, tmp_path, capsys, tokens, message):
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--out", str(out), *tokens) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
 
 # Real-valued keys out of range, and the key each error must name.
@@ -425,6 +460,13 @@ class TestBadInputs:
         # give all-dark or all-lit patterns
         *[("simulate", ["--ensemble.kind", "random-binary", "--ensemble.fill-fraction", fill],
            "ensemble.fill_fraction = " + fill) for fill in ("1e-12", "0.999999999999")],
+        # object specs missing an argument are refused with an example
+        ("simulate", ["--object", "two-points"],
+         "two-points needs a separation, e.g. two-points(9)"),
+        ("simulate", ["--object", "rectangle(20)"],
+         "rectangle needs width and height, e.g. rectangle(20,12)"),
+        # a support margin below 0 px
+        ("simulate", ["--support.margin-px", "-1"], "support.margin_px must be >= 0"),
     ])
     def test_integer_below_minimum(self, run_dir, tmp_path, capsys, command, flags, name):
         # and real-valued keys out of range, values the models reject,
@@ -438,19 +480,85 @@ class TestBadInputs:
         assert name in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the pitch^2 scale overflows
     def test_weights_overflowing_after_the_pitch_scale(self, tmp_path, capsys):
         # the convolution is finite, so the roundoff rule keeps it; the pitch^2
-        # scale overflows and the buckets are refused before any output
+        # scale overflows and the buckets are refused before any noise is
+        # drawn and before any output, with no warning, for every noise kind
         big = np.zeros((16, 16))
         big[7:9, 7:9] = 1e200
         arrayio.write_array(str(tmp_path / "big.f64"), big, 1e150)
+        for noise in ("none", "gaussian", "poisson"):
+            out = tmp_path / noise
+            assert run_cli("simulate", "--out", str(out), "--grid.nx", "16", "--grid.ny", "16",
+                           "--optical.case", "delta", "--ensemble.count", "64",
+                           "--object", str(tmp_path / "big.f64"), "--grid.pitch", "1e150",
+                           "--noise.kind", noise) == 3
+            err = capsys.readouterr().err
+            assert "buckets contains non-finite values" in err and "Traceback" not in err
+            assert "noise" not in err, noise
+            assert not out.exists()
+
+    @pytest.mark.parametrize("noise,value,pitch,overflow", [
+        ("gaussian", 1e300, "1e-2", "overflow encountered in square"),  # their spread
+        ("poisson", 1e306, "1", "overflow encountered in reduce"),  # their mean
+    ], ids=["gaussian", "poisson"])
+    def test_finite_buckets_too_large_for_noise(self, tmp_path, capsys, noise, value, pitch,
+                                                overflow):
+        # finite buckets whose noise arithmetic overflows are a numerical
+        # failure naming their peak, not a bad noise key, and write nothing
+        big = np.zeros((16, 16))
+        big[4:12, 4:12] = value
+        arrayio.write_array(str(tmp_path / "big.f64"), big, float(pitch))
+        tiny = ["--grid.nx", "16", "--grid.ny", "16", "--optical.case", "delta",
+                "--ensemble.count", "64", "--noise.kind", noise]
         out = tmp_path / "o"
-        assert run_cli("simulate", "--out", str(out), "--grid.nx", "16", "--grid.ny", "16",
-                       "--optical.case", "delta", "--ensemble.count", "64",
-                       "--object", str(tmp_path / "big.f64"), "--grid.pitch", "1e150") == 3
+        assert run_cli("simulate", "--out", str(out), *tiny, "--grid.pitch", pitch,
+                       "--object", str(tmp_path / "big.f64")) == 4
         err = capsys.readouterr().err
-        assert "buckets contains non-finite values" in err and "Traceback" not in err
+        assert f"values too large to add bucket noise ({overflow}): the signal peaks at" in err
+        assert "noise." not in err and "Traceback" not in err
+        assert not out.exists()
+        # on ordinary buckets a noise level that overflows is still the key's fault
+        assert run_cli("simulate", "--out", str(out), *tiny, "--object", "rectangle(2,2)",
+                       "--noise.snr-db", "-1e308", "--noise.kind", "gaussian") == 2
+        assert "noise.snr_db = -1e+308 makes the noise level overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_object_file(self, tmp_path, capsys):
+        obj = np.zeros((32, 32))
+        obj[15:17, 15:17] = 1.0
+        obj[16, 16] = -0.5
+        path = str(tmp_path / "negative.f64")
+        arrayio.write_array(path, obj, 1.25e-5)
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--out", str(out), *SMALL, "--object", path) == 3
+        err = capsys.readouterr().err
+        assert "object transmittance must be nonnegative" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_reconstruct_without_the_oracle(self, run_dir, tmp_path):
+        # a run without its ground truth is reconstructed but not scored
+        run = str(tmp_path / "run")
+        shutil.copytree(run_dir, run)
+        os.remove(os.path.join(run, "oracle_object.f64"))
+        assert run_cli("reconstruct", "--run", run) == 0
+        metrics = arrayio.read_flat_config(os.path.join(run, "metrics.txt"))
+        assert "fourier_error" in metrics and "aligned_pearson" not in metrics
+
+    @pytest.mark.parametrize("missing,message", [
+        ("oracle_object.f64", "no oracle_object.f64 in {run}; cannot score"),
+        ("reconstruction.f64", "no reconstruction.f64 in {run}; run reconstruct first"),
+    ])
+    def test_evaluate_without_a_run_file(self, run_dir, tmp_path, capsys, missing, message):
+        run = str(tmp_path / "run")
+        shutil.copytree(run_dir, run)
+        assert run_cli("reconstruct", "--run", run) == 0
+        os.remove(os.path.join(run, missing))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert run_cli("evaluate", "--run", run, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert message.format(run=run) in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the bucket mean overflows

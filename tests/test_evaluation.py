@@ -5,9 +5,11 @@ import numpy.testing as npt
 import pytest
 
 from blindgi import (
+    ConfigError,
     Grid2D,
     NumericalError,
     RealImage,
+    UsageError,
     align_and_score,
     apply_alignment,
     point_reflect,
@@ -84,6 +86,20 @@ class TestAlignAndScore:
         with pytest.raises(NumericalError):
             align_and_score(flat, letter_image(g))
 
+    def test_grids_must_match(self):
+        with pytest.raises(ConfigError, match="grids differ"):
+            align_and_score(letter_image(grid(32)), letter_image(grid(33)))
+
+    def test_non_finite_maximum_is_numerical_error(self):
+        # a library call outside the pipeline's overflow guard: the transform
+        # of 1e307 values overflows and the Pearson maps hold NaN
+        g = grid()
+        truth = letter_image(g)
+        huge = RealImage(g, truth.values * 1e307)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="best Pearson correlation is nan"):
+                align_and_score(huge, truth)
+
     def test_inverted_input_scores_poorly(self):
         # the shift search can always find a weakly positive overlap, but an
         # inverted image must score far below a faithful one
@@ -124,6 +140,17 @@ class TestTwoPointContrast:
         vals[y, xl + 1 : xr] = 0.7
         contrast = two_point_contrast(RealImage(g, vals), y, xl, xr)
         assert contrast == pytest.approx(0.3)
+
+    def test_dark_points_have_zero_contrast(self):
+        g = grid()
+        y, xl, xr = objects.two_point_columns(g, 6)
+        assert two_point_contrast(RealImage(g, np.zeros(g.shape)), y, xl, xr) == 0.0
+
+    def test_points_must_be_ordered(self):
+        g = grid()
+        y, xl, xr = objects.two_point_columns(g, 6)
+        with pytest.raises(UsageError, match="x_right must exceed x_left"):
+            two_point_contrast(objects.two_points(g, 6), y, xr, xl)
 
 
 class TestObjects:

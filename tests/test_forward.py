@@ -365,10 +365,9 @@ class TestBucketWeights:
             w = blindgi.forward.bucket_weights(obj, psf)
             assert w.tobytes() == unrounded_weights(obj, psf).tobytes(), cfg
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the pitch^2 scale overflows
     def test_rule_precedes_the_pitch_scale(self):
         # a weight that overflows only when scaled by pitch^2 stays infinite,
-        # and the buckets are refused
+        # with no warning, and the buckets are refused
         g = Grid2D(nx=16, ny=16, pitch=1e150)
         vals = np.zeros(g.shape)
         vals[7:9, 7:9] = 1e200
