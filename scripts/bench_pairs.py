@@ -17,12 +17,20 @@ the parent's interquartile range.  The bound check passes when the change's
 median is worse than the parent's by no more than the metric's bound in
 ``BENCHMARK.json``, a share of the parent's median.
 
+With ``--tier1 N`` it then runs N alternating pairs of the tier-1 test suite
+(``python -m pytest -q --continue-on-collection-errors`` with ``src`` on the
+path), with one BLAS thread, ``-p no:cacheprovider`` and ``--durations=0
+--durations-min=0``.  Each run records its wall time, its passed, failed and
+error counts and every test's duration (setup, call and teardown summed); the
+``tier1`` entry holds the pairs, the same spreads and change-won counts for
+those numbers and for each test, and a gain-rule verdict on the wall time.
+
 The checkouts are plain directories (a ``git clone`` or a ``git archive``
 export of each commit).  Standard library only.  Example:
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload classic-cli --workload headline --pairs 10 --seconds 60 \\
-        --layers --out BENCH_8.json
+        --layers --tier1 5 --out BENCH_8.json
 """
 
 from __future__ import annotations
@@ -30,12 +38,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 import time
 
 SIDES = ("parent", "change")
+TIER1_BETTER = {"wall_s": "lower", "passed": "higher", "failed": "lower", "errors": "lower"}
+_DURATION = re.compile(r"^(\d+\.\d+)s (?:setup|call|teardown) +(.+)$")
+_COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 
 
 def run_bench(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -50,6 +62,42 @@ def run_bench(root: str, workload: str, seed: int, seconds: float, trace: int) -
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return {"metrics": metrics, "attempted": result["attempted"], "failed": result["failed"],
             "pass_wall_s": info["pass_wall_s"], "environment": info["environment"]}
+
+
+def run_tier1(root: str) -> dict:
+    """One tier-1 run in ``root``: wall time, outcome counts and per-test seconds."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "-p", "no:cacheprovider", "--durations=0", "--durations-min=0"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = proc.stdout.splitlines()
+    summary = next((line for line in reversed(lines) if " in " in line and _COUNT.search(line)), "")
+    if not summary:
+        return {"error": f"exit {proc.returncode}: {(proc.stdout + proc.stderr).strip()[-2000:]}"}
+    metrics = {"wall_s": wall, "passed": 0, "failed": 0, "errors": 0}
+    for number, outcome in _COUNT.findall(summary):
+        metrics["errors" if outcome.startswith("error") else outcome] += int(number)
+    tests = {}
+    for line in lines:
+        m = _DURATION.match(line)
+        if m:
+            tests[m.group(2)] = tests.get(m.group(2), 0.0) + float(m.group(1))
+    return {"metrics": metrics, "tests": tests, "exit": proc.returncode}
+
+
+def tier1_entry(pairs: list[dict]) -> dict:
+    """The ``tier1`` entry: the pairs, the spreads of their totals, and the
+    spreads of the seconds of each test that both sides ran in every pair."""
+    done = [p for p in pairs if all("tests" in p[side] for side in SIDES)]
+    names = [set(p[side]["tests"]) for p in done for side in SIDES]
+    common = set.intersection(*names) if names else set()
+    per_test = [{side: {"metrics": {name: p[side]["tests"][name] for name in common}}
+                 for side in SIDES} for p in done]
+    return {"pairs": pairs, "summary": summarize(pairs, "", TIER1_BETTER),
+            "tests": summarize(per_test, "", dict.fromkeys(common, "lower"))}
 
 
 def load_benchmark(root: str) -> dict:
@@ -95,8 +143,9 @@ def counts(pairs: list[dict], key: str) -> dict:
     return out
 
 
-def verdict(workload: str, name: str, metric: dict, bound: float) -> str:
-    """The gain rule and the bound check of one end-to-end metric, as one line."""
+def verdict(workload: str, name: str, metric: dict, bound: float | None) -> str:
+    """The gain rule and the bound check of one end-to-end metric, as one line;
+    a metric with no ``bound`` gets the gain rule only."""
     parent, change, pairs = metric["parent"], metric["change"], metric["pairs"]
     if pairs < 2:
         return f"{workload} {name}: {pairs} pair(s), no verdict"
@@ -104,21 +153,24 @@ def verdict(workload: str, name: str, metric: dict, bound: float) -> str:
     gain = sign * (change["median"] - parent["median"])  # > 0: the change is better
     rel = (change["median"] - parent["median"]) / abs(parent["median"]) if parent["median"] else 0.0
     gain_holds = 10 * metric["change_won"] >= 9 * pairs and gain > parent["iqr"]
-    within = -gain <= bound * abs(parent["median"])
+    within = bound is None or -gain <= bound * abs(parent["median"])
+    checked = "no bound" if bound is None else f"bound {bound:g} {'passes' if within else 'FAILS'}"
     return (f"{workload} {name}: median {parent['median']:.6g} -> {change['median']:.6g} "
             f"({rel:+.1%}), change won {metric['change_won']}/{pairs}, parent IQR "
             f"{parent['iqr']:.3g}; gain rule {'holds' if gain_holds else 'does not hold'}; "
-            f"bound {bound:g} {'passes' if within else 'FAILS'}")
+            f"{checked}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent checkout")
     parser.add_argument("--change", required=True, help="change checkout")
-    parser.add_argument("--workload", action="append", required=True, help="repeatable")
+    parser.add_argument("--workload", action="append", default=[], help="repeatable")
     parser.add_argument("--pairs", type=int, default=10, help="seeds 1..N")
     parser.add_argument("--seconds", type=float, default=60.0)
     parser.add_argument("--layers", action="store_true", help="add a traced run per side")
+    parser.add_argument("--tier1", type=int, default=0, metavar="N",
+                        help="then run N alternating pairs of the tier-1 suite")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -151,11 +203,24 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 json.dump(report, fh, indent=1)
 
+    tier1 = []
+    for n in range(1, args.tier1 + 1):
+        order = SIDES if n % 2 else SIDES[::-1]
+        tier1.append({"pair": n, "first": order[0],
+                      **{side: run_tier1(roots[side]) for side in order}})
+        print(f"{time.strftime('%H:%M:%S')} tier1 pair {n} done", file=sys.stderr)
+        report["tier1"] = tier1_entry(tier1)
+        with open(args.out, "w") as fh:
+            json.dump(report, fh, indent=1)
+
     report["verdicts"] = [
         verdict(workload, m["name"], entry["end_to_end"][m["name"]], m["bound"])
         for workload, entry in report["workloads"].items()
         for m in bench["end_to_end"] if m["name"] in entry["end_to_end"]
     ]
+    tier1_wall = report.get("tier1", {}).get("summary", {}).get("wall_s")
+    if tier1_wall:
+        report["verdicts"].append(verdict("tier1", "wall_s", tier1_wall, None))
     print("\n".join(report["verdicts"]))
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)

@@ -23,10 +23,11 @@ from dataclasses import replace
 from . import arrayio
 from .config import RunConfig, config_from_entries, config_to_entries
 from .errors import BlindGIError, ConfigError, DataError, FormatError, UsageError
+from .evaluation import align_and_score
 from .forward import MeasurementSet
 from .grid import RealImage
 from .patterns import iter_chunks, unpack
-from .pipeline import (read_image, resolution_probe, run_reconstruction, run_simulation, score,
+from .pipeline import (read_image, resolution_probe, run_reconstruction, run_simulation,
                        separation_px)
 
 CONFIG_FILE = "run_config.txt"
@@ -168,7 +169,7 @@ def cmd_evaluate(args, overrides) -> int:
     recon_path = os.path.join(args.run, "reconstruction.f64")
     if not os.path.exists(recon_path):
         raise FormatError(f"no reconstruction.f64 in {args.run}; run reconstruct first")
-    result = score(read_image(recon_path, cfg.grid()), truth)
+    result = align_and_score(read_image(recon_path, cfg.grid()), truth)
     out_dir = args.out or args.run
     _make_out_dir(out_dir)
     path = os.path.join(out_dir, "evaluation.csv")

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 
+from .correlation import filter_model
 from .errors import ConfigError
 from .forward import NoiseModel, OpticalConfig
 from .grid import Grid2D
@@ -67,6 +68,16 @@ class RunConfig:
         self.optical()
         self.ensemble()
         self.noise()
+        # compensate divides by F, which is 1 at zero frequency and must pass one more bin
+        compensated = self.compensation_mode == "compensated"
+        if compensated and (filter_model(self.optical()).values > 0).sum() < 2:
+            raise ConfigError(
+                "compensation.mode 'compensated' needs a filter model F that passes a nonzero "
+                f"frequency, but F passes none with optical.dmd_pitch = {self.dmd_pitch!r} m, "
+                f"optical.aperture_diameter = {self.aperture_diameter!r} m, optical.wavelength = "
+                f"{self.wavelength!r} m and optical.z_o = {self.z_o!r} m on the "
+                f"{self.grid_ny}x{self.grid_nx} grid of pitch {self.grid_pitch!r} m"
+            )
 
     def grid(self) -> Grid2D:
         return Grid2D(nx=self.grid_nx, ny=self.grid_ny, pitch=self.grid_pitch)

@@ -45,8 +45,9 @@ def correlate(measurements: MeasurementSet) -> CorrelationImage:
     spec = measurements.ensemble
     if spec.count < 2:
         raise UsageError("correlation needs at least 2 measurements")
-    centred = measurements.buckets - measurements.buckets.mean()
-    return CorrelationImage(spec.grid, rmatvec(spec, centred) / spec.count, spec.count)
+    with np.errstate(over="ignore", invalid="ignore"):  # CorrelationImage refuses inf and NaN
+        values = rmatvec(spec, measurements.buckets - measurements.buckets.mean()) / spec.count
+    return CorrelationImage(spec.grid, values, spec.count)
 
 
 def magnitude_spectrum(c: CorrelationImage) -> MagnitudeSpectrum:

@@ -45,10 +45,10 @@ class NumericalError(BlindGIError):
 def overflow_guard(action: str, **arrays: np.ndarray):
     """Run the block with numpy overflow and invalid operations raised.
 
-    Squares and sums of large finite values overflow in the noise level, the
-    support estimate, E_F and the Pearson score: that is a numerical failure
-    naming ``action`` and the peak of each named array, not a NaN or a
-    warning in the output.
+    Large finite values overflow where a stage works at the data's scale (the
+    noise level, ``compensate``, the FFTs, the rescale after retrieval): that
+    is a numerical failure naming ``action`` and the peak of each named
+    array, not a NaN or a warning in the output.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, UsageError
-from .grid import RealImage, point_reflect
+from .grid import RealImage, point_reflect, unit_scale
 
 
 @dataclass(frozen=True)
@@ -47,19 +47,18 @@ def align_and_score(recon: RealImage, truth: RealImage) -> AlignmentResult:
     """Maximize Pearson correlation over all circular shifts and point reflection.
 
     Ties break toward unflipped and then the lexicographically smallest
-    (dy, dx) shift.
+    (dy, dx) shift.  Pearson is scale-free, so both images are correlated
+    at ``unit_scale``, where no square overflows or underflows.
     """
     if recon.grid != truth.grid:
         raise ConfigError("reconstruction and truth grids differ")
-    if recon.values.std() == 0 or truth.values.std() == 0:
-        raise NumericalError("Pearson correlation undefined for zero-variance input")
-    maps = _pearson_maps(recon.values, truth.values)
+    if not (recon.values.max() > recon.values.min() and truth.values.max() > truth.values.min()):
+        raise NumericalError("Pearson correlation undefined for a constant image")
+    maps = _pearson_maps(unit_scale(recon.values)[0], unit_scale(truth.values)[0])
     # argmax returns the first maximum in C order: that is the tie rule
     flipped, dy, dx = map(int, np.unravel_index(np.argmax(maps), maps.shape))
-    best = float(maps[flipped, dy, dx])
-    if not np.isfinite(best):
-        raise NumericalError(f"alignment search failed: the best Pearson correlation is {best}")
-    return AlignmentResult(shift=(dy, dx), flipped=bool(flipped), pearson=best)
+    return AlignmentResult(shift=(dy, dx), flipped=bool(flipped),
+                           pearson=float(maps[flipped, dy, dx]))
 
 
 def apply_alignment(recon: RealImage, result: AlignmentResult) -> RealImage:

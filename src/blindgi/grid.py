@@ -109,6 +109,13 @@ def circ_convolve(a: RealImage, b: RealImage) -> RealImage:
     return RealImage(a.grid, out.real)
 
 
+def unit_scale(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(values * 2**-e, e)`` with max |values * 2**-e| in [0.5, 1), or ``e = 0`` for all
+    zeros.  Exact unless a value is subnormal, so a stage may square the scaled copy."""
+    e = int(np.frexp(np.abs(values).max())[1])
+    return np.ldexp(values, -e), e
+
+
 def point_reflect(values: np.ndarray) -> np.ndarray:
     """Point reflection through the origin with periodic indexing: v(-r mod N)."""
     return np.roll(values[::-1, ::-1], (1, 1), axis=(0, 1))

@@ -48,12 +48,6 @@ def run_simulation(cfg: RunConfig, obj: RealImage | None = None):
     return simulate(obj, psf, cfg.ensemble(), cfg.noise(), cfg.psf_seed), obj, psf
 
 
-def score(recon: RealImage, truth: RealImage) -> AlignmentResult:
-    """``align_and_score`` under the overflow guard."""
-    with overflow_guard("score", reconstruction=recon.values, truth=truth.values):
-        return align_and_score(recon, truth)
-
-
 @dataclass(frozen=True)
 class ReconstructionResult:
     correlation: CorrelationImage
@@ -71,10 +65,7 @@ def run_reconstruction(
 ) -> ReconstructionResult:
     """Correlate, form the magnitude target per the configured mode, retrieve."""
     corr = correlate(measurements)
-    arrays = {"correlation": corr.values}
-    if truth is not None:
-        arrays["truth"] = truth.values
-    with overflow_guard("reconstruct", **arrays):
+    with overflow_guard("reconstruct", correlation=corr.values):
         spec = magnitude_spectrum(corr)
         if cfg.compensation_mode == "compensated":
             target = compensate(spec, filter_model(cfg.optical()), cfg.epsilon_fraction)
@@ -83,7 +74,7 @@ def run_reconstruction(
         support = cfg.support.select(target)
         recon = run_retrieval(target, cfg.schedule, support)
         alignment = None
-        if truth is not None and truth.values.std() > 0 and recon.image.values.std() > 0:
+        if truth is not None and all(v.max() > v.min() for v in (truth.values, recon.image.values)):
             alignment = align_and_score(recon.image, truth)
     return ReconstructionResult(corr, spec, target, support, recon, alignment)
 

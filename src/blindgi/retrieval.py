@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, UsageError
 from .grid import (Grid2D, MagnitudeSpectrum, RealImage, freeze_field, point_reflect,
-                   require_mask_in_central_half)
+                   require_mask_in_central_half, unit_scale)
 from .patterns import _philox
 
 _STREAM_RESTART = 0x5245_5354
@@ -172,14 +172,12 @@ def estimate_support(
         raise UsageError(f"threshold_fraction must be in (0,1), got {threshold_fraction}")
     grid = spectrum.grid
     ny, nx = grid.shape
-    ac = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(spectrum.values) ** 2).real)
+    values, _ = unit_scale(spectrum.values)  # the threshold is a fraction of the peak
+    ac = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(values) ** 2).real)
     peak = ac[ny // 2, nx // 2]
-    if peak <= 0:
-        raise NumericalError("autocorrelation peak is not positive; cannot estimate support")
-    above = ac >= threshold_fraction * peak
-    ys, xs = np.nonzero(above)
-    if ys.size == 0:
-        raise NumericalError("no autocorrelation pixels above threshold")
+    if peak <= 0:  # at unit scale only an all-zero spectrum has no positive peak
+        raise NumericalError("magnitude target is zero in every bin; cannot estimate support")
+    ys, xs = np.nonzero(ac >= threshold_fraction * peak)  # the peak itself is always above
     box_h = int(ys.max() - ys.min() + 2) // 2 + 2 * margin_px
     box_w = int(xs.max() - xs.min() + 2) // 2 + 2 * margin_px
     return centered_box_mask(grid, min(box_h, ny // 2), min(box_w, nx // 2))
@@ -307,14 +305,17 @@ def run(
 ) -> Reconstruction:
     """Run the schedule from ``restarts`` independent random starts.
 
-    All restarts advance together as one stack.  Returns the restart with
-    the lowest final Fourier error (ties broken by restart id);
+    All restarts advance together as one stack, on the target at ``unit_scale``
+    (each step is linear in it and E_F is a ratio).  Returns the restart with
+    the lowest final Fourier error (ties broken by restart id), scaled back;
     deterministic for a fixed schedule seed.
     """
     if target.grid != support.grid:
         raise ConfigError("target and support grids differ")
+    values, e = unit_scale(target.values)
+    target = MagnitudeSpectrum(target.grid, values)
     engine = _StackEngine(target, support, schedule.free_dc_radius, schedule.restarts)
     x = np.stack([_initial_iterate(target, schedule.seed, rid) for rid in range(schedule.restarts)])
     traces = _run_stack(engine, schedule, x)
     rid = int(np.argmin(traces[:, -1]))  # first minimum: ties go to the lowest id
-    return Reconstruction(RealImage(target.grid, x[rid]), rid, traces[rid])
+    return Reconstruction(RealImage(target.grid, np.ldexp(x[rid], e)), rid, traces[rid])

@@ -320,7 +320,8 @@ class TestBadInputs:
         # every float key at the ends of the float range: each run either
         # works or exits with its documented code, and no traceback escapes;
         # an exit 2 from simulate names the key and writes nothing, and a
-        # reconstruct that exits 0 wrote a finite E_F, one that exits 4 nothing
+        # reconstruct that exits 0 wrote a finite E_F, one that exits 4 nothing.
+        # Buckets whose squares overflow are reconstructed and scored at unit scale.
         base = ["--grid.nx", "16", "--grid.ny", "16", "--optical.case", case,
                 "--ensemble.count", "64", "--object", "rectangle(2,2)",
                 "--schedule.cycles", "1", "--schedule.restarts", "1", "--schedule.final-er", "5"]
@@ -352,19 +353,54 @@ class TestBadInputs:
                 if code == 4:
                     assert not os.path.exists(metrics), (key, value)
                 if (key, value) in overflows:
-                    assert code == 4 and "too large to reconstruct" in err, (key, value, err)
+                    assert code == 0, (key, value, err)
+                    assert "aligned_pearson" in arrayio.read_flat_config(metrics), (key, value)
             assert code in (0, 2, 3, 4), (key, value, code)
             assert "Traceback" not in err
-        # a finite reconstruction too large to score: evaluate exits 4 and writes nothing
+        # a reconstruction of 1e200 values is scored at unit scale: the truth's block
         out = str(tmp_path / "score")
         assert run_cli("simulate", "--out", out, *base) == 0
         assert run_cli("reconstruct", "--run", out) == 0
         arrayio.write_array(os.path.join(out, "reconstruction.f64"), big, 1.25e-5)
-        capsys.readouterr()
-        assert run_cli("evaluate", "--run", out) == 4
+        assert run_cli("evaluate", "--run", out) == 0
+        with open(os.path.join(out, "evaluation.csv")) as f:
+            pearson = float(f.read().splitlines()[1].split(",")[0])
+        assert pearson == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("pitch", ["1e-150", "1e-90", "1e78", "1e150"])
+    def test_every_accepted_pitch_runs_end_to_end(self, tmp_path, capsys, pitch):
+        # buckets scale with pitch^2; every stage that squares works at unit scale
+        out = str(tmp_path / "run")
+        assert run_cli("simulate", "--out", out, "--grid.nx", "16", "--grid.ny", "16",
+                       "--optical.case", "delta", "--ensemble.count", "256",
+                       "--object", "rectangle(2,2)", "--schedule.cycles", "1",
+                       "--schedule.restarts", "1", "--schedule.final-er", "5",
+                       "--grid.pitch", pitch) == 0
+        assert run_cli("reconstruct", "--run", out) == 0, capsys.readouterr().err
+        assert run_cli("evaluate", "--run", out) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--optical.dmd-pitch", "8e-4"],  # one source pixel covers the 64x64 grid
+        ["--optical.aperture-diameter", "1e-6", "--optical.case", "scattering"],
+        ["--optical.aperture-diameter", "1e-6", "--optical.case", "lens-only"],
+    ], ids=["dmd-pitch", "scattering-aperture", "lens-only-aperture"])
+    def test_compensated_filter_passing_no_frequency(self, tmp_path, capsys, flags):
+        # F is 1 at zero frequency and 0 elsewhere: refused when the config is
+        # read, naming the keys and the grid, before simulate writes anything
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--out", str(out), "--ensemble.count", "256",
+                       "--compensation.mode", "compensated", *flags) == 2
         err = capsys.readouterr().err
-        assert "values too large to score" in err and "the reconstruction peaks at 1e+200" in err
-        assert not os.path.exists(os.path.join(out, "evaluation.csv"))
+        for name in ("optical.dmd_pitch", "optical.aperture_diameter", "optical.wavelength",
+                     "optical.z_o", "64x64 grid"):
+            assert name in err, (name, err)
+        assert not out.exists()
+        # direct mode does not read F
+        assert run_cli("simulate", "--out", str(out), "--ensemble.count", "256", *flags) == 0
+        assert run_cli("reconstruct", "--run", str(out), "--compensation.mode", "compensated",
+                       "--schedule.cycles", "1", "--schedule.restarts", "1") == 2
+        assert "optical.dmd_pitch" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "metrics.txt"))
 
     def test_workers_flag_is_unknown(self, run_dir, tmp_path, capsys):
         # every stage runs on one thread; no subcommand takes --workers
@@ -561,7 +597,6 @@ class TestBadInputs:
         assert message.format(run=run) in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the bucket mean overflows
     def test_correlation_overflow_is_data_error(self, run_dir, tmp_path, capsys):
         run = str(tmp_path / "run")
         shutil.copytree(run_dir, run)

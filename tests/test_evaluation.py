@@ -81,24 +81,42 @@ class TestAlignAndScore:
         assert align_and_score(a, moved_b).pearson == pytest.approx(base, abs=1e-12)
 
     def test_zero_variance_rejected(self):
+        # either side constant, whatever the roundoff of its std (1.4e-17 for
+        # 0.1 on 32x32, 2.8e-17 on 33x33)
+        for n, value in ((32, 1.0), (32, 0.1), (33, 0.1), (45, 0.1)):
+            g = grid(n)
+            flat = RealImage(g, np.full(g.shape, value))
+            for recon, truth in ((flat, letter_image(g)), (letter_image(g), flat)):
+                with pytest.raises(NumericalError, match="constant image"):
+                    align_and_score(recon, truth)
+
+    def test_tiny_values_score(self):
+        # squares of 1e-300 underflow, but the image is not constant
         g = grid()
-        flat = RealImage(g, np.ones(g.shape))
-        with pytest.raises(NumericalError):
-            align_and_score(flat, letter_image(g))
+        vals = np.full(g.shape, 1e-300)
+        vals[16, 16] = 3e-300
+        truth = np.zeros(g.shape)
+        truth[18, 13] = 1.0
+        res = align_and_score(RealImage(g, vals), RealImage(g, truth))
+        assert res.pearson == pytest.approx(1.0, abs=1e-12) and res.shift == (-2 % 32, 3)
 
     def test_grids_must_match(self):
         with pytest.raises(ConfigError, match="grids differ"):
             align_and_score(letter_image(grid(32)), letter_image(grid(33)))
 
-    def test_non_finite_maximum_is_numerical_error(self):
-        # a library call outside the pipeline's overflow guard: the transform
-        # of 1e307 values overflows and the Pearson maps hold NaN
+    def test_same_bits_at_every_power_of_two_scale(self):
+        # both images at 2^k: the same shift, flip and Pearson bits, with
+        # squares that would overflow (k > 0) or underflow (k < 0)
         g = grid()
-        truth = letter_image(g)
-        huge = RealImage(g, truth.values * 1e307)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="best Pearson correlation is nan"):
-                align_and_score(huge, truth)
+        rng = np.random.default_rng(5)
+        truth = letter_image(g).values
+        recon = point_reflect(np.roll(truth, (3, -4), axis=(0, 1))) + 0.5 * rng.random(g.shape)
+        base = align_and_score(RealImage(g, recon), RealImage(g, truth))
+        for k in (300, -300, 600, -600, 1000, -1000):
+            scaled = (RealImage(g, np.ldexp(v, k)) for v in (recon, truth))
+            res = align_and_score(*scaled)
+            assert (res.shift, res.flipped) == (base.shift, base.flipped), k
+            assert res.pearson.hex() == base.pearson.hex(), k
 
     def test_inverted_input_scores_poorly(self):
         # the shift search can always find a weakly positive overlap, but an

@@ -218,6 +218,16 @@ class TestEstimateSupport:
         tight = estimate_support(target, 0.9).mask.sum()
         assert tight < loose
 
+    def test_same_mask_at_every_power_of_two_scale(self):
+        # the autocorrelation squares the spectrum: at 2^600 it would
+        # overflow, at 2^-600 underflow, without the unit scale
+        g = Grid2D(nx=64, ny=64, pitch=1e-5)
+        target = magnitude_of(objects.letter(g).values, g)
+        want = estimate_support(target, 0.04).mask
+        for k in (300, -300, 600, -600, 1000, -1000):
+            scaled = MagnitudeSpectrum(g, np.ldexp(target.values, k))
+            npt.assert_array_equal(estimate_support(scaled, 0.04).mask, want, err_msg=str(k))
+
     def test_zero_spectrum_fails(self):
         g = grid()
         zero = MagnitudeSpectrum(g, np.zeros((32, 32)))
@@ -309,6 +319,24 @@ class TestRun:
         assert a.image.values.tobytes() == b.image.values.tobytes()
         assert a.ef_trace.tobytes() == b.ef_trace.tobytes()
         assert a.restart_id == b.restart_id and a.fourier_error == b.fourier_error
+
+    def test_same_bits_at_every_power_of_two_scale(self):
+        # E_F is a ratio and every step is linear in the target: at 2^k the
+        # same restart and E_F trace bits, and the image at 2^k.  At 2^-1000
+        # the image itself is subnormal, so its bits are checked to 2^-600.
+        g = grid()
+        obj = objects.double_slit(g, slit_width=2, slit_height=10, gap=4)
+        target = magnitude_of(obj.values, g)
+        support = centered_box_mask(g, 14, 12)
+        sched = self.schedule(restarts=4, cycles=2)
+        base = run(target, sched, support)
+        for k in (300, -300, 600, -600, 1000, -1000):
+            got = run(MagnitudeSpectrum(g, np.ldexp(target.values, k)), sched, support)
+            assert got.restart_id == base.restart_id, k
+            assert got.ef_trace.tobytes() == base.ef_trace.tobytes(), k
+            if abs(k) <= 600:
+                want = np.ldexp(base.image.values, k)
+                assert got.image.values.tobytes() == want.tobytes(), k
 
     def test_trace_shape_and_final_error(self):
         g = grid()
