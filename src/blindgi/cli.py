@@ -76,7 +76,7 @@ def cmd_simulate(args, overrides) -> int:
     if args.dump_patterns < 0:
         raise UsageError(f"--dump-patterns must be >= 0, got {args.dump_patterns}")
     cfg = _load_config(args.config, overrides)
-    ms, obj, psf = run_simulation(cfg)
+    ms, obj, psf = run_simulation(cfg, sums=False)  # the buckets are written, not correlated
     _make_out_dir(args.out)
     pitch = cfg.grid_pitch
     arrayio.write_buckets_csv(os.path.join(args.out, BUCKETS_FILE), ms.buckets)

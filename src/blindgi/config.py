@@ -65,6 +65,14 @@ class RunConfig:
             )
         # the support, optics, ensemble and noise check their own keys, naming them
         self.support.box_shape(self.grid())
+        # retrieval fits the bins at or beyond free_dc_radius; one must be left
+        farthest = float(self.grid().pixel_radius().max())
+        if self.schedule.free_dc_radius > farthest:
+            raise ConfigError(
+                f"schedule.free_dc_radius = {self.schedule.free_dc_radius!r} frees every bin of "
+                f"the {self.grid_ny}x{self.grid_nx} grid, whose farthest bin lies {farthest:.6g} "
+                "pixels from zero frequency"
+            )
         self.optical()
         self.ensemble()
         self.noise()

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, overflow_guard
+from .errors import ConfigError, DataError, UsageError, overflow_guard
 from .grid import (Grid2D, RealImage, circ_convolve, freeze_field, point_reflect,
-                   require_mask_in_central_half)
-from .patterns import EnsembleSpec, _philox, matvec
+                   require_mask_in_central_half, unit_scale)
+from .patterns import EnsembleSpec, _philox, matvec, matvec_rmatvec
 # Not called here; kept importable as forward.pattern_batch, the name the
 # benchmark's tracer test (perfbench/tests) patches and restores.
 from .patterns import pattern_batch  # noqa: F401
@@ -184,17 +184,35 @@ class NoiseModel:
 class MeasurementSet:
     """What the reconstruction side is allowed to see of a measurement: the
     pattern recipe and the buckets.  The diffuser realization is not part of
-    it."""
+    it.
+
+    ``bucket_sum`` and ``on_count``, given together or not at all, are the
+    two pattern sums the correlation reads, ``patterns.rmatvec`` of the
+    unit-scaled buckets (``grid.unit_scale``): sum_j 2^-e B_j M_j and each
+    pixel's on-count sum_j M_j.  They are functions of the recipe and the
+    buckets alone; a noise-free ``simulate`` forms them in the pass that
+    records the buckets, so ``correlate`` walks no patterns.
+    """
 
     ensemble: EnsembleSpec
     buckets: np.ndarray
+    bucket_sum: np.ndarray | None = None
+    on_count: np.ndarray | None = None
 
     def __post_init__(self):
         freeze_field(self, "buckets", "buckets", (self.ensemble.count,))
+        if (self.bucket_sum is None) != (self.on_count is None):
+            raise UsageError("a measurement set takes bucket_sum and on_count together")
+        if self.bucket_sum is not None:
+            freeze_field(self, "bucket_sum", "bucket sum", self.ensemble.grid.shape)
+            freeze_field(self, "on_count", "on-count", self.ensemble.grid.shape)
 
 
 def _apply_noise(buckets: np.ndarray, noise: NoiseModel, psf_seed: int) -> np.ndarray:
     rng = _philox(psf_seed, _STREAM_NOISE)
+    # the bucket statistics are taken at unit scale, where neither the mean
+    # nor the squares can overflow, and scaled back by the same power of two
+    scaled, e = unit_scale(buckets)
     if noise.kind == "gaussian":
         # SNR is measured against the mean-removed bucket fluctuation, the
         # part of the signal the correlation estimator uses.
@@ -202,11 +220,12 @@ def _apply_noise(buckets: np.ndarray, noise: NoiseModel, psf_seed: int) -> np.nd
             ratio = 10.0 ** (noise.snr_db / 20.0)
         except OverflowError:  # above about 6165 dB no float noise is left to add
             ratio = np.inf
-        std = float(np.std(buckets - buckets.mean()))
+        std = float(np.ldexp(np.std(scaled - scaled.mean()), e))
         if not (ratio > 0 and std / ratio < np.inf):
             raise ConfigError(f"noise.snr_db = {noise.snr_db!r} makes the noise level overflow")
         return buckets + rng.normal(0.0, std / ratio, buckets.shape)
-    scale = noise.photons / buckets.mean() if buckets.mean() > 0 else 1.0
+    mean = float(np.ldexp(scaled.mean(), e))
+    scale = noise.photons / mean if mean > 0 else 1.0
     lam = buckets * scale
     if lam.max() > _POISSON_LAM_MAX:
         raise ConfigError(
@@ -224,6 +243,8 @@ def simulate(
     ensemble: EnsembleSpec,
     noise: NoiseModel,
     psf_seed: int,
+    *,
+    sums: bool = True,
 ) -> MeasurementSet:
     """Record bucket signals for a whole pattern ensemble.
 
@@ -233,6 +254,13 @@ def simulate(
     bucket order is fixed by pattern index.  Buckets that overflow are
     refused (DataError) before any noise is drawn, and noise arithmetic
     that overflows on finite buckets is a NumericalError naming their peak.
+
+    A noise-free run with ``sums`` also forms the record's ``bucket_sum``
+    and ``on_count`` in the pass that gathers the buckets, so that
+    ``correlate`` walks no patterns; a caller that never correlates turns
+    it off and saves the scatter.  Noise is drawn after the pass and its
+    Gaussian level needs the spread of all buckets, so a noisy run leaves
+    the sums to ``correlate``.
     """
     if ensemble.grid != psf.grid:
         raise ConfigError("ensemble grid does not match the PSF grid")
@@ -247,7 +275,11 @@ def simulate(
         raise ConfigError(f"ensemble.count must be <= {most}, got {ensemble.count}")
 
     with np.errstate(over="ignore", invalid="ignore"):  # the record refuses non-finite buckets
-        measured = MeasurementSet(ensemble, matvec(ensemble, bucket_weights(obj, psf)))
+        weights = bucket_weights(obj, psf)
+        if sums and noise.kind == "none":
+            buckets, (bucket_sum, on_count) = matvec_rmatvec(ensemble, weights)
+            return MeasurementSet(ensemble, buckets, bucket_sum, on_count)
+        measured = MeasurementSet(ensemble, matvec(ensemble, weights))
     if noise.kind == "none":
         return measured
     with overflow_guard("add bucket noise", signal=measured.buckets):

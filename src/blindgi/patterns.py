@@ -23,10 +23,13 @@ A chunk of patterns is packed bits, for every kind: pattern j is one row of
 pixel ``8b + i`` in row-major order, 1 where the pixel is on; the padding bits
 of the last byte are 0.  At w = 1 the inverted Philox bytes already are that
 row.  Only this module knows the layout: ``unpack`` turns rows into uint8 0/1
-patterns, and ``matvec`` and ``rmatvec`` give the products M x and M^T w of
-the count x npixels 0/1 pattern matrix M through per-byte tables.  ``matvec``
-reads only the byte positions where x has a nonzero pixel, so an x that is 0
-off a small object costs one lookup per byte of the object's pixels.
+patterns, and ``matvec`` and ``rmatvec`` give the products M x and
+(M^T w, M^T 1) of the count x npixels 0/1 pattern matrix M through per-byte
+tables.  ``matvec_rmatvec`` gives b = M x and the sums of the unit-scaled b
+from the same pass, so a run that needs both regenerates its patterns once.
+``matvec`` reads only the byte positions where x has a nonzero pixel, so an
+x that is 0 off a small object costs one lookup per byte of the object's
+pixels.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .grid import Grid2D
+from .grid import Grid2D, unit_scale
 
 KINDS = ("random-binary", "random-fixed-fill", "hadamard", "pixel-scan")
 
@@ -236,15 +239,16 @@ def iter_chunks(spec: EnsembleSpec):
 
 
 def _table_indices(spec: EnsembleSpec, positions: np.ndarray | None = None):
-    """Yield ``(lo, hi, idx)`` over the chunks of ``iter_chunks``.
+    """Yield ``(lo, hi, packed, idx)`` over the chunks of ``iter_chunks``.
 
-    ``idx[j, k] = 256 b + r[b]``, b the k-th of the byte ``positions`` (every
-    position, in order, when None), for the packed row r of pattern lo + j:
-    the flat index of byte b's entry in a raveled per-byte table.  Each idx is
-    a read-only view of one intp workspace, valid until the next chunk is
-    asked for.  The workspace holds 256 b once; since r[b] < 256 and 256 b has
-    a zero low byte, a chunk's indices are its packed rows, or their columns
-    at ``positions``, copied into the low byte of each element.
+    ``packed`` is the chunk of ``iter_chunks`` and ``idx[j, k] = 256 b + r[b]``,
+    b the k-th of the byte ``positions`` (every position, in order, when None),
+    for the packed row r of pattern lo + j: the flat index of byte b's entry in
+    a raveled per-byte table.  Each idx is a read-only view of one intp
+    workspace, valid until the next chunk is asked for.  The workspace holds
+    256 b once; since r[b] < 256 and 256 b has a zero low byte, a chunk's
+    indices are its packed rows, or their columns at ``positions``, copied
+    into the low byte of each element.
     """
     cols = np.arange(packed_width(spec.grid)) if positions is None else positions
     work = np.empty((min(STREAM_CHUNK, spec.count), len(cols)), dtype=np.intp)
@@ -255,7 +259,7 @@ def _table_indices(spec: EnsembleSpec, positions: np.ndarray | None = None):
     indices.flags.writeable = False
     for lo, hi, packed in iter_chunks(spec):
         low_bytes[: hi - lo] = packed if positions is None else packed[:, positions]
-        yield lo, hi, indices[: hi - lo]
+        yield lo, hi, packed, indices[: hi - lo]
 
 
 # _BYTE_BITS[v, i] is bit i of byte value v, little bit order.
@@ -264,43 +268,89 @@ _BYTE_BITS = np.unpackbits(
 ).astype(np.float64)
 
 
+def _pass(spec: EnsembleSpec, x=None, w=None, shift: int | None = None):
+    """The one pass over the ensemble behind every product: ``(b, sums)``.
+
+    Given an image x, b = M x.  x becomes the per-byte table T[b, v] =
+    sum_i bit_i(v) x[8b + i], 1 MB at 64x64, and the product for a packed row
+    r is sum_b T[b, r[b]] over the byte positions b where x has a nonzero
+    pixel, since T[b] is 0 at every other: one lookup per eight pixels, and
+    no float64 pattern.  Otherwise b is None.
+
+    Given a length-count w, or x and a ``shift`` k, the same chunks also
+    scatter the weights w, or 2^-k b, so that sums = (M^T weights, M^T 1) as
+    two (ny, nx) float64 images; otherwise sums is None.  Each chunk adds its
+    weights to a histogram H[b, v] over (byte position, byte value) of its
+    packed rows, and at the end of the pass H becomes pixels, x[8b + i] =
+    sum_v bit_i(v) H[b, v].  ``np.add.at`` adds in place, in pattern order: a
+    per-chunk ``np.bincount`` plus a sum ran slower, and it held a second
+    histogram.  M^T 1 is an exact count: a chunk's unpacked rows, read as
+    uint64 lanes of eight pixels, sum to at most STREAM_CHUNK = 128 per byte
+    lane, so no lane carries into the next.
+    """
+    grid, nb = spec.grid, packed_width(spec.grid)
+    scatter = w is not None or shift is not None
+    b = gather = None
+    if x is not None:
+        padded = np.zeros(nb * 8)
+        padded[: grid.npixels] = np.reshape(x, grid.npixels)
+        octets = padded.reshape(-1, 8)
+        table = (octets @ _BYTE_BITS.T).ravel()
+        used = np.flatnonzero(octets.any(axis=1))
+        gather = None if len(used) == nb else used
+        b = np.empty(spec.count)
+    if scatter:
+        hist = np.zeros(nb * 256)
+        count = np.zeros(nb * 8, dtype=np.uint64)
+    # The scatter reads every byte position, a gather alone only the used
+    # ones.  Per-chunk temporaries are freed before the next chunk is drawn,
+    # so a pass holds the tables, the index workspace and one chunk's worth.
+    for lo, hi, packed, idx in _table_indices(spec, None if scatter else gather):
+        if x is not None:
+            cols = idx if gather is None or not scatter else idx[:, gather]
+            np.take(table, cols).sum(axis=1, out=b[lo:hi])
+        if scatter:
+            weights = w[lo:hi] if w is not None else np.ldexp(b[lo:hi], -shift)
+            np.add.at(hist, idx.ravel(), np.repeat(weights, nb))
+            bits = np.unpackbits(packed, axis=1, bitorder="little").view(np.uint64)
+            count += bits.sum(axis=0).view(np.uint8)
+            del bits
+    if not scatter:
+        return b, None
+    pixels = (hist.reshape(-1, 256) @ _BYTE_BITS).ravel()[: grid.npixels]
+    on = count[: grid.npixels].astype(np.float64)
+    return b, (pixels.reshape(grid.shape), on.reshape(grid.shape))
+
+
 def matvec(spec: EnsembleSpec, x: np.ndarray) -> np.ndarray:
     """M @ x.ravel(), a length-count float64 array, for M the count x npixels
     0/1 pattern matrix and x an image of npixels values (any shape).
 
-    x becomes the per-byte table T[b, v] = sum_i bit_i(v) x[8b + i], 1 MB at
-    64x64, and the product for a packed row r is sum_b T[b, r[b]] over the
-    byte positions b where x has a nonzero pixel, since T[b] is 0 at every
-    other: one lookup per eight pixels, and no float64 pattern.  When every
-    position holds a nonzero pixel the gather reads whole rows.
+    One pass of per-byte table lookups that reads only the byte positions
+    where x has a nonzero pixel; when every position holds one the gather
+    reads whole rows.
     """
-    nb = packed_width(spec.grid)
-    padded = np.zeros(nb * 8)
-    padded[: spec.grid.npixels] = np.reshape(x, spec.grid.npixels)
-    octets = padded.reshape(-1, 8)
-    table = (octets @ _BYTE_BITS.T).ravel()
-    used = np.flatnonzero(octets.any(axis=1))
-    out = np.empty(spec.count)
-    entries = np.empty((min(STREAM_CHUNK, spec.count), len(used)))
-    for lo, hi, idx in _table_indices(spec, None if len(used) == nb else used):
-        # every index is in range; mode="clip" lets take write out= unbuffered
-        np.take(table, idx, out=entries[: hi - lo], mode="clip").sum(axis=1, out=out[lo:hi])
-    return out
+    return _pass(spec, x=x)[0]
 
 
-def rmatvec(spec: EnsembleSpec, w: np.ndarray) -> np.ndarray:
-    """M^T w as an (ny, nx) float64 image, for M the count x npixels 0/1
-    pattern matrix and w a length-count vector.
-
-    Each chunk adds its w to a histogram H[b, v] over (byte position, byte
-    value) of its packed rows; at the end of the pass H becomes pixels,
-    x[8b + i] = sum_v bit_i(v) H[b, v].  ``np.add.at`` adds in place, in
-    pattern order: a per-chunk ``np.bincount`` plus a sum ran slower, and it
-    held a second histogram.
+def rmatvec(spec: EnsembleSpec, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M^T w, M^T 1) as two (ny, nx) float64 images, for M the count x npixels
+    0/1 pattern matrix and w a length-count vector: the weighted sum of the
+    patterns and each pixel's exact on-count, from one pass that scatters w
+    into per-byte histograms in pattern order.
     """
-    w = np.reshape(w, spec.count)
-    hist = np.zeros(packed_width(spec.grid) * 256)
-    for lo, hi, idx in _table_indices(spec):
-        np.add.at(hist, idx.ravel(), np.repeat(w[lo:hi], idx.shape[1]))
-    pixels = (hist.reshape(-1, 256) @ _BYTE_BITS).ravel()[: spec.grid.npixels]
-    return pixels.reshape(spec.grid.shape)
+    return _pass(spec, w=np.reshape(w, spec.count))[1]
+
+
+def matvec_rmatvec(spec: EnsembleSpec, x: np.ndarray):
+    """``(b, rmatvec(spec, unit_scale(b)[0]))`` for b = ``matvec(spec, x)``,
+    bit for bit, from the one pass that gathers b.
+
+    The pass scatters 2^-k b, k bounding |b| from x (|b_j| <= npixels max|x|),
+    so its sums cannot overflow, and scales them to b's unit scale after.
+    A power of two scales every value exactly unless it is subnormal, so the
+    sums are those of ``rmatvec`` on the unit-scaled b.
+    """
+    k = int(np.frexp(np.abs(x).max())[1]) + spec.grid.npixels.bit_length()
+    b, (total, count) = _pass(spec, x=x, shift=k)
+    return b, (np.ldexp(total, k - unit_scale(b)[1]), count)

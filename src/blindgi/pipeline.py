@@ -41,11 +41,15 @@ def build_object(cfg: RunConfig) -> RealImage:
     return objects.from_spec(cfg.grid(), cfg.object_source)
 
 
-def run_simulation(cfg: RunConfig, obj: RealImage | None = None):
-    """Simulate a measurement run; returns (measurements, truth object, truth PSF)."""
+def run_simulation(cfg: RunConfig, obj: RealImage | None = None, *, sums: bool = True):
+    """Simulate a measurement run; returns (measurements, truth object, truth PSF).
+
+    ``sums`` is ``simulate``'s: off, a noise-free run skips the pattern sums
+    that only ``correlate`` reads.
+    """
     obj = obj if obj is not None else build_object(cfg)
     psf = psf_for(cfg.optical(), cfg.psf_seed)
-    return simulate(obj, psf, cfg.ensemble(), cfg.noise(), cfg.psf_seed), obj, psf
+    return simulate(obj, psf, cfg.ensemble(), cfg.noise(), cfg.psf_seed, sums=sums), obj, psf
 
 
 @dataclass(frozen=True)

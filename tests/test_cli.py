@@ -402,6 +402,26 @@ class TestBadInputs:
         assert "optical.dmd_pitch" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "metrics.txt"))
 
+    @pytest.mark.parametrize("radius", ["1e300", "11.32"])
+    def test_free_dc_radius_freeing_every_bin(self, tmp_path, capsys, radius):
+        # a 16x16 grid's farthest bin lies hypot(8, 8) = 11.3137 pixels from
+        # zero frequency: a radius beyond it leaves retrieval no bin to fit,
+        # refused when the config is read, before simulate writes anything
+        out = tmp_path / "run"
+        tiny = ["--grid.nx", "16", "--grid.ny", "16", "--optical.case", "delta",
+                "--ensemble.count", "64", "--object", "rectangle(2,2)",
+                "--schedule.cycles", "1", "--schedule.restarts", "1", "--schedule.final-er", "5"]
+        assert run_cli("simulate", "--out", str(out), *tiny,
+                       "--schedule.free-dc-radius", radius) == 2
+        err = capsys.readouterr().err
+        assert "schedule.free_dc_radius" in err and "16x16 grid" in err and "11.3137" in err
+        assert not out.exists()
+        # so does reconstruct; a radius that leaves the farthest bins runs
+        assert run_cli("simulate", "--out", str(out), *tiny) == 0
+        assert run_cli("reconstruct", "--run", str(out), "--schedule.free-dc-radius", radius) == 2
+        assert "schedule.free_dc_radius" in capsys.readouterr().err
+        assert run_cli("reconstruct", "--run", str(out), "--schedule.free-dc-radius", "11.31") == 0
+
     def test_workers_flag_is_unknown(self, run_dir, tmp_path, capsys):
         # every stage runs on one thread; no subcommand takes --workers
         for argv in (
@@ -534,26 +554,27 @@ class TestBadInputs:
             assert "noise" not in err, noise
             assert not out.exists()
 
-    @pytest.mark.parametrize("noise,value,pitch,overflow", [
-        ("gaussian", 1e300, "1e-2", "overflow encountered in square"),  # their spread
-        ("poisson", 1e306, "1", "overflow encountered in reduce"),  # their mean
+    @pytest.mark.parametrize("noise,value,pitch", [
+        ("gaussian", 1e300, "1e-2"),  # the squares of their spread overflow
+        ("poisson", 1e306, "1"),  # the sum behind their mean overflows
     ], ids=["gaussian", "poisson"])
-    def test_finite_buckets_too_large_for_noise(self, tmp_path, capsys, noise, value, pitch,
-                                                overflow):
-        # finite buckets whose noise arithmetic overflows are a numerical
-        # failure naming their peak, not a bad noise key, and write nothing
+    def test_finite_buckets_too_large_for_noise(self, tmp_path, capsys, noise, value, pitch):
+        # the noise statistics are taken at unit scale, so finite buckets too
+        # large to square or to sum still get their noise, and stay finite
         big = np.zeros((16, 16))
         big[4:12, 4:12] = value
         arrayio.write_array(str(tmp_path / "big.f64"), big, float(pitch))
         tiny = ["--grid.nx", "16", "--grid.ny", "16", "--optical.case", "delta",
-                "--ensemble.count", "64", "--noise.kind", noise]
+                "--ensemble.count", "64"]
         out = tmp_path / "o"
-        assert run_cli("simulate", "--out", str(out), *tiny, "--grid.pitch", pitch,
-                       "--object", str(tmp_path / "big.f64")) == 4
-        err = capsys.readouterr().err
-        assert f"values too large to add bucket noise ({overflow}): the signal peaks at" in err
-        assert "noise." not in err and "Traceback" not in err
-        assert not out.exists()
+        runs = {}
+        for kind in (noise, "none"):
+            assert run_cli("simulate", "--out", str(out / kind), *tiny, "--grid.pitch", pitch,
+                           "--object", str(tmp_path / "big.f64"), "--noise.kind", kind) == 0
+            runs[kind] = arrayio.read_buckets_csv(str(out / kind / "buckets.csv"))
+        assert "Traceback" not in capsys.readouterr().err
+        assert np.all(np.isfinite(runs[noise])) and not np.array_equal(runs[noise], runs["none"])
+        out = tmp_path / "key"
         # on ordinary buckets a noise level that overflows is still the key's fault
         assert run_cli("simulate", "--out", str(out), *tiny, "--object", "rectangle(2,2)",
                        "--noise.snr-db", "-1e308", "--noise.kind", "gaussian") == 2
@@ -597,15 +618,17 @@ class TestBadInputs:
         assert message.format(run=run) in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_correlation_overflow_is_data_error(self, run_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("values", [[1e308, 1.7e308], [1e307, -1e307, 3e306]],
+                             ids=["near-max", "mixed-signs"])
+    def test_huge_finite_buckets_reconstruct(self, run_dir, tmp_path, capsys, values):
+        # the correlation is formed at unit scale, and |C| <= max|B| / 2, so
+        # finite buckets give a finite correlation even where their sum overflows
         run = str(tmp_path / "run")
         shutil.copytree(run_dir, run)
-        huge = np.resize([1e308, 1.7e308], 4096)
-        arrayio.write_buckets_csv(os.path.join(run, "buckets.csv"), huge)
-        assert run_cli("reconstruct", "--run", run) == 3
-        err = capsys.readouterr().err
-        assert "correlation contains non-finite values" in err
-        assert "Traceback" not in err
+        arrayio.write_buckets_csv(os.path.join(run, "buckets.csv"), np.resize(values, 4096))
+        assert run_cli("reconstruct", "--run", run) == 0, capsys.readouterr().err
+        corr, _ = arrayio.read_array(os.path.join(run, "correlation.f64"))
+        assert np.all(np.isfinite(corr)) and np.abs(corr).max() > 0
 
     def test_zero_cycles_accepted(self, run_dir, tmp_path):
         # cycles = 0 runs only the final ER block

@@ -20,7 +20,9 @@ from blindgi import (
     OpticalConfig,
     PSF,
     RealImage,
+    UsageError,
     circ_convolve,
+    correlate,
     point_reflect,
     psf_for,
     simulate,
@@ -29,8 +31,10 @@ import blindgi.forward
 import blindgi.pipeline
 from blindgi.arrayio import read_flat_config
 from blindgi.config import RunConfig, config_from_entries
+from blindgi.forward import MeasurementSet
+from blindgi.grid import unit_scale
 from blindgi.pipeline import run_simulation, separation_px
-from blindgi.patterns import pattern_batch, unpack
+from blindgi.patterns import matvec, pattern_batch, rmatvec, unpack
 from blindgi import objects
 from reference import (bucket, centered_disk, disk_autocorrelation, illuminate, otf_magnitude,
                        pupil_diameter_px)
@@ -309,6 +313,43 @@ class TestSimulate:
         npt.assert_array_equal(psf.values, psf_for(cfg.optical(), cfg.psf_seed).values)
         again = simulate(obj, psf, cfg.ensemble(), cfg.noise(), cfg.psf_seed)
         npt.assert_array_equal(ms.buckets, again.buckets)
+
+    @pytest.mark.parametrize("kind", ["random-binary", "random-fixed-fill", "hadamard",
+                                      "pixel-scan"])
+    @pytest.mark.parametrize("shape", [(64, 64), (33, 31)], ids=["64x64", "33x31"])
+    def test_stored_sums_are_rmatvec(self, kind, shape):
+        # a noise-free simulate forms the sums in the pass that gathers the
+        # buckets: bit for bit rmatvec of the unit-scaled buckets, for the
+        # letter's bytes alone (delta) and for every byte (scattering), on 300
+        # patterns that end mid-chunk; the buckets are matvec's, bit for bit.
+        # hadamard needs power-of-two sides
+        ny, nx = (16, 32) if kind == "hadamard" and shape == (33, 31) else shape
+        g = Grid2D(nx=nx, ny=ny, pitch=12.5e-6)
+        ens = EnsembleSpec(kind=kind, grid=g, count=300, fill_fraction=0.3, seed=5)
+        obj = objects.letter(g)
+        for case in ("delta", "scattering"):
+            psf = psf_for(replace(optical(case=case), object_grid=g), 6)
+            ms = simulate(obj, psf, ens, NoiseModel(), psf_seed=6)
+            weights = blindgi.forward.bucket_weights(obj, psf)
+            npt.assert_array_equal(ms.buckets, matvec(ens, weights))
+            total, on = rmatvec(ens, unit_scale(ms.buckets)[0])
+            npt.assert_array_equal(ms.bucket_sum, total)
+            npt.assert_array_equal(ms.on_count, on)
+            bare = simulate(obj, psf, ens, NoiseModel(), psf_seed=6, sums=False)
+            assert bare.bucket_sum is None and bare.on_count is None
+            npt.assert_array_equal(bare.buckets, ms.buckets)
+            # so the stored sums and correlate's own pass give the same bits
+            npt.assert_array_equal(correlate(ms).values, correlate(bare).values)
+            # noise is drawn after the pass: correlate forms a noisy run's sums
+            for noise in (NoiseModel("gaussian"), NoiseModel("poisson")):
+                noisy = simulate(obj, psf, ens, noise, psf_seed=6)
+                assert noisy.bucket_sum is None and noisy.on_count is None
+
+    def test_sums_come_together(self):
+        cfg = optical(n=16, case="delta")
+        ens = EnsembleSpec(kind="pixel-scan", grid=cfg.object_grid, count=4)
+        with pytest.raises(UsageError, match="bucket_sum and on_count together"):
+            MeasurementSet(ens, np.ones(4), bucket_sum=np.zeros((16, 16)))
 
     @pytest.mark.slow
     def test_throughput_4096_patterns(self):

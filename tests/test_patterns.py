@@ -17,7 +17,7 @@ from blindgi import ConfigError, EnsembleSpec, Grid2D, UsageError
 from blindgi import objects
 from blindgi.config import RunConfig
 from blindgi.correlation import correlate
-from blindgi.forward import NoiseModel, psf_for, simulate
+from blindgi.forward import MeasurementSet, NoiseModel, psf_for, simulate
 from blindgi.patterns import (
     KINDS,
     STREAM_CHUNK,
@@ -271,13 +271,16 @@ class TestPackedFormat:
             s = spec(kind=kind, n=ny, nx=nx, count=300, fill=fill)
             m = dense(s, 0, s.count).reshape(s.count, -1)
             x, w = rng.standard_normal((ny, nx)) * mask, rng.standard_normal(s.count)
-            mx, mtw = matvec(s, x), rmatvec(s, w)
+            mx, (mtw, on) = matvec(s, x), rmatvec(s, w)
             if not np.any(mask):
                 npt.assert_array_equal(mx, 0.0)
             assert mx.dtype == mtw.dtype == np.float64
             assert mx.shape == (s.count,) and mtw.shape == (ny, nx)
             npt.assert_allclose(mx, m @ x.ravel(), rtol=0, atol=1e-13 * np.abs(x).sum())
             npt.assert_allclose(mtw.ravel(), w @ m, rtol=0, atol=1e-13 * np.abs(w).sum())
+            # M^T 1 is each pixel's exact on-count
+            assert on.dtype == np.float64 and on.shape == (ny, nx)
+            npt.assert_array_equal(on.ravel(), m.sum(axis=0))
             # the adjoint identity <M x, w> = <x, M^T w>, within roundoff of the
             # sum of |M[j, p] x[p] w[j]|
             scale = np.abs(w) @ m @ np.abs(x.ravel())
@@ -325,9 +328,10 @@ class TestChunkWorkspace:
         for positions in (None, np.array([1, 2, 7, nb - 1])):
             cols = np.arange(nb) if positions is None else positions
             spans = []
-            for (lo, hi, packed), (ilo, ihi, idx) in zip(
+            for (lo, hi, packed), (ilo, ihi, ipacked, idx) in zip(
                     iter_chunks(s), _table_indices(s, positions), strict=True):
                 assert (ilo, ihi) == (lo, hi)
+                npt.assert_array_equal(ipacked, packed)
                 assert idx.dtype == np.intp and not idx.flags.writeable
                 npt.assert_array_equal(idx, np.add(packed[:, cols], 256 * cols))
                 spans.append((lo, hi))
@@ -337,11 +341,13 @@ class TestChunkWorkspace:
         cfg = RunConfig(ensemble_kind="random-fixed-fill", ensemble_count=3 * STREAM_CHUNK + 44)
         ens, psf = cfg.ensemble(), psf_for(cfg.optical(), cfg.psf_seed)
         obj = objects.from_spec(cfg.grid(), cfg.object_source)
-        ms = simulate(obj, psf, ens, NoiseModel(), cfg.psf_seed)
-        # a chunk of float64 patterns; simulate and correlate read packed
-        # chunks and never hold one, and the reference ensemble_autocorrelations
-        # holds a chunk of bool patterns, a rolled copy and their product, an
-        # eighth of one each (0.35 chunks measured)
+        # the buckets alone, as read from a file: correlate makes its own pass
+        ms = MeasurementSet(ens, simulate(obj, psf, ens, NoiseModel(), cfg.psf_seed).buckets)
+        # a chunk of float64 patterns; simulate (which also forms the sums)
+        # and correlate read packed chunks and never hold one, and the
+        # reference ensemble_autocorrelations holds a chunk of bool patterns,
+        # a rolled copy and their product, an eighth of one each (0.35 chunks
+        # measured)
         chunk_bytes = STREAM_CHUNK * cfg.grid().npixels * 8
         for name, fn, bound in (
             ("simulate", lambda: simulate(obj, psf, ens, NoiseModel(), cfg.psf_seed), 1.0),
