@@ -24,10 +24,10 @@ from . import arrayio
 from .config import RunConfig, config_from_entries, config_to_entries
 from .errors import BlindGIError, ConfigError, DataError, FormatError, UsageError
 from .evaluation import align_and_score
-from .forward import MeasurementSet
+from .forward import MeasurementSet, psf_for, simulate
 from .grid import RealImage
 from .patterns import iter_chunks, unpack
-from .pipeline import (read_image, resolution_probe, run_reconstruction, run_simulation,
+from .pipeline import (build_object, read_image, resolution_probe, run_reconstruction,
                        separation_px)
 
 CONFIG_FILE = "run_config.txt"
@@ -76,7 +76,9 @@ def cmd_simulate(args, overrides) -> int:
     if args.dump_patterns < 0:
         raise UsageError(f"--dump-patterns must be >= 0, got {args.dump_patterns}")
     cfg = _load_config(args.config, overrides)
-    ms, obj, psf = run_simulation(cfg, sums=False)  # the buckets are written, not correlated
+    obj, psf = build_object(cfg), psf_for(cfg.optical(), cfg.psf_seed)
+    # the buckets are written, not correlated: the pass skips the pattern sum
+    ms = simulate(obj, psf, cfg.ensemble(), cfg.noise(), cfg.psf_seed, sums=False)
     _make_out_dir(args.out)
     pitch = cfg.grid_pitch
     arrayio.write_buckets_csv(os.path.join(args.out, BUCKETS_FILE), ms.buckets)
@@ -246,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_res = sub.add_parser("resolution", help="two-point resolution scan")
     p_res.add_argument("--config")
     p_res.add_argument("--out", required=True)
-    p_res.add_argument("--separations", help="comma list of separations in meters")
-    p_res.add_argument("--separations-rel",
-                       help="comma list in units of the resolution limit")
+    seps = p_res.add_mutually_exclusive_group()
+    seps.add_argument("--separations", help="comma list of separations in meters")
+    seps.add_argument("--separations-rel", help="comma list in units of the resolution limit")
     return parser
 
 

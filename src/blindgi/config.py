@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 
+import numpy as np
+
 from .correlation import filter_model
 from .errors import ConfigError
 from .forward import NoiseModel, OpticalConfig
@@ -65,8 +67,9 @@ class RunConfig:
             )
         # the support, optics, ensemble and noise check their own keys, naming them
         self.support.box_shape(self.grid())
-        # retrieval fits the bins at or beyond free_dc_radius; one must be left
-        farthest = float(self.grid().pixel_radius().max())
+        # retrieval fits the bins at or beyond free_dc_radius; one must be left.
+        # The farthest lies at the corner (-ny // 2, -nx // 2) of pixel_radius
+        farthest = float(np.hypot(self.grid_ny // 2, self.grid_nx // 2))
         if self.schedule.free_dc_radius > farthest:
             raise ConfigError(
                 f"schedule.free_dc_radius = {self.schedule.free_dc_radius!r} frees every bin of "

@@ -4,14 +4,14 @@ function model F used to read (or compensate) the object spectrum out of it.
 The correlation is the mean-removed estimator
 
     C(p) = (1/J) sum_j (B_j - mean B) (M_j(p) - mean_j M(p))
-         = (1/J) (sum_j B_j M_j(p) - mean B * sum_j M_j(p)),
+         = (1/J) sum_j (B_j - mean B) M_j(p),
 
-whose second form needs no mean during the pass over the patterns: the pass
-that records the buckets can form both sums, M^T B and the exact on-count
-M^T 1, so a noise-free run regenerates its patterns once.  Mean removal is
-what turns a 0/1 ensemble into the delta-correlated ensemble the
-factorization |C~| = |O~| * F assumes, and it also suppresses the constant
-illumination background.
+the centred product ``patterns.rmatvec`` forms in one pass over the
+patterns; the pass that records the buckets can form it too, so a
+noise-free run regenerates its patterns once.  Mean removal is what turns
+a 0/1 ensemble into the delta-correlated ensemble the factorization
+|C~| = |O~| * F assumes, and it also suppresses the constant illumination
+background.
 """
 
 from __future__ import annotations
@@ -41,26 +41,22 @@ class CorrelationImage:
 def correlate(measurements: MeasurementSet) -> CorrelationImage:
     """Correlation image from a measurement set.
 
-    C = (M^T B - mean(B) M^T 1) / J, formed on the unit-scaled buckets
-    2^-e B (``grid.unit_scale``), where neither the sums nor the mean can
-    overflow, and scaled back by 2^e: a power of two keeps every bit.  The
-    sums are the record's own, which a noise-free ``simulate`` formed with
-    the buckets, or else ``rmatvec``'s, one pass over regenerated patterns
-    in fixed chunk order.  Both are the same sums in the same order, so the
-    in-process and file routes agree.  The uncentred form cancels the
-    mean's share of M^T B: at J = 2^16 on 64x64 fixed-fill patterns that
-    costs about 1e-11 of C's peak (Chan, Golub and LeVeque, Am. Stat. 37,
-    242 (1983), bound the loss by the ratio of mean to spread).
+    C = 2^e M^T (2^-e B - mean 2^-e B) / J: the centred product of the
+    unit-scaled buckets 2^-e B (``grid.unit_scale``), where neither its sum
+    nor its mean can overflow, scaled back by 2^e, a power of two that keeps
+    every bit.  The product is the record's ``centred_sum``, which a
+    noise-free ``simulate`` formed with the buckets, or else one ``rmatvec``
+    pass over regenerated patterns in fixed chunk order; both form the same
+    sums in the same order, so the in-process and file routes agree.
     """
     spec = measurements.ensemble
     if spec.count < 2:
         raise UsageError("correlation needs at least 2 measurements")
     scaled, e = unit_scale(measurements.buckets)
-    if measurements.bucket_sum is None:
-        total, count = rmatvec(spec, scaled)
-    else:
-        total, count = measurements.bucket_sum, measurements.on_count
-    values = np.ldexp((total - scaled.mean() * count) / spec.count, e)
+    centred = measurements.centred_sum
+    if centred is None:
+        centred = rmatvec(spec, scaled)
+    values = np.ldexp(centred / spec.count, e)
     return CorrelationImage(spec.grid, values, spec.count)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UsageError, overflow_guard
+from .errors import ConfigError, DataError, overflow_guard
 from .grid import (Grid2D, RealImage, circ_convolve, freeze_field, point_reflect,
                    require_mask_in_central_half, unit_scale)
 from .patterns import EnsembleSpec, _philox, matvec, matvec_rmatvec
@@ -186,26 +186,21 @@ class MeasurementSet:
     pattern recipe and the buckets.  The diffuser realization is not part of
     it.
 
-    ``bucket_sum`` and ``on_count``, given together or not at all, are the
-    two pattern sums the correlation reads, ``patterns.rmatvec`` of the
-    unit-scaled buckets (``grid.unit_scale``): sum_j 2^-e B_j M_j and each
-    pixel's on-count sum_j M_j.  They are functions of the recipe and the
-    buckets alone; a noise-free ``simulate`` forms them in the pass that
+    ``centred_sum``, if given, is the pattern sum the correlation reads,
+    ``patterns.rmatvec`` of the unit-scaled buckets (``grid.unit_scale``):
+    sum_j (2^-e B_j - mean 2^-e B) M_j.  It is a function of the recipe and
+    the buckets alone; a noise-free ``simulate`` forms it in the pass that
     records the buckets, so ``correlate`` walks no patterns.
     """
 
     ensemble: EnsembleSpec
     buckets: np.ndarray
-    bucket_sum: np.ndarray | None = None
-    on_count: np.ndarray | None = None
+    centred_sum: np.ndarray | None = None
 
     def __post_init__(self):
         freeze_field(self, "buckets", "buckets", (self.ensemble.count,))
-        if (self.bucket_sum is None) != (self.on_count is None):
-            raise UsageError("a measurement set takes bucket_sum and on_count together")
-        if self.bucket_sum is not None:
-            freeze_field(self, "bucket_sum", "bucket sum", self.ensemble.grid.shape)
-            freeze_field(self, "on_count", "on-count", self.ensemble.grid.shape)
+        if self.centred_sum is not None:
+            freeze_field(self, "centred_sum", "centred sum", self.ensemble.grid.shape)
 
 
 def _apply_noise(buckets: np.ndarray, noise: NoiseModel, psf_seed: int) -> np.ndarray:
@@ -255,12 +250,11 @@ def simulate(
     refused (DataError) before any noise is drawn, and noise arithmetic
     that overflows on finite buckets is a NumericalError naming their peak.
 
-    A noise-free run with ``sums`` also forms the record's ``bucket_sum``
-    and ``on_count`` in the pass that gathers the buckets, so that
-    ``correlate`` walks no patterns; a caller that never correlates turns
-    it off and saves the scatter.  Noise is drawn after the pass and its
-    Gaussian level needs the spread of all buckets, so a noisy run leaves
-    the sums to ``correlate``.
+    A noise-free run with ``sums`` also forms the record's ``centred_sum``
+    in the pass that gathers the buckets, so that ``correlate`` walks no
+    patterns; a caller that never correlates turns it off and saves the
+    scatter.  Noise is drawn after the pass and its Gaussian level needs the
+    spread of all buckets, so a noisy run leaves the sum to ``correlate``.
     """
     if ensemble.grid != psf.grid:
         raise ConfigError("ensemble grid does not match the PSF grid")
@@ -277,8 +271,7 @@ def simulate(
     with np.errstate(over="ignore", invalid="ignore"):  # the record refuses non-finite buckets
         weights = bucket_weights(obj, psf)
         if sums and noise.kind == "none":
-            buckets, (bucket_sum, on_count) = matvec_rmatvec(ensemble, weights)
-            return MeasurementSet(ensemble, buckets, bucket_sum, on_count)
+            return MeasurementSet(ensemble, *matvec_rmatvec(ensemble, weights))
         measured = MeasurementSet(ensemble, matvec(ensemble, weights))
     if noise.kind == "none":
         return measured

@@ -121,7 +121,7 @@ class TestReconstruct:
                        "--compensation.mode", "compensated") == 0
         assert os.path.exists(os.path.join(out_b, "target.f64"))
 
-    def test_rerun_and_workers_byte_identical(self, run_dir, tmp_path):
+    def test_rerun_byte_identical(self, run_dir, tmp_path):
         outs = [str(tmp_path / f"o{k}") for k in range(3)]
         run_cli("reconstruct", "--run", run_dir, "--out", outs[0])
         run_cli("reconstruct", "--run", run_dir, "--out", outs[1])
@@ -423,27 +423,17 @@ class TestBadInputs:
         assert run_cli("reconstruct", "--run", str(out), "--schedule.free-dc-radius", "11.31") == 0
 
     def test_workers_flag_is_unknown(self, run_dir, tmp_path, capsys):
-        # every stage runs on one thread; no subcommand takes --workers
-        for argv in (
-            ["simulate", "--out", str(tmp_path / "s")],
-            ["reconstruct", "--run", run_dir],
-            ["evaluate", "--run", run_dir],
-            ["resolution", "--out", str(tmp_path / "r"), "--separations", "1e-4"],
-        ):
-            assert run_cli(*argv, "--workers", "2") == 2
-            assert "unknown config key 'workers'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_must_be_positive(self, run_dir, tmp_path, capsys, workers):
-        # a non-positive worker count is still refused, before any output
-        for argv in (
-            ["simulate", "--out", str(tmp_path / "s")],
-            ["reconstruct", "--run", run_dir, "--out", str(tmp_path / "o")],
-            ["evaluate", "--run", run_dir],
-            ["resolution", "--out", str(tmp_path / "r"), "--separations", "1e-4"],
-        ):
-            assert run_cli(*argv, "--workers", workers) == 2
-            assert "'workers'" in capsys.readouterr().err
+        # every stage runs on one thread; no subcommand takes --workers, of
+        # any count, and each refuses it before any output
+        for workers in ("2", "0", "-3"):
+            for argv in (
+                ["simulate", "--out", str(tmp_path / "s")],
+                ["reconstruct", "--run", run_dir, "--out", str(tmp_path / "o")],
+                ["evaluate", "--run", run_dir],
+                ["resolution", "--out", str(tmp_path / "r"), "--separations", "1e-4"],
+            ):
+                assert run_cli(*argv, "--workers", workers) == 2
+                assert "unknown config key 'workers'" in capsys.readouterr().err
         for name in ("s", "o", "r"):
             assert not (tmp_path / name).exists()
 
@@ -523,6 +513,9 @@ class TestBadInputs:
          "rectangle needs width and height, e.g. rectangle(20,12)"),
         # a support margin below 0 px
         ("simulate", ["--support.margin-px", "-1"], "support.margin_px must be >= 0"),
+        # the two ways to give separations exclude each other
+        ("resolution", ["--separations", "1e-4", "--separations-rel", "0.7,1.4,2.0"],
+         "argument --separations-rel: not allowed with argument --separations"),
     ])
     def test_integer_below_minimum(self, run_dir, tmp_path, capsys, command, flags, name):
         # and real-valued keys out of range, values the models reject,
@@ -629,6 +622,25 @@ class TestBadInputs:
         assert run_cli("reconstruct", "--run", run) == 0, capsys.readouterr().err
         corr, _ = arrayio.read_array(os.path.join(run, "correlation.f64"))
         assert np.all(np.isfinite(corr)) and np.abs(corr).max() > 0
+
+    def test_overflow_in_compensation_is_numerical_error(self, tmp_path, capsys):
+        # near-max buckets give a finite correlation, but inverse filtering
+        # with a 1e-300 epsilon overflows: exit 4 naming the correlation's peak
+        run = str(tmp_path / "run")
+        assert run_cli("simulate", "--out", run, "--grid.nx", "16", "--grid.ny", "16",
+                       "--optical.case", "delta", "--ensemble.count", "256",
+                       "--object", "rectangle(4,4)", "--optical.dmd-pitch", "3.75e-5") == 0
+        path = os.path.join(run, "buckets.csv")
+        buckets = arrayio.read_buckets_csv(path)
+        arrayio.write_buckets_csv(path, buckets / np.abs(buckets).max() * 1.7e308)
+        capsys.readouterr()
+        assert run_cli("reconstruct", "--run", run, "--compensation.mode", "compensated",
+                       "--compensation.epsilon-fraction", "1e-300") == 4
+        err = capsys.readouterr().err
+        assert ("values too large to reconstruct (overflow encountered in divide): "
+                "the correlation peaks at 4.81e+306") in err
+        assert "Traceback" not in err
+        assert not os.path.exists(os.path.join(run, "correlation.f64"))
 
     def test_zero_cycles_accepted(self, run_dir, tmp_path):
         # cycles = 0 runs only the final ER block

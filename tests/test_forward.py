@@ -20,7 +20,6 @@ from blindgi import (
     OpticalConfig,
     PSF,
     RealImage,
-    UsageError,
     circ_convolve,
     correlate,
     point_reflect,
@@ -31,7 +30,6 @@ import blindgi.forward
 import blindgi.pipeline
 from blindgi.arrayio import read_flat_config
 from blindgi.config import RunConfig, config_from_entries
-from blindgi.forward import MeasurementSet
 from blindgi.grid import unit_scale
 from blindgi.pipeline import run_simulation, separation_px
 from blindgi.patterns import matvec, pattern_batch, rmatvec, unpack
@@ -318,8 +316,8 @@ class TestSimulate:
                                       "pixel-scan"])
     @pytest.mark.parametrize("shape", [(64, 64), (33, 31)], ids=["64x64", "33x31"])
     def test_stored_sums_are_rmatvec(self, kind, shape):
-        # a noise-free simulate forms the sums in the pass that gathers the
-        # buckets: bit for bit rmatvec of the unit-scaled buckets, for the
+        # a noise-free simulate forms the centred sum in the pass that gathers
+        # the buckets: bit for bit rmatvec of the unit-scaled buckets, for the
         # letter's bytes alone (delta) and for every byte (scattering), on 300
         # patterns that end mid-chunk; the buckets are matvec's, bit for bit.
         # hadamard needs power-of-two sides
@@ -332,24 +330,15 @@ class TestSimulate:
             ms = simulate(obj, psf, ens, NoiseModel(), psf_seed=6)
             weights = blindgi.forward.bucket_weights(obj, psf)
             npt.assert_array_equal(ms.buckets, matvec(ens, weights))
-            total, on = rmatvec(ens, unit_scale(ms.buckets)[0])
-            npt.assert_array_equal(ms.bucket_sum, total)
-            npt.assert_array_equal(ms.on_count, on)
+            npt.assert_array_equal(ms.centred_sum, rmatvec(ens, unit_scale(ms.buckets)[0]))
             bare = simulate(obj, psf, ens, NoiseModel(), psf_seed=6, sums=False)
-            assert bare.bucket_sum is None and bare.on_count is None
+            assert bare.centred_sum is None
             npt.assert_array_equal(bare.buckets, ms.buckets)
-            # so the stored sums and correlate's own pass give the same bits
+            # so the stored sum and correlate's own pass give the same bits
             npt.assert_array_equal(correlate(ms).values, correlate(bare).values)
-            # noise is drawn after the pass: correlate forms a noisy run's sums
+            # noise is drawn after the pass: correlate forms a noisy run's sum
             for noise in (NoiseModel("gaussian"), NoiseModel("poisson")):
-                noisy = simulate(obj, psf, ens, noise, psf_seed=6)
-                assert noisy.bucket_sum is None and noisy.on_count is None
-
-    def test_sums_come_together(self):
-        cfg = optical(n=16, case="delta")
-        ens = EnsembleSpec(kind="pixel-scan", grid=cfg.object_grid, count=4)
-        with pytest.raises(UsageError, match="bucket_sum and on_count together"):
-            MeasurementSet(ens, np.ones(4), bucket_sum=np.zeros((16, 16)))
+                assert simulate(obj, psf, ens, noise, psf_seed=6).centred_sum is None
 
     @pytest.mark.slow
     def test_throughput_4096_patterns(self):

@@ -256,8 +256,8 @@ class TestPackedFormat:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("shape", [(64, 64), (33, 31)], ids=["64x64", "33x31"])
     def test_products_are_dense_products(self, kind, shape):
-        # matvec is M @ x and rmatvec is w @ M for the dense 0/1 pattern matrix
-        # M, on 300 patterns so that the last chunk is partial; hadamard needs
+        # matvec is M @ x and rmatvec is (w - mean w) @ M for the dense 0/1
+        # pattern matrix M, on 300 patterns so that the last chunk is partial; hadamard needs
         # power-of-two sides.  x is dense, then 0 on whole bytes, which matvec
         # skips: one pixel, the last pixel (alone in the partial last byte of
         # 33x31), the letter's pixels, and nothing (buckets of exactly 0)
@@ -271,20 +271,22 @@ class TestPackedFormat:
             s = spec(kind=kind, n=ny, nx=nx, count=300, fill=fill)
             m = dense(s, 0, s.count).reshape(s.count, -1)
             x, w = rng.standard_normal((ny, nx)) * mask, rng.standard_normal(s.count)
-            mx, (mtw, on) = matvec(s, x), rmatvec(s, w)
+            mx, mtw = matvec(s, x), rmatvec(s, w)
             if not np.any(mask):
                 npt.assert_array_equal(mx, 0.0)
             assert mx.dtype == mtw.dtype == np.float64
             assert mx.shape == (s.count,) and mtw.shape == (ny, nx)
             npt.assert_allclose(mx, m @ x.ravel(), rtol=0, atol=1e-13 * np.abs(x).sum())
-            npt.assert_allclose(mtw.ravel(), w @ m, rtol=0, atol=1e-13 * np.abs(w).sum())
-            # M^T 1 is each pixel's exact on-count
-            assert on.dtype == np.float64 and on.shape == (ny, nx)
-            npt.assert_array_equal(on.ravel(), m.sum(axis=0))
-            # the adjoint identity <M x, w> = <x, M^T w>, within roundoff of the
-            # sum of |M[j, p] x[p] w[j]|
+            centred = w - w.mean()
+            npt.assert_allclose(mtw.ravel(), centred @ m, rtol=0, atol=1e-13 * np.abs(w).sum())
+            # the pass that sums w counts each pixel's on-states exactly, so a
+            # constant w centres to exactly 0
+            for value in (1.0, 0.75):
+                npt.assert_array_equal(rmatvec(s, np.full(s.count, value)), 0.0)
+            # the adjoint identity <M x, v> = <x, M^T v> for v = w - mean w,
+            # within roundoff of the sum of |M[j, p] x[p] w[j]|
             scale = np.abs(w) @ m @ np.abs(x.ravel())
-            assert abs(np.dot(mx, w) - np.sum(x * mtw)) <= 1e-13 * scale
+            assert abs(np.dot(mx, centred) - np.sum(x * mtw)) <= 1e-13 * scale
 
 
 def traced_peak(fn):
