@@ -422,20 +422,28 @@ class TestBadInputs:
         assert "schedule.free_dc_radius" in capsys.readouterr().err
         assert run_cli("reconstruct", "--run", str(out), "--schedule.free-dc-radius", "11.31") == 0
 
-    def test_workers_flag_is_unknown(self, run_dir, tmp_path, capsys):
-        # every stage runs on one thread; no subcommand takes --workers, of
-        # any count, and each refuses it before any output
-        for workers in ("2", "0", "-3"):
-            for argv in (
-                ["simulate", "--out", str(tmp_path / "s")],
-                ["reconstruct", "--run", run_dir, "--out", str(tmp_path / "o")],
-                ["evaluate", "--run", run_dir],
-                ["resolution", "--out", str(tmp_path / "r"), "--separations", "1e-4"],
-            ):
-                assert run_cli(*argv, "--workers", workers) == 2
-                assert "unknown config key 'workers'" in capsys.readouterr().err
+    @staticmethod
+    def _refuses_workers(run_dir, tmp_path, capsys, workers):
+        for argv in (
+            ["simulate", "--out", str(tmp_path / "s")],
+            ["reconstruct", "--run", run_dir, "--out", str(tmp_path / "o")],
+            ["evaluate", "--run", run_dir],
+            ["resolution", "--out", str(tmp_path / "r"), "--separations", "1e-4"],
+        ):
+            assert run_cli(*argv, "--workers", workers) == 2
+            assert "unknown config key 'workers'" in capsys.readouterr().err
         for name in ("s", "o", "r"):
             assert not (tmp_path / name).exists()
+
+    def test_workers_flag_is_unknown(self, run_dir, tmp_path, capsys):
+        # every stage runs on one thread; no subcommand takes --workers, and
+        # each refuses it before any output
+        self._refuses_workers(run_dir, tmp_path, capsys, "2")
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_must_be_positive(self, run_dir, tmp_path, capsys, workers):
+        # a non-positive worker count is refused too, before any output
+        self._refuses_workers(run_dir, tmp_path, capsys, workers)
 
     def test_repeated_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
