@@ -14,7 +14,13 @@ random-binary run's ``oracle_object.f64``, and a two-point ``resolution``
 scan at 0.7, 1.4 and 2 resolution limits.  Two noisy runs of the letter
 through the scattering case, one with Gaussian and one with Poisson bucket
 noise, are simulated and reconstructed, and one more scattering ``resolution``
-scan gives its separations in meters (50 and 100 um).  Then it prints one line
+scan gives its separations in meters (50 and 100 um).  For each ensemble kind
+one scattering and one delta run also go in process, ``run_simulation`` then
+``run_reconstruction``, the noise-free route whose one pattern pass forms
+the buckets and the correlation together (the delta weights cover a few
+pattern bytes, so that pass gathers those alone); each writes the raw bytes
+of the correlation, the reconstruction and the E_F trace into
+``DIR/in-process/<case>/<kind>``.  Then it prints one line
 ``<sha256>  <path relative to DIR>`` per file, sorted by path, so that
 
     python3 scripts/run_digests.py --root /path/to/parent /tmp/a > parent.txt
@@ -30,6 +36,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import sys
 
@@ -64,6 +71,8 @@ def main() -> int:
     args = parser.parse_args()
     sys.path.insert(0, os.path.join(args.root, "src"))
     from blindgi.cli import main as cli
+    from blindgi.config import config_from_entries
+    from blindgi.pipeline import run_reconstruction, run_simulation
 
     os.makedirs(args.dir)
     # paths inside DIR are relative, so run_config.txt reads the same in any DIR
@@ -96,6 +105,18 @@ def main() -> int:
     run("resolution", "--out", os.path.join("scattering", "resolution-m"), *COMMON,
         "--optical.case", "scattering", "--ensemble.kind", "random-fixed-fill",
         "--separations", "5e-5,1e-4")
+    entries = {flag[2:].replace("-", "_"): value for flag, value in zip(COMMON[::2], COMMON[1::2])}
+    for case, kind in itertools.product(("scattering", "delta"), KINDS):
+        cfg = config_from_entries({**entries, "optical.case": case, "ensemble.kind": kind})
+        ms, obj, _ = run_simulation(cfg)
+        result = run_reconstruction(cfg, ms, truth=obj)
+        out = os.path.join("in-process", case, kind)
+        os.makedirs(out)
+        for name, values in (("correlation", result.correlation.values),
+                             ("reconstruction", result.reconstruction.image.values),
+                             ("ef_trace", result.reconstruction.ef_trace)):
+            with open(os.path.join(out, name + ".bin"), "wb") as fh:
+                fh.write(values.tobytes())
     print("\n".join(digests(".")))
     return 0
 

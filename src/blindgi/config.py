@@ -79,6 +79,8 @@ class RunConfig:
         self.optical()
         self.ensemble()
         self.noise()
+        if self.ensemble_count < 2:  # an EnsembleSpec may hold one pattern; a run correlates
+            raise ConfigError(f"ensemble.count must be >= 2 to correlate, got {self.ensemble_count}")
         # compensate divides by F, which is 1 at zero frequency and must pass one more bin
         compensated = self.compensation_mode == "compensated"
         if compensated and (filter_model(self.optical()).values > 0).sum() < 2:

@@ -6,9 +6,9 @@ The correlation is the mean-removed estimator
     C(p) = (1/J) sum_j (B_j - mean B) (M_j(p) - mean_j M(p))
          = (1/J) sum_j (B_j - mean B) M_j(p),
 
-the centred product ``patterns.rmatvec`` forms in one pass over the
-patterns; the pass that records the buckets can form it too, so a
-noise-free run regenerates its patterns once.  Mean removal is what turns
+which ``patterns.covariance`` forms in one pass over the patterns; the
+pass that records the buckets can form it too, so a noise-free run
+regenerates its patterns once.  Mean removal is what turns
 a 0/1 ensemble into the delta-correlated ensemble the factorization
 |C~| = |O~| * F assumes, and it also suppresses the constant illumination
 background.
@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import UsageError
 from .forward import MeasurementSet, OpticalConfig, pupil_mask
-from .grid import Grid2D, MagnitudeSpectrum, freeze_field, indicator_autocorrelation, unit_scale
-from .patterns import rmatvec
+from .grid import Grid2D, MagnitudeSpectrum, freeze_field, indicator_autocorrelation
+from .patterns import covariance
 
 
 @dataclass(frozen=True)
@@ -39,24 +39,18 @@ class CorrelationImage:
 
 
 def correlate(measurements: MeasurementSet) -> CorrelationImage:
-    """Correlation image from a measurement set.
-
-    C = 2^e M^T (2^-e B - mean 2^-e B) / J: the centred product of the
-    unit-scaled buckets 2^-e B (``grid.unit_scale``), where neither its sum
-    nor its mean can overflow, scaled back by 2^e, a power of two that keeps
-    every bit.  The product is the record's ``centred_sum``, which a
-    noise-free ``simulate`` formed with the buckets, or else one ``rmatvec``
-    pass over regenerated patterns in fixed chunk order; both form the same
-    sums in the same order, so the in-process and file routes agree.
+    """Correlation image from a measurement set: the record's
+    ``correlation``, which a noise-free ``simulate`` formed with the buckets,
+    or else ``patterns.covariance`` of the buckets, one pass over regenerated
+    patterns in fixed chunk order.  Both are the same pass over the same
+    sums, so the in-process and file routes agree bit for bit.
     """
     spec = measurements.ensemble
     if spec.count < 2:
         raise UsageError("correlation needs at least 2 measurements")
-    scaled, e = unit_scale(measurements.buckets)
-    centred = measurements.centred_sum
-    if centred is None:
-        centred = rmatvec(spec, scaled)
-    values = np.ldexp(centred / spec.count, e)
+    values = measurements.correlation
+    if values is None:
+        values = covariance(spec, measurements.buckets)
     return CorrelationImage(spec.grid, values, spec.count)
 
 

@@ -11,14 +11,14 @@ convolving with a PSF does not translate the scene.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, overflow_guard
 from .grid import (Grid2D, RealImage, circ_convolve, freeze_field, point_reflect,
                    require_mask_in_central_half, unit_scale)
-from .patterns import EnsembleSpec, _philox, matvec, matvec_rmatvec
+from .patterns import EnsembleSpec, _philox, matvec, matvec_covariance
 # Not called here; kept importable as forward.pattern_batch, the name the
 # benchmark's tracer test (perfbench/tests) patches and restores.
 from .patterns import pattern_batch  # noqa: F401
@@ -186,21 +186,24 @@ class MeasurementSet:
     pattern recipe and the buckets.  The diffuser realization is not part of
     it.
 
-    ``centred_sum``, if given, is the pattern sum the correlation reads,
-    ``patterns.rmatvec`` of the unit-scaled buckets (``grid.unit_scale``):
-    sum_j (2^-e B_j - mean 2^-e B) M_j.  It is a function of the recipe and
-    the buckets alone; a noise-free ``simulate`` forms it in the pass that
-    records the buckets, so ``correlate`` walks no patterns.
+    ``correlation`` is the correlation C = M^T (B - mean B) / J of the
+    buckets B (``patterns.covariance``), or None.  Only the third constructor
+    argument sets it: a noise-free ``simulate`` stores the C it formed in the
+    pass that recorded the buckets, so ``correlate`` walks no patterns.
+    ``dataclasses.replace`` never carries it over, so a record with other
+    buckets or another recipe has none.
     """
 
     ensemble: EnsembleSpec
     buckets: np.ndarray
-    centred_sum: np.ndarray | None = None
+    known_correlation: InitVar[np.ndarray | None] = None
+    correlation: np.ndarray | None = field(init=False, default=None)
 
-    def __post_init__(self):
+    def __post_init__(self, known_correlation):
         freeze_field(self, "buckets", "buckets", (self.ensemble.count,))
-        if self.centred_sum is not None:
-            freeze_field(self, "centred_sum", "centred sum", self.ensemble.grid.shape)
+        if known_correlation is not None:
+            object.__setattr__(self, "correlation", known_correlation)
+            freeze_field(self, "correlation", "correlation", self.ensemble.grid.shape)
 
 
 def _apply_noise(buckets: np.ndarray, noise: NoiseModel, psf_seed: int) -> np.ndarray:
@@ -250,11 +253,11 @@ def simulate(
     refused (DataError) before any noise is drawn, and noise arithmetic
     that overflows on finite buckets is a NumericalError naming their peak.
 
-    A noise-free run with ``sums`` also forms the record's ``centred_sum``
+    A noise-free run with ``sums`` also forms the record's ``correlation``
     in the pass that gathers the buckets, so that ``correlate`` walks no
     patterns; a caller that never correlates turns it off and saves the
     scatter.  Noise is drawn after the pass and its Gaussian level needs the
-    spread of all buckets, so a noisy run leaves the sum to ``correlate``.
+    spread of all buckets, so a noisy run leaves C to ``correlate``.
     """
     if ensemble.grid != psf.grid:
         raise ConfigError("ensemble grid does not match the PSF grid")
@@ -271,7 +274,7 @@ def simulate(
     with np.errstate(over="ignore", invalid="ignore"):  # the record refuses non-finite buckets
         weights = bucket_weights(obj, psf)
         if sums and noise.kind == "none":
-            return MeasurementSet(ensemble, *matvec_rmatvec(ensemble, weights))
+            return MeasurementSet(ensemble, *matvec_covariance(ensemble, weights))
         measured = MeasurementSet(ensemble, matvec(ensemble, weights))
     if noise.kind == "none":
         return measured

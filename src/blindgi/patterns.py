@@ -23,11 +23,11 @@ A chunk of patterns is packed bits, for every kind: pattern j is one row of
 pixel ``8b + i`` in row-major order, 1 where the pixel is on; the padding bits
 of the last byte are 0.  At w = 1 the inverted Philox bytes already are that
 row.  Only this module knows the layout: ``unpack`` turns rows into uint8 0/1
-patterns, and ``matvec`` and ``rmatvec`` give the products M x and the
-centred M^T (w - mean w) of the count x npixels 0/1 pattern matrix M through
-per-byte tables.  ``matvec_rmatvec`` gives b = M x and the centred product of
-the unit-scaled b from the same pass, so a run that needs both regenerates
-its patterns once.
+patterns, and ``matvec`` and ``covariance`` give the product M x and the
+covariance M^T (w - mean w) / J of the J x npixels 0/1 pattern matrix M
+through per-byte tables.  ``matvec_covariance`` gives b = M x and the
+covariance of b from the same pass, so a run that needs both regenerates its
+patterns once.
 ``matvec`` reads only the byte positions where x has a nonzero pixel, so an
 x that is 0 off a small object costs one lookup per byte of the object's
 pixels.
@@ -239,37 +239,13 @@ def iter_chunks(spec: EnsembleSpec):
         yield lo, hi, pattern_batch(spec, lo, hi, bits)
 
 
-def _table_indices(spec: EnsembleSpec, positions: np.ndarray | None = None):
-    """Yield ``(lo, hi, packed, idx)`` over the chunks of ``iter_chunks``.
-
-    ``packed`` is the chunk of ``iter_chunks`` and ``idx[j, k] = 256 b + r[b]``,
-    b the k-th of the byte ``positions`` (every position, in order, when None),
-    for the packed row r of pattern lo + j: the flat index of byte b's entry in
-    a raveled per-byte table.  Each idx is a read-only view of one intp
-    workspace, valid until the next chunk is asked for.  The workspace holds
-    256 b once; since r[b] < 256 and 256 b has a zero low byte, a chunk's
-    indices are its packed rows, or their columns at ``positions``, copied
-    into the low byte of each element.
-    """
-    cols = np.arange(packed_width(spec.grid)) if positions is None else positions
-    work = np.empty((min(STREAM_CHUNK, spec.count), len(cols)), dtype=np.intp)
-    work[...] = 256 * cols
-    low = 0 if sys.byteorder == "little" else work.itemsize - 1
-    low_bytes = work.view(np.uint8).reshape(*work.shape, work.itemsize)[..., low]
-    indices = work.view()
-    indices.flags.writeable = False
-    for lo, hi, packed in iter_chunks(spec):
-        low_bytes[: hi - lo] = packed if positions is None else packed[:, positions]
-        yield lo, hi, packed, indices[: hi - lo]
-
-
 # _BYTE_BITS[v, i] is bit i of byte value v, little bit order.
 _BYTE_BITS = np.unpackbits(
     np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
 ).astype(np.float64)
 
 
-def _pass(spec: EnsembleSpec, x=None, w=None, shift: int | None = None):
+def _pass(spec: EnsembleSpec, x=None, w=None, covary: bool = False):
     """The one pass over the ensemble behind every product: ``(b, c)``.
 
     Given an image x, b = M x.  x becomes the per-byte table T[b, v] =
@@ -278,20 +254,30 @@ def _pass(spec: EnsembleSpec, x=None, w=None, shift: int | None = None):
     pixel, since T[b] is 0 at every other: one lookup per eight pixels, and
     no float64 pattern.  Otherwise b is None.
 
-    Given a length-count w, or x and a ``shift`` k, the same chunks also
-    scatter the weights w, or 2^-k b, and c is the centred product
-    M^T w - mean(w) M^T 1, for w the unit-scaled b in the second case, as a
-    (ny, nx) float64 image; otherwise c is None.  Each chunk adds its weights
-    to a histogram H[b, v] over (byte position, byte value) of its packed
-    rows, and at the end of the pass H becomes pixels, x[8b + i] =
-    sum_v bit_i(v) H[b, v].  ``np.add.at`` adds in place, in pattern order: a
-    per-chunk ``np.bincount`` plus a sum ran slower, and it held a second
-    histogram.  The on-count M^T 1 is exact: a chunk's unpacked rows, read as
-    uint64 lanes of eight pixels, sum to at most STREAM_CHUNK = 128 per byte
-    lane, so no lane carries into the next.
+    Given a length-count w, or x and ``covary``, c is the covariance
+    M^T (s - mean s) / J of s = w, or of s = b, as a (ny, nx) float64 image;
+    otherwise c is None.  Each chunk adds 2^-k s to a histogram H[b, v] over
+    (byte position, byte value) of its packed rows, k fixed before the pass
+    so that the sum cannot overflow: s's own exponent for a given w, and for
+    b the bound |b_j| <= npixels max|x|.  At the end H becomes pixels,
+    x[8b + i] = sum_v bit_i(v) H[b, v], and the mean, the on-count correction
+    and the 1/J are taken at s's unit scale (``grid.unit_scale``) before 2^e
+    scales c back.  A power of two scales every value exactly unless it is
+    subnormal, so a gathered b gives the c of the same b given as w, bit for
+    bit.  ``np.add.at`` adds in place, in pattern order: a per-chunk
+    ``np.bincount`` plus a sum ran slower, and it held a second histogram.
+    The on-count M^T 1 is exact: a chunk's unpacked rows, read as uint64
+    lanes of eight pixels, sum to at most STREAM_CHUNK = 128 per byte lane,
+    so no lane carries into the next.
+
+    A chunk's indices idx[j, c] = 256 b + r[b], b the c-th byte position read
+    (every one for the scatter, the used ones for a gather alone), are the
+    flat indices of its rows' entries in a raveled table: one intp workspace
+    holds 256 b, whose low byte is 0, and each chunk copies its rows, or
+    their columns at those positions, into the low bytes.
     """
     grid, nb = spec.grid, packed_width(spec.grid)
-    scatter = w is not None or shift is not None
+    scatter = w is not None or covary
     b = gather = None
     if x is not None:
         padded = np.zeros(nb * 8)
@@ -302,29 +288,36 @@ def _pass(spec: EnsembleSpec, x=None, w=None, shift: int | None = None):
         gather = None if len(used) == nb else used
         b = np.empty(spec.count)
     if scatter:
+        s, k = (w, 0) if w is not None else (b, grid.npixels.bit_length())
+        k += int(np.frexp(np.abs(x if w is None else w).max())[1])
         hist = np.zeros(nb * 256)
         count = np.zeros(nb * 8, dtype=np.uint64)
-    # The scatter reads every byte position, a gather alone only the used
-    # ones.  Per-chunk temporaries are freed before the next chunk is drawn,
-    # so a pass holds the tables, the index workspace and one chunk's worth.
-    for lo, hi, packed, idx in _table_indices(spec, None if scatter else gather):
+    whole = scatter or gather is None
+    positions = np.arange(nb) if whole else gather
+    work = np.empty((min(STREAM_CHUNK, spec.count), len(positions)), dtype=np.intp)
+    work[...] = 256 * positions
+    low = 0 if sys.byteorder == "little" else work.itemsize - 1
+    low_bytes = work.view(np.uint8).reshape(*work.shape, work.itemsize)[..., low]
+    # Per-chunk temporaries are freed before the next chunk is drawn, so a
+    # pass holds the tables, the index workspace and one chunk's worth.
+    for lo, hi, packed in iter_chunks(spec):
+        idx = work[: hi - lo]
+        low_bytes[: hi - lo] = packed if whole else packed[:, positions]
         if x is not None:
-            cols = idx if gather is None or not scatter else idx[:, gather]
+            cols = idx[:, gather] if scatter and gather is not None else idx
             np.take(table, cols).sum(axis=1, out=b[lo:hi])
         if scatter:
-            weights = w[lo:hi] if w is not None else np.ldexp(b[lo:hi], -shift)
-            np.add.at(hist, idx.ravel(), np.repeat(weights, nb))
+            np.add.at(hist, idx.ravel(), np.repeat(np.ldexp(s[lo:hi], -k), nb))
             bits = np.unpackbits(packed, axis=1, bitorder="little").view(np.uint64)
             count += bits.sum(axis=0).view(np.uint8)
             del bits
     if not scatter:
         return b, None
     total = (hist.reshape(-1, 256) @ _BYTE_BITS).ravel()[: grid.npixels]
-    if w is None:  # the scatter took 2^-k b: bring its sum to b's unit scale
-        w, e = unit_scale(b)
-        total = np.ldexp(total, shift - e)
+    unit, e = unit_scale(s)
     on = count[: grid.npixels].astype(np.float64)
-    return b, (total - w.mean() * on).reshape(grid.shape)
+    c = (np.ldexp(total, k - e) - unit.mean() * on) / spec.count
+    return b, np.ldexp(c, e).reshape(grid.shape)
 
 
 def matvec(spec: EnsembleSpec, x: np.ndarray) -> np.ndarray:
@@ -338,27 +331,20 @@ def matvec(spec: EnsembleSpec, x: np.ndarray) -> np.ndarray:
     return _pass(spec, x=x)[0]
 
 
-def rmatvec(spec: EnsembleSpec, w: np.ndarray) -> np.ndarray:
-    """M^T (w - mean w) as a (ny, nx) float64 image, for M the count x npixels
-    0/1 pattern matrix and w a length-count vector: the mean-removed weighted
-    sum of the patterns, from one pass that scatters w into per-byte
-    histograms in pattern order.  It is M^T w - mean(w) M^T 1, with each
-    pixel's exact on-count M^T 1, which cancels the mean's share of M^T w:
-    at J = 2^16 on 64x64 fixed-fill patterns that costs about 1e-11 of the
-    peak (Chan, Golub and LeVeque, Am. Stat. 37, 242 (1983), bound the loss
-    by the ratio of mean to spread).
+def covariance(spec: EnsembleSpec, w: np.ndarray) -> np.ndarray:
+    """M^T (w - mean w) / J as a (ny, nx) float64 image, for M the J x npixels
+    0/1 pattern matrix and w a length-J vector: the mean-removed weighted
+    mean of the patterns, from one pass that scatters w into per-byte
+    histograms in pattern order.  It is (M^T w - mean(w) M^T 1) / J, with
+    each pixel's exact on-count M^T 1, which cancels the mean's share of
+    M^T w: at J = 2^16 on 64x64 fixed-fill patterns that costs about 1e-11 of
+    the peak (Chan, Golub and LeVeque, Am. Stat. 37, 242 (1983), bound the
+    loss by the ratio of mean to spread).
     """
     return _pass(spec, w=np.reshape(w, spec.count))[1]
 
 
-def matvec_rmatvec(spec: EnsembleSpec, x: np.ndarray):
-    """``(b, rmatvec(spec, unit_scale(b)[0]))`` for b = ``matvec(spec, x)``,
-    bit for bit, from the one pass that gathers b.
-
-    The pass scatters 2^-k b, k bounding |b| from x (|b_j| <= npixels max|x|),
-    so its sum cannot overflow, and scales it to b's unit scale after.  A
-    power of two scales every value exactly unless it is subnormal, so the
-    product is that of ``rmatvec`` on the unit-scaled b.
-    """
-    k = int(np.frexp(np.abs(x).max())[1]) + spec.grid.npixels.bit_length()
-    return _pass(spec, x=x, shift=k)
+def matvec_covariance(spec: EnsembleSpec, x: np.ndarray):
+    """``(b, covariance(spec, b))`` for b = ``matvec(spec, x)``, bit for bit,
+    from the one pass that gathers b."""
+    return _pass(spec, x=x, covary=True)

@@ -524,6 +524,10 @@ class TestBadInputs:
         # the two ways to give separations exclude each other
         ("resolution", ["--separations", "1e-4", "--separations-rel", "0.7,1.4,2.0"],
          "argument --separations-rel: not allowed with argument --separations"),
+        # one pattern records a bucket but gives no correlation
+        ("simulate", ["--grid.nx", "16", "--grid.ny", "16", "--ensemble.count", "1",
+                      "--object", "rectangle(2,2)", "--optical.case", "delta"],
+         "ensemble.count must be >= 2"),
     ])
     def test_integer_below_minimum(self, run_dir, tmp_path, capsys, command, flags, name):
         # and real-valued keys out of range, values the models reject,

@@ -30,9 +30,8 @@ import blindgi.forward
 import blindgi.pipeline
 from blindgi.arrayio import read_flat_config
 from blindgi.config import RunConfig, config_from_entries
-from blindgi.grid import unit_scale
 from blindgi.pipeline import run_simulation, separation_px
-from blindgi.patterns import matvec, pattern_batch, rmatvec, unpack
+from blindgi.patterns import covariance, matvec, pattern_batch, unpack
 from blindgi import objects
 from reference import (bucket, centered_disk, disk_autocorrelation, illuminate, otf_magnitude,
                        pupil_diameter_px)
@@ -316,11 +315,11 @@ class TestSimulate:
                                       "pixel-scan"])
     @pytest.mark.parametrize("shape", [(64, 64), (33, 31)], ids=["64x64", "33x31"])
     def test_stored_sums_are_rmatvec(self, kind, shape):
-        # a noise-free simulate forms the centred sum in the pass that gathers
-        # the buckets: bit for bit rmatvec of the unit-scaled buckets, for the
-        # letter's bytes alone (delta) and for every byte (scattering), on 300
-        # patterns that end mid-chunk; the buckets are matvec's, bit for bit.
-        # hadamard needs power-of-two sides
+        # a noise-free simulate forms the correlation in the pass that gathers
+        # the buckets: bit for bit the covariance of the buckets (rmatvec's
+        # successor), for the letter's bytes alone (delta) and for every byte
+        # (scattering), on 300 patterns that end mid-chunk; the buckets are
+        # matvec's, bit for bit.  hadamard needs power-of-two sides
         ny, nx = (16, 32) if kind == "hadamard" and shape == (33, 31) else shape
         g = Grid2D(nx=nx, ny=ny, pitch=12.5e-6)
         ens = EnsembleSpec(kind=kind, grid=g, count=300, fill_fraction=0.3, seed=5)
@@ -330,15 +329,33 @@ class TestSimulate:
             ms = simulate(obj, psf, ens, NoiseModel(), psf_seed=6)
             weights = blindgi.forward.bucket_weights(obj, psf)
             npt.assert_array_equal(ms.buckets, matvec(ens, weights))
-            npt.assert_array_equal(ms.centred_sum, rmatvec(ens, unit_scale(ms.buckets)[0]))
+            npt.assert_array_equal(ms.correlation, covariance(ens, ms.buckets))
             bare = simulate(obj, psf, ens, NoiseModel(), psf_seed=6, sums=False)
-            assert bare.centred_sum is None
+            assert bare.correlation is None
             npt.assert_array_equal(bare.buckets, ms.buckets)
-            # so the stored sum and correlate's own pass give the same bits
+            # so the stored correlation and correlate's own pass give the same bits
             npt.assert_array_equal(correlate(ms).values, correlate(bare).values)
-            # noise is drawn after the pass: correlate forms a noisy run's sum
+            # noise is drawn after the pass: correlate forms a noisy run's correlation
             for noise in (NoiseModel("gaussian"), NoiseModel("poisson")):
-                assert simulate(obj, psf, ens, noise, psf_seed=6).centred_sum is None
+                assert simulate(obj, psf, ens, noise, psf_seed=6).correlation is None
+
+    def test_replace_drops_the_stored_correlation(self):
+        # the stored correlation belongs to the buckets and the recipe it was
+        # formed from: a record with other buckets or another ensemble has
+        # none, and correlates as a fresh record of the same two fields does
+        g = grid(32)
+        ens = EnsembleSpec(kind="random-fixed-fill", grid=g, count=300, seed=5)
+        obj, psf = objects.letter(g), psf_for(optical(n=32), 6)
+        ms = simulate(obj, psf, ens, NoiseModel(), psf_seed=6)
+        assert ms.correlation is not None
+        noisy = simulate(obj, psf, ens, NoiseModel("gaussian"), psf_seed=6).buckets
+        for changed in (replace(ms, buckets=noisy), replace(ms, ensemble=replace(ens, seed=6))):
+            assert changed.correlation is None
+            fresh = blindgi.forward.MeasurementSet(changed.ensemble, changed.buckets)
+            npt.assert_array_equal(correlate(changed).values, correlate(fresh).values)
+            assert not np.array_equal(correlate(changed).values, ms.correlation)
+        with pytest.raises(ValueError, match="init=False"):
+            replace(ms, correlation=ms.correlation)
 
     @pytest.mark.slow
     def test_throughput_4096_patterns(self):

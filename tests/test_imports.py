@@ -173,7 +173,8 @@ def test_finds_layout_names():
 
 def test_only_patterns_sizes_the_layout():
     # chunk buffers and per-byte tables are sized and driven in patterns.py
-    # alone; the other modules call matvec, rmatvec and iter_chunks
+    # alone; the other modules call matvec, covariance, matvec_covariance
+    # and iter_chunks
     found = {}
     for path in ALL_MODULES:
         with open(path, encoding="utf-8") as fh:

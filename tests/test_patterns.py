@@ -25,12 +25,11 @@ from blindgi.patterns import (
     _fixed_fill,
     _hadamard,
     _philox,
-    _table_indices,
+    covariance,
     iter_chunks,
     matvec,
     packed_width,
     pattern_batch,
-    rmatvec,
     unpack,
 )
 from scipy.linalg import hadamard
@@ -256,11 +255,12 @@ class TestPackedFormat:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("shape", [(64, 64), (33, 31)], ids=["64x64", "33x31"])
     def test_products_are_dense_products(self, kind, shape):
-        # matvec is M @ x and rmatvec is (w - mean w) @ M for the dense 0/1
-        # pattern matrix M, on 300 patterns so that the last chunk is partial; hadamard needs
-        # power-of-two sides.  x is dense, then 0 on whole bytes, which matvec
-        # skips: one pixel, the last pixel (alone in the partial last byte of
-        # 33x31), the letter's pixels, and nothing (buckets of exactly 0)
+        # matvec is M @ x and covariance is (w - mean w) @ M / J for the dense
+        # 0/1 pattern matrix M, on J = 300 patterns so that the last chunk is
+        # partial; hadamard needs power-of-two sides.  x is dense, then 0 on
+        # whole bytes, which matvec skips: one pixel, the last pixel (alone in
+        # the partial last byte of 33x31), the letter's pixels, and nothing
+        # (buckets of exactly 0)
         ny, nx = (16, 32) if kind == "hadamard" and shape == (33, 31) else shape
         rng = np.random.default_rng(0)
         one, last = np.zeros((2, ny, nx), bool)
@@ -271,22 +271,23 @@ class TestPackedFormat:
             s = spec(kind=kind, n=ny, nx=nx, count=300, fill=fill)
             m = dense(s, 0, s.count).reshape(s.count, -1)
             x, w = rng.standard_normal((ny, nx)) * mask, rng.standard_normal(s.count)
-            mx, mtw = matvec(s, x), rmatvec(s, w)
+            mx, cov = matvec(s, x), covariance(s, w)
             if not np.any(mask):
                 npt.assert_array_equal(mx, 0.0)
-            assert mx.dtype == mtw.dtype == np.float64
-            assert mx.shape == (s.count,) and mtw.shape == (ny, nx)
+            assert mx.dtype == cov.dtype == np.float64
+            assert mx.shape == (s.count,) and cov.shape == (ny, nx)
             npt.assert_allclose(mx, m @ x.ravel(), rtol=0, atol=1e-13 * np.abs(x).sum())
             centred = w - w.mean()
-            npt.assert_allclose(mtw.ravel(), centred @ m, rtol=0, atol=1e-13 * np.abs(w).sum())
+            npt.assert_allclose(cov.ravel(), centred @ m / s.count, rtol=0,
+                                atol=1e-13 * np.abs(w).sum() / s.count)
             # the pass that sums w counts each pixel's on-states exactly, so a
             # constant w centres to exactly 0
             for value in (1.0, 0.75):
-                npt.assert_array_equal(rmatvec(s, np.full(s.count, value)), 0.0)
-            # the adjoint identity <M x, v> = <x, M^T v> for v = w - mean w,
-            # within roundoff of the sum of |M[j, p] x[p] w[j]|
-            scale = np.abs(w) @ m @ np.abs(x.ravel())
-            assert abs(np.dot(mx, centred) - np.sum(x * mtw)) <= 1e-13 * scale
+                npt.assert_array_equal(covariance(s, np.full(s.count, value)), 0.0)
+            # the adjoint identity <M x, v> / J = <x, M^T v / J> for v = w - mean w,
+            # within roundoff of the sum of |M[j, p] x[p] w[j]| / J
+            scale = np.abs(w) @ m @ np.abs(x.ravel()) / s.count
+            assert abs(np.dot(mx, centred) / s.count - np.sum(x * cov)) <= 1e-13 * scale
 
 
 def traced_peak(fn):
@@ -317,27 +318,6 @@ class TestChunkWorkspace:
             npt.assert_array_equal(rows, pattern_batch(s, 0, s.count))
             # a lone batch, across a chunk edge, is the same rows of the pass
             npt.assert_array_equal(pattern_batch(s, 100, 140), rows[100:140])
-
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("shape", [(64, 64), (33, 31)], ids=["64x64", "33x31"])
-    def test_table_indices_are_offset_rows(self, kind, shape):
-        # idx = packed + 256 b for every chunk of the same pass, the last one
-        # partial, over every byte position b or the given ones; hadamard needs
-        # power-of-two sides
-        ny, nx = (16, 32) if kind == "hadamard" and shape == (33, 31) else shape
-        s = spec(kind=kind, n=ny, nx=nx, count=300)
-        nb = packed_width(s.grid)
-        for positions in (None, np.array([1, 2, 7, nb - 1])):
-            cols = np.arange(nb) if positions is None else positions
-            spans = []
-            for (lo, hi, packed), (ilo, ihi, ipacked, idx) in zip(
-                    iter_chunks(s), _table_indices(s, positions), strict=True):
-                assert (ilo, ihi) == (lo, hi)
-                npt.assert_array_equal(ipacked, packed)
-                assert idx.dtype == np.intp and not idx.flags.writeable
-                npt.assert_array_equal(idx, np.add(packed[:, cols], 256 * cols))
-                spans.append((lo, hi))
-            assert spans == [(0, 128), (128, 256), (256, 300)]
 
     def test_passes_hold_one_chunk(self):
         cfg = RunConfig(ensemble_kind="random-fixed-fill", ensemble_count=3 * STREAM_CHUNK + 44)
