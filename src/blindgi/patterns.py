@@ -64,14 +64,6 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _hadamard(n: int) -> np.ndarray:
-    """Sylvester-order +-1 integer Hadamard matrix of power-of-two order ``n``."""
-    h = np.ones((1, 1), dtype=int)
-    while len(h) < n:  # double: H -> [[H, H], [H, -H]]
-        h = np.block([[h, h], [h, -h]])
-    return h
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Recipe for an ensemble of binary patterns.
@@ -128,24 +120,23 @@ def _next_bytes(bits: np.random.Philox, n: int, per: int) -> np.ndarray:
     return raw.view(np.uint8).reshape(n, per * 32)
 
 
-def _fixed_fill(scores: np.ndarray, k: int, part: np.ndarray) -> np.ndarray:
+def _fixed_fill(scores: np.ndarray, k: int) -> np.ndarray:
     """Bool rows (n, npix), True on each row's k lowest scores.
 
     The k-th order statistic (counting from 0) comes from partitioning a copy
-    of the scores held in the caller's uint32 scratch ``part``, of the scores'
-    width and at least as many rows: a fresh scratch array per block costs
-    page faults.  A row's pixels below that statistic are exactly its k lowest
-    unless a lower score ties it; such rows are redone by index.
+    of the scores.  A row's pixels below that statistic are exactly its k
+    lowest unless a lower score ties it; such a row fills up with the tied
+    pixels of lowest index, so the partition's order among equal scores,
+    which numpy leaves open, never shows.
     """
-    part = part[: len(scores)]
-    part[...] = scores
+    part = scores.copy()
     part.partition(k, axis=1)
-    kth = part[:, k : k + 1].copy()
+    kth = part[:, k : k + 1]
     tied = np.flatnonzero(part[:, :k].max(axis=1) == kth[:, 0])
     on = scores < kth
     for i in tied:
-        on[i] = False
-        on[i, np.argpartition(scores[i], k)[:k]] = True
+        at = scores[i] == kth[i]
+        on[i] |= at & (np.cumsum(at) <= k - on[i].sum())
     return on
 
 
@@ -191,7 +182,6 @@ def pattern_batch(
         if bits is None:
             bits = np.random.Philox(key=_key(spec.seed, _STREAM_PATTERNS), counter=start * per)
         rows = max(1, _BLOCK_BYTES // (per * 32))
-        part = np.empty((min(rows, n), npix), dtype=np.uint32) if fixed else None
         out = np.empty((n, nb), dtype=np.uint8)
         for a in range(0, n, rows):
             block = out[a : a + rows]
@@ -200,13 +190,16 @@ def pattern_batch(
                 np.invert(raw[:, :nb], out=block)
             else:
                 scores = raw.view(f"<u{w // 8}")[:, :npix]
-                block[...] = _pack(_fixed_fill(scores, k, part) if fixed else scores < threshold)
+                block[...] = _pack(_fixed_fill(scores, k) if fixed else scores < threshold)
         if w == 1 and npix % 8:
             out[:, -1] &= (1 << npix % 8) - 1  # zero the padding bits
         return out
     j = np.arange(start, stop)
     if spec.kind == "hadamard":
-        hy, hx = _hadamard(ny)[j // nx] > 0, _hadamard(nx)[j % nx] > 0
+        # Sylvester order: H[r, y] = (-1)^popcount(r & y), and pixel (y, x) of
+        # row j of kron(H_ny, H_nx) is on where its two signs agree
+        hy = np.bitwise_count((j // nx)[:, None] & np.arange(ny)) % 2
+        hx = np.bitwise_count((j % nx)[:, None] & np.arange(nx)) % 2
         return _pack((hy[:, :, None] == hx[:, None, :]).reshape(n, npix))
     out = np.zeros((n, nb), dtype=np.uint8)
     out[np.arange(n), j // 8] = 1 << (j % 8)
@@ -266,9 +259,8 @@ def _pass(spec: EnsembleSpec, x=None, w=None, covary: bool = False):
     subnormal, so a gathered b gives the c of the same b given as w, bit for
     bit.  ``np.add.at`` adds in place, in pattern order: a per-chunk
     ``np.bincount`` plus a sum ran slower, and it held a second histogram.
-    The on-count M^T 1 is exact: a chunk's unpacked rows, read as uint64
-    lanes of eight pixels, sum to at most STREAM_CHUNK = 128 per byte lane,
-    so no lane carries into the next.
+    The on-count M^T 1 is exact: a chunk's unpacked rows sum in uint8, and
+    a chunk adds at most STREAM_CHUNK = 128 to a pixel.
 
     A chunk's indices idx[j, c] = 256 b + r[b], b the c-th byte position read
     (every one for the scatter, the used ones for a gather alone), are the
@@ -308,9 +300,7 @@ def _pass(spec: EnsembleSpec, x=None, w=None, covary: bool = False):
             np.take(table, cols).sum(axis=1, out=b[lo:hi])
         if scatter:
             np.add.at(hist, idx.ravel(), np.repeat(np.ldexp(s[lo:hi], -k), nb))
-            bits = np.unpackbits(packed, axis=1, bitorder="little").view(np.uint64)
-            count += bits.sum(axis=0).view(np.uint8)
-            del bits
+            count += np.unpackbits(packed, axis=1, bitorder="little").sum(axis=0, dtype=np.uint8)
     if not scatter:
         return b, None
     total = (hist.reshape(-1, 256) @ _BYTE_BITS).ravel()[: grid.npixels]

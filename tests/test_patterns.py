@@ -23,7 +23,6 @@ from blindgi.patterns import (
     STREAM_CHUNK,
     _STREAM_PATTERNS,
     _fixed_fill,
-    _hadamard,
     _philox,
     covariance,
     iter_chunks,
@@ -133,20 +132,32 @@ class TestGeneratePattern:
 
     def test_fixed_fill_repairs_ties(self):
         # row 0 ties its k-th value below it, row 1 is constant, row 2 has
-        # the tie only above the k-th value, row 3 has no ties
+        # the tie only above the k-th value, row 3 has no ties; a tie at the
+        # k-th value goes to the pixels of lowest index
         k = 3
         scores = np.array(
             [[5, 1, 5, 5, 0, 9], [7, 7, 7, 7, 7, 7], [4, 0, 1, 6, 6, 6], [3, 0, 5, 1, 4, 2]],
             dtype=np.uint32,
         )
-        part = np.full((5, 6), 99, dtype=np.uint32)  # scratch with a spare row
-        out = _fixed_fill(scores, k, part)
+        out = _fixed_fill(scores, k)
         assert out.dtype == bool
         npt.assert_array_equal(out.sum(axis=1), k)
         for row, on in zip(scores, out):
             assert row[on].max() <= row[~on].min()
+        npt.assert_array_equal(out[0], [1, 1, 0, 0, 1, 0])
+        npt.assert_array_equal(out[1], [1, 1, 1, 0, 0, 0])
         npt.assert_array_equal(out[2], scores[2] < 6)
         npt.assert_array_equal(out[3], scores[3] < 3)
+        # rows with many ties at the k-th score: the k first of a stable sort
+        rng = np.random.default_rng(5)
+        scores = rng.integers(0, 2**32, size=(50, 1024), dtype=np.uint32)
+        k = 512
+        for row in scores:
+            row[rng.choice(1024, 40, replace=False)] = np.partition(row, k)[k]
+        want = np.zeros(scores.shape, dtype=bool)
+        for row, lowest in zip(want, np.argsort(scores, axis=1, kind="stable")):
+            row[lowest[:k]] = True
+        npt.assert_array_equal(_fixed_fill(scores, k), want)
 
     def test_random_stream_layout(self):
         # pattern j reads counters [j*P, (j+1)*P) of one Philox stream keyed by
@@ -184,18 +195,13 @@ class TestGeneratePattern:
         npt.assert_array_equal(one(s, 0), 1.0)
 
     def test_hadamard_batch_is_kronecker_rows(self):
-        # pattern j is row j of kron(H_ny, H_nx), remapped to {0, 1}
-        for ny, nx in ((8, 8), (4, 16), (64, 64), (2, 32)):
+        # pattern j is row j of kron(H_ny, H_nx), remapped to {0, 1}, for
+        # every order from 2 to 256
+        for ny, nx in ((8, 8), (4, 16), (64, 64), (2, 32), (256, 2), (2, 128)):
             s = spec(kind="hadamard", n=ny, nx=nx, count=ny * nx)
             want = (1 + np.kron(hadamard(ny), hadamard(nx))) / 2
             npt.assert_array_equal(dense(s, 0, s.count).reshape(s.count, -1), want)
             npt.assert_array_equal(dense(s, 5, 21).reshape(16, -1), want[5:21])
-
-    def test_hadamard_builder_matches_scipy(self):
-        for k in range(9):
-            got, want = _hadamard(2**k), hadamard(2**k)
-            assert got.dtype == want.dtype
-            npt.assert_array_equal(got, want)
 
     def test_hadamard_needs_power_of_two(self):
         with pytest.raises(ConfigError):
