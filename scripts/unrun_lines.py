@@ -6,12 +6,22 @@ Runs ``pytest -q --continue-on-collection-errors`` in this process under
 ran; a compound statement counts by its header.  Extra arguments go to
 pytest (``python3 scripts/unrun_lines.py tests/test_cli.py``); the exit
 status is pytest's.
+
+``python3 scripts/unrun_lines.py --runs`` traces the runs of
+``scripts/run_digests.py`` instead of the suite: every subcommand over three
+optical cases and four ensemble kinds, and the in-process route, in a
+temporary directory.  What it lists is the code no such run executes (error
+paths, rare input branches); the exit status is ``run_digests.py``'s.
 """
 
 import ast
+import contextlib
 import glob
+import io
 import os
+import runpy
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "blindgi")
@@ -48,12 +58,24 @@ def unrun(path: str) -> list[tuple[int, str]]:
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(ROOT, "src"))
     os.chdir(ROOT)
-    import pytest
+    if sys.argv[1:] == ["--runs"]:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            sys.argv = ["run_digests.py", os.path.join(tmp, "runs")]
+            sys.settrace(_calls)
+            try:
+                runpy.run_path(os.path.join(ROOT, "scripts", "run_digests.py"),
+                               run_name="__main__")
+            except SystemExit as exc:
+                status = exc.code
+            sys.settrace(None)
+            os.chdir(ROOT)
+    else:
+        import pytest
 
-    sys.settrace(_calls)
-    status = pytest.main(["-q", "--continue-on-collection-errors", *sys.argv[1:]])
-    sys.settrace(None)
+        sys.settrace(_calls)
+        status = pytest.main(["-q", "--continue-on-collection-errors", *sys.argv[1:]])
+        sys.settrace(None)
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         for line, text in unrun(path):
             print(f"{os.path.relpath(path, ROOT)}:{line}  {text}")
-    sys.exit(int(status))
+    sys.exit(status)  # run_digests.py exits with a message when a run fails

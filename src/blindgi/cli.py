@@ -7,8 +7,10 @@ Subcommands::
     blindgi evaluate    --run RUNDIR [--out DIR]
     blindgi resolution  --config cfg.txt --out DIR --separations-rel 0.5,1,2
 
-Any dotted config key can be overridden on the command line with
+A dotted config key can be overridden on the command line with
 ``--<key> value`` using dashes for underscores, e.g. ``--optical.z-o 0.3``.
+``reconstruct`` refuses a changed ``RECORDED`` key of the run, ``evaluate`` any
+changed key, and ``resolution``, which builds its own objects, ``object``.
 Exit codes: 0 success, 2 usage/config (a size too large to allocate included),
 3 data format, 4 numerical failure.
 """
@@ -21,19 +23,21 @@ import sys
 from dataclasses import replace
 
 from . import arrayio
-from .config import RunConfig, config_from_entries, config_to_entries
+from .config import KEYMAP, RunConfig, config_from_entries, config_to_entries
 from .errors import BlindGIError, ConfigError, DataError, FormatError, UsageError
 from .evaluation import align_and_score
 from .forward import MeasurementSet, psf_for, simulate
-from .grid import RealImage
 from .patterns import iter_chunks, unpack
 from .pipeline import (build_object, read_image, resolution_probe, run_reconstruction,
                        separation_px)
 
 CONFIG_FILE = "run_config.txt"
 BUCKETS_FILE = "buckets.csv"
-ORACLE_OBJECT_FILE = "oracle_object.f64"  # ground truth, for scoring only
+ORACLE_OBJECT_FILE = "oracle_object.f64"  # ground truth, read by evaluate alone
 ORACLE_PSF_FILE = "oracle_psf.f64"
+# the key prefixes a run's run_config.txt fixes: the pattern recipe and how
+# the measurement was taken; reconstruct may change every other key
+RECORDED = ("grid.", "ensemble.", "noise.", "psf_seed", "object")
 
 
 def _extract_overrides(extra: list[str]) -> dict[str, str]:
@@ -52,12 +56,22 @@ def _extract_overrides(extra: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _load_config(path: str | None, overrides: dict[str, str]) -> RunConfig:
-    entries = {}
-    if path:
-        entries.update(arrayio.read_flat_config(path))
-    entries.update(overrides)
-    return config_from_entries(entries)
+def _entries(path: str | None, overrides: dict[str, str]) -> dict[str, str]:
+    return {**(arrayio.read_flat_config(path) if path else {}), **overrides}
+
+
+def _load_run(args, overrides: dict[str, str], fixed: tuple[str, ...]) -> RunConfig:
+    """The run's recorded config with ``overrides`` applied; UsageError if one
+    changes the parsed value of a key that starts with a prefix in ``fixed``."""
+    path = os.path.join(args.run, CONFIG_FILE)
+    recorded = arrayio.read_flat_config(path)
+    cfg = config_from_entries({**recorded, **overrides})
+    was, given = config_to_entries(config_from_entries(recorded)), config_to_entries(cfg)
+    for key in overrides:
+        if key.startswith(fixed) and given[key] != was[key]:
+            raise UsageError(f"{key} is recorded as {was[key]} in {path}, given {given[key]}: "
+                             f"{args.command} cannot change it")
+    return cfg
 
 
 def _write_run_config(out_dir: str, cfg: RunConfig) -> None:
@@ -75,7 +89,7 @@ def _make_out_dir(path: str) -> None:
 def cmd_simulate(args, overrides) -> int:
     if args.dump_patterns < 0:
         raise UsageError(f"--dump-patterns must be >= 0, got {args.dump_patterns}")
-    cfg = _load_config(args.config, overrides)
+    cfg = config_from_entries(_entries(args.config, overrides))
     obj, psf = build_object(cfg), psf_for(cfg.optical(), cfg.psf_seed)
     # the buckets are written, not correlated: the pass skips the pattern sum
     ms = simulate(obj, psf, cfg.ensemble(), cfg.noise(), cfg.psf_seed, sums=False)
@@ -109,19 +123,9 @@ def _load_measurements(run_dir: str, cfg: RunConfig) -> MeasurementSet:
     return MeasurementSet(cfg.ensemble(), buckets)
 
 
-def _load_truth(run_dir: str, cfg: RunConfig) -> RealImage | None:
-    path = os.path.join(run_dir, ORACLE_OBJECT_FILE)
-    if not os.path.exists(path):
-        return None
-    return read_image(path, cfg.grid())
-
-
 def cmd_reconstruct(args, overrides) -> int:
-    run_cfg_path = os.path.join(args.run, CONFIG_FILE)
-    cfg = _load_config(run_cfg_path, overrides)
-    ms = _load_measurements(args.run, cfg)
-    truth = _load_truth(args.run, cfg)
-    result = run_reconstruction(cfg, ms, truth=truth)
+    cfg = _load_run(args, overrides, RECORDED)
+    result = run_reconstruction(cfg, _load_measurements(args.run, cfg))
     out_dir = args.out or args.run
     _make_out_dir(out_dir)
 
@@ -149,13 +153,6 @@ def cmd_reconstruct(args, overrides) -> int:
         "iterations_run": str(result.reconstruction.iterations_run),
         "compensation_mode": cfg.compensation_mode,
     }
-    if result.alignment is not None:
-        metrics.update(
-            aligned_pearson=repr(result.alignment.pearson),
-            shift_dy=str(result.alignment.shift[0]),
-            shift_dx=str(result.alignment.shift[1]),
-            flipped=str(result.alignment.flipped).lower(),
-        )
     arrayio.write_flat_config(os.path.join(out_dir, "metrics.txt"), metrics)
     print(f"reconstruction written to {out_dir} "
           f"(fourier_error={result.reconstruction.fourier_error:.4g})")
@@ -163,15 +160,14 @@ def cmd_reconstruct(args, overrides) -> int:
 
 
 def cmd_evaluate(args, overrides) -> int:
-    run_cfg_path = os.path.join(args.run, CONFIG_FILE)
-    cfg = _load_config(run_cfg_path, overrides)
-    truth = _load_truth(args.run, cfg)
-    if truth is None:
+    cfg = _load_run(args, overrides, tuple(KEYMAP))
+    truth_path = os.path.join(args.run, ORACLE_OBJECT_FILE)
+    if not os.path.exists(truth_path):
         raise DataError(f"no {ORACLE_OBJECT_FILE} in {args.run}; cannot score")
     recon_path = os.path.join(args.run, "reconstruction.f64")
     if not os.path.exists(recon_path):
         raise FormatError(f"no reconstruction.f64 in {args.run}; run reconstruct first")
-    result = align_and_score(read_image(recon_path, cfg.grid()), truth)
+    result = align_and_score(read_image(recon_path, cfg.grid()), read_image(truth_path, cfg.grid()))
     out_dir = args.out or args.run
     _make_out_dir(out_dir)
     path = os.path.join(out_dir, "evaluation.csv")
@@ -202,7 +198,10 @@ def _parse_separations(args, cfg: RunConfig) -> list[float]:
 
 
 def cmd_resolution(args, overrides) -> int:
-    cfg = _load_config(args.config, overrides)
+    entries = _entries(args.config, overrides)
+    if "object" in entries:
+        raise UsageError(f"object = {entries['object']}: resolution builds its own objects")
+    cfg = config_from_entries(entries)
     seps = _parse_separations(args, cfg)
     rows = [resolution_probe(cfg, sep) for sep in seps]
     _make_out_dir(args.out)

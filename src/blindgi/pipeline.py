@@ -27,10 +27,9 @@ def read_image(path: str, grid: Grid2D) -> RealImage:
     if meta["kind"] != arrayio.KIND_IMAGE:
         raise FormatError(f"{path}: kind tag {meta['kind']:g} at byte offset 48 is not an "
                           f"image's ({arrayio.KIND_IMAGE:g})")
-    if values.shape != grid.shape:
-        raise FormatError(
-            f"{path}: array is {meta['ny']}x{meta['nx']}, run grid is {grid.ny}x{grid.nx}"
-        )
+    if values.shape != grid.shape or meta["pitch"] != grid.pitch:
+        raise FormatError(f"{path}: array is {meta['ny']}x{meta['nx']}, run grid is {grid.ny}x"
+                          f"{grid.nx}; pitch {meta['pitch']!r} m, run pitch {grid.pitch!r} m")
     return RealImage(grid, values)
 
 

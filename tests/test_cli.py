@@ -28,6 +28,8 @@ SMALL = [
     "--schedule.restarts", "4",
     "--object", "rectangle(10,6)",
 ]
+# resolution builds its own two-point objects and refuses an object key
+SCAN = SMALL[:SMALL.index("--object")]
 
 
 def dir_digest(path, names=None):
@@ -103,8 +105,13 @@ class TestReconstruct:
                      "spectrum.pgm", "reconstruction.f64", "reconstruction.pgm",
                      "ef_trace.csv", "metrics.txt"):
             assert os.path.exists(os.path.join(run_dir, name)), name
+        # metrics.txt holds no ground truth; evaluate is the one scorer
         metrics = arrayio.read_flat_config(os.path.join(run_dir, "metrics.txt"))
-        assert float(metrics["aligned_pearson"]) > 0.8  # clean small case
+        assert sorted(metrics) == ["compensation_mode", "fourier_error", "iterations_run",
+                                   "restart_id"]
+        assert run_cli("evaluate", "--run", run_dir) == 0
+        with open(os.path.join(run_dir, "evaluation.csv")) as f:
+            assert float(f.read().splitlines()[1].split(",")[0]) > 0.8  # clean small case
 
     def test_missing_measurements(self, tmp_path):
         empty = str(tmp_path / "empty")
@@ -139,7 +146,7 @@ class TestReconstruct:
         assert float(row.split(",")[0]) > 0.8
 
     def test_subcommands_match_in_process_pipeline(self, run_dir):
-        # the file-based route and the in-process route must agree bin by bin
+        # the file-based route and the in-process route agree bit for bit
         from blindgi.config import config_from_entries
         from blindgi.pipeline import run_reconstruction, run_simulation
 
@@ -155,8 +162,7 @@ class TestReconstruct:
             ("reconstruction", result.reconstruction.image.values),
         ):
             on_disk, _ = arrayio.read_array(os.path.join(run_dir, name + ".f64"))
-            scale = max(np.max(np.abs(values)), 1e-300)
-            assert np.max(np.abs(on_disk - values)) <= 1e-12 * scale, name
+            assert on_disk.tobytes() == values.tobytes(), name
 
 
 class TestResolution:
@@ -321,7 +327,8 @@ class TestBadInputs:
         # works or exits with its documented code, and no traceback escapes;
         # an exit 2 from simulate names the key and writes nothing, and a
         # reconstruct that exits 0 wrote a finite E_F, one that exits 4 nothing.
-        # Buckets whose squares overflow are reconstructed and scored at unit scale.
+        # Buckets whose squares overflow are reconstructed, and evaluate scores
+        # them, at unit scale.
         base = ["--grid.nx", "16", "--grid.ny", "16", "--optical.case", case,
                 "--ensemble.count", "64", "--object", "rectangle(2,2)",
                 "--schedule.cycles", "1", "--schedule.restarts", "1", "--schedule.final-er", "5"]
@@ -354,7 +361,10 @@ class TestBadInputs:
                     assert not os.path.exists(metrics), (key, value)
                 if (key, value) in overflows:
                     assert code == 0, (key, value, err)
-                    assert "aligned_pearson" in arrayio.read_flat_config(metrics), (key, value)
+                    assert run_cli("evaluate", "--run", out) == 0, (key, value)
+                    with open(os.path.join(out, "evaluation.csv")) as f:
+                        pearson = float(f.read().splitlines()[1].split(",")[0])
+                    assert np.isfinite(pearson), (key, value)
             assert code in (0, 2, 3, 4), (key, value, code)
             assert "Traceback" not in err
         # a reconstruction of 1e200 values is scored at unit scale: the truth's block
@@ -534,7 +544,7 @@ class TestBadInputs:
         # separations no probe can use and sizes that cannot be allocated:
         # each is rejected before any output, when the config is read (the
         # object when simulate builds it, a size when it is allocated)
-        where = ["--run", run_dir] if command == "reconstruct" else SMALL
+        where = {"reconstruct": ["--run", run_dir], "resolution": SCAN}.get(command, SMALL)
         out = tmp_path / "o"
         assert run_cli(command, *where, "--out", str(out), *flags) == 2
         err = capsys.readouterr().err
@@ -598,14 +608,19 @@ class TestBadInputs:
         assert "object transmittance must be nonnegative" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_reconstruct_without_the_oracle(self, run_dir, tmp_path):
-        # a run without its ground truth is reconstructed but not scored
+    def test_reconstruct_never_reads_the_oracle(self, run_dir, tmp_path):
+        # reconstruct reads run_config.txt and buckets.csv alone: the same
+        # bytes with the ground truth present, removed or a directory
         run = str(tmp_path / "run")
         shutil.copytree(run_dir, run)
-        os.remove(os.path.join(run, "oracle_object.f64"))
-        assert run_cli("reconstruct", "--run", run) == 0
-        metrics = arrayio.read_flat_config(os.path.join(run, "metrics.txt"))
-        assert "fourier_error" in metrics and "aligned_pearson" not in metrics
+        oracle = os.path.join(run, "oracle_object.f64")
+        outs = [str(tmp_path / name) for name in ("present", "removed", "directory")]
+        assert run_cli("reconstruct", "--run", run, "--out", outs[0]) == 0
+        os.remove(oracle)
+        assert run_cli("reconstruct", "--run", run, "--out", outs[1]) == 0
+        os.makedirs(oracle)
+        assert run_cli("reconstruct", "--run", run, "--out", outs[2]) == 0
+        assert len({dir_digest(out) for out in outs}) == 1
 
     @pytest.mark.parametrize("missing,message", [
         ("oracle_object.f64", "no oracle_object.f64 in {run}; cannot score"),
@@ -669,14 +684,17 @@ class TestBadInputs:
         assert run_cli("reconstruct", "--run", run) == 2
         assert "'optical.z_m'" in capsys.readouterr().err
 
+    # evaluate is the only reader of oracle_object.f64
     @pytest.mark.parametrize("command,name", [
         ("simulate", "object.f64"),
-        ("reconstruct", "oracle_object.f64"),
+        ("evaluate", "oracle_object.f64"),
         ("evaluate", "reconstruction.f64"),
     ])
     def test_f64_path_is_directory(self, run_dir, tmp_path, capsys, command, name):
         run = str(tmp_path / "run")
         shutil.copytree(run_dir, run)
+        if command == "evaluate":
+            assert run_cli("reconstruct", "--run", run) == 0
         path = os.path.join(run, name)
         if os.path.exists(path):
             os.remove(path)
@@ -691,7 +709,7 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("command,name", [
         ("simulate", "object.f64"),
-        ("reconstruct", "oracle_object.f64"),
+        ("evaluate", "oracle_object.f64"),
         ("evaluate", "reconstruction.f64"),
     ])
     def test_f64_shape_not_grid_is_format_error(self, run_dir, tmp_path, capsys, command, name):
@@ -705,6 +723,28 @@ class TestBadInputs:
         out = tmp_path / "o"
         assert run_cli(command, *where, "--out", str(out)) == 3
         assert f"{path}: array is 16x16, run grid is 32x32" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,name", [
+        ("simulate", "object.f64"),
+        ("evaluate", "reconstruction.f64"),
+    ])
+    def test_f64_pitch_not_grid_is_format_error(self, run_dir, tmp_path, capsys, command, name):
+        # the run's 32x32 shape, recorded at another pitch
+        run = str(tmp_path / "run")
+        shutil.copytree(run_dir, run)
+        if command == "evaluate":
+            assert run_cli("reconstruct", "--run", run) == 0
+        path = os.path.join(run, name)
+        values = np.zeros((32, 32))
+        values[12:20, 12:20] = 1.0
+        arrayio.write_array(path, values, 1e-3)
+        where = {"simulate": [*SMALL, "--object", path]}.get(command, ["--run", run])
+        out = tmp_path / "o"
+        assert run_cli(command, *where, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert (f"{path}: array is 32x32, run grid is 32x32; pitch 0.001 m, "
+                "run pitch 1.25e-05 m") in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "evaluate"])
@@ -762,6 +802,89 @@ class TestBadInputs:
         cfg.write_text("object = letter\n= 3\n")
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
         assert "line 2" in capsys.readouterr().err
+
+
+# A 16x16 delta run, and for every config key a valid value other than the
+# run's, written as the run records it.
+RECORD = ["--grid.nx", "16", "--grid.ny", "16", "--optical.case", "delta",
+          "--ensemble.count", "64", "--object", "rectangle(2,2)",
+          "--schedule.cycles", "1", "--schedule.restarts", "1", "--schedule.final-er", "5"]
+CHANGED = {
+    "grid.nx": "18", "grid.ny": "18", "grid.pitch": "1e-05",
+    "optical.wavelength": "6.33e-07", "optical.z_o": "0.2", "optical.aperture_diameter": "0.005",
+    "optical.dmd_pitch": "5e-06", "optical.case": "scattering",
+    "ensemble.kind": "random-fixed-fill", "ensemble.count": "128",
+    "ensemble.fill_fraction": "0.25", "ensemble.seed": "5",
+    "noise.kind": "gaussian", "noise.snr_db": "30.0", "noise.photons": "100000.0",
+    "psf_seed": "77", "object": "rectangle(3,3)",
+    "compensation.mode": "compensated", "compensation.epsilon_fraction": "0.1",
+    "support.threshold_fraction": "0.1", "support.margin_px": "3", "support.box": "half",
+    "schedule.cycles": "2", "schedule.hio_iterations": "10", "schedule.er_iterations": "5",
+    "schedule.beta": "0.8", "schedule.final_er": "10", "schedule.restarts": "2",
+    "schedule.seed": "5", "schedule.free_dc_radius": "2.0",
+}
+# the keys a run's run_config.txt fixes: its pattern recipe and how it was measured
+RECORDED_KEYS = [key for key in KEYMAP
+                 if key.split(".")[0] in ("grid", "ensemble", "noise", "psf_seed", "object")]
+
+
+class TestRecordedKeys:
+    """reconstruct and evaluate take the recorded run as it is; resolution its own objects."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        run = str(tmp_path_factory.mktemp("recorded") / "run")
+        assert run_cli("simulate", "--out", run, *RECORD) == 0
+        assert run_cli("reconstruct", "--run", run) == 0
+        return run
+
+    def test_tables_cover_the_keys(self):
+        assert sorted(CHANGED) == sorted(KEYMAP) and len(RECORDED_KEYS) == 12
+
+    @pytest.mark.parametrize("command,key", [
+        *[("reconstruct", key) for key in RECORDED_KEYS],
+        *[("evaluate", key) for key in KEYMAP],  # evaluate takes no key of its own
+    ])
+    def test_changed_key_is_refused(self, run_dir, tmp_path, capsys, command, key):
+        recorded = arrayio.read_flat_config(os.path.join(run_dir, "run_config.txt"))
+        assert CHANGED[key] != recorded[key]
+        out = tmp_path / "o"
+        assert run_cli(command, "--run", run_dir, "--out", str(out),
+                       "--" + key.replace("_", "-"), CHANGED[key]) == 2
+        err = capsys.readouterr().err
+        assert (f"{key} is recorded as {recorded[key]} in "
+                f"{os.path.join(run_dir, 'run_config.txt')}, given {CHANGED[key]}: "
+                f"{command} cannot change it") in err
+        assert not out.exists()
+
+    def test_restated_keys_are_accepted(self, run_dir, tmp_path):
+        # every recorded value restated, each number in another spelling of
+        # the same value: the outputs are those of a run without the flags
+        recorded = arrayio.read_flat_config(os.path.join(run_dir, "run_config.txt"))
+        parsers = {key: parser for key, (_, parser) in KEYMAP.items()}
+        restated = [token for key, value in recorded.items() for token in (
+            "--" + key.replace("_", "-"),
+            format(float(value), ".16e") if parsers[key] is float
+            else "+" + value if parsers[key] is int else value)]
+        plain, flagged = str(tmp_path / "plain"), str(tmp_path / "flagged")
+        assert run_cli("reconstruct", "--run", run_dir, "--out", plain) == 0
+        assert run_cli("reconstruct", "--run", run_dir, "--out", flagged, *restated) == 0
+        assert dir_digest(plain) == dir_digest(flagged)
+        assert run_cli("evaluate", "--run", run_dir, "--out", plain) == 0
+        assert run_cli("evaluate", "--run", run_dir, "--out", flagged, *restated) == 0
+        assert dir_digest(plain) == dir_digest(flagged)
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_resolution_refuses_an_object(self, tmp_path, capsys, where):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("object = rectangle(3,3)\n" if where == "config" else "")
+        flag = ["--object", "rectangle(3,3)"] if where == "flag" else []
+        out = tmp_path / "o"
+        assert run_cli("resolution", "--config", str(cfg), "--out", str(out), *SCAN, *flag,
+                       "--separations", "1e-4") == 2
+        assert "object = rectangle(3,3): resolution builds its own objects" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
 
 TINY = [
